@@ -5,7 +5,6 @@ from .chartcore import (
     Chart,
     OneFormField,
     Permutation,
-    RegularPoint,
     ScalarField,
     SingularPointError,
     TensorField11,
@@ -18,7 +17,6 @@ from .chartcore import (
     lie_bracket_residual,
     nijenhuis_contracted,
     pullback,
-    pushforward,
 )
 from .equivariant import (
     FamilyParams,

@@ -20,14 +20,15 @@ Conventions, fixed once for the whole package:
 
 With these conventions the contraction df(N_K) for the quadratic
 hydrodynamic operator of :mod:`lenardlab.gelfand_dikii` reproduces
-dw_2 ^ df with factor exactly +1; see NIJENHUIS_WEDGE_CALIBRATION.
+dw_2 ^ df with factor exactly +1.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,11 +38,6 @@ REGULARITY_MARGIN = 1e-3
 
 # Central-difference step is FD_STEP * max(1, |u_i|) per coordinate.
 FD_STEP = 1e-5
-
-# Constant relating df(Torsion(K)) to the wedge-product normal form above.
-# Fixed by checking the quadratic hydrodynamic operator; do not change one
-# without the other.
-NIJENHUIS_WEDGE_CALIBRATION = 1.0
 
 Predicate = Callable[[np.ndarray], float]
 
@@ -70,26 +66,9 @@ class Chart:
             raise ValueError(f"chart dimension must be >= 2, got {self.dim}")
 
 
-@dataclass(frozen=True, eq=False)
-class RegularPoint:
-    """Coordinates certified against the predicates they were checked with."""
-
-    chart: Chart
-    coords: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.array(self.coords, dtype=float).reshape(-1)
-        if c.shape != (self.chart.dim,):
-            raise ChartMismatchError(
-                f"point of length {c.size} on chart {self.chart.name!r} (dim {self.chart.dim})"
-            )
-        c.flags.writeable = False
-        object.__setattr__(self, "coords", c)
-
-
 def coords_of(p, dim: int | None = None) -> np.ndarray:
-    """Accept a RegularPoint or a bare coordinate array."""
-    u = p.coords if isinstance(p, RegularPoint) else np.asarray(p, dtype=float)
+    """The coordinates of a point as a float array, checked against ``dim``."""
+    u = np.asarray(p, dtype=float)
     if dim is not None and u.shape != (dim,):
         raise ChartMismatchError(f"expected a point of length {dim}, got shape {u.shape}")
     return u
@@ -102,13 +81,6 @@ def check_regular(predicates: Sequence[Predicate], u: np.ndarray,
             raise SingularPointError(
                 f"regularity predicate #{k} is {pred(u):.3e} at {u} (margin {margin:g})"
             )
-
-
-def certify(chart: Chart, coords, predicates: Sequence[Predicate] = ()) -> RegularPoint:
-    """Build a RegularPoint, rejecting coordinates inside the singular margin."""
-    u = np.asarray(coords, dtype=float)
-    check_regular(predicates, u)
-    return RegularPoint(chart, u)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +126,6 @@ class OneFormField:
         check_regular(self.predicates, u)
         return np.asarray(self.jac(u), dtype=float)
 
-    def pair_with(self, x_comp: np.ndarray, p) -> float:
-        return float(self.coeff_at(p) @ np.asarray(x_comp, dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
 class VectorFieldSpec:
@@ -196,12 +165,6 @@ class TensorField11:
         u = coords_of(p, self.chart.dim)
         check_regular(self.predicates, u)
         return np.asarray(self.jac(u), dtype=float)
-
-    def apply_vector(self, x_comp: np.ndarray, p) -> np.ndarray:
-        return self.mat_at(p) @ np.asarray(x_comp, dtype=float)
-
-    def apply_covector(self, theta: np.ndarray, p) -> np.ndarray:
-        return np.asarray(theta, dtype=float) @ self.mat_at(p)
 
 
 # constructors ---------------------------------------------------------------
@@ -283,15 +246,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation(tuple(int(k) for k in np.argsort(self.mapping)))
 
-    def after(self, other: "Permutation") -> "Permutation":
-        """Composite map self o other (apply ``other`` first)."""
-        if self.dim != other.dim:
-            raise ChartMismatchError("permutations of different dimension")
-        return Permutation(tuple(other.mapping[self.mapping[i]] for i in range(self.dim)))
-
-    def is_involution(self) -> bool:
-        return self.after(self).mapping == tuple(range(self.dim))
-
 
 def pullback(sigma: Permutation, omega: OneFormField) -> OneFormField:
     """Pull a one-form back along the coordinate permutation sigma.
@@ -315,25 +269,6 @@ def pullback(sigma: Permutation, omega: OneFormField) -> OneFormField:
     return OneFormField(omega.chart, coeff, jac, preds)
 
 
-def pushforward(sigma: Permutation, x: VectorFieldSpec) -> VectorFieldSpec:
-    """Push a vector field forward: (sigma_* X)^i(u) = X^{sigma(i)}(sigma^{-1}(u))."""
-    if sigma.dim != x.chart.dim:
-        raise ChartMismatchError(
-            f"permutation of dim {sigma.dim} on chart of dim {x.chart.dim}"
-        )
-    inv = sigma.inverse()
-    idx = list(sigma.mapping)
-
-    def comp(u: np.ndarray) -> np.ndarray:
-        return np.asarray(x.comp(inv(u)), dtype=float)[idx]
-
-    def jac(u: np.ndarray) -> np.ndarray:
-        return np.asarray(x.jac(inv(u)), dtype=float)[np.ix_(idx, idx)]
-
-    preds = tuple((lambda uu, p=p: p(inv(uu))) for p in x.predicates)
-    return VectorFieldSpec(x.chart, comp, jac, preds)
-
-
 def transform_tensor(sigma: Permutation, k: TensorField11) -> TensorField11:
     """Transform a (1,1)-tensor by the usual rule, (sigma K)(u) = K(sigma^{-1}u) conjugated."""
     if sigma.dim != k.chart.dim:
@@ -355,6 +290,19 @@ def transform_tensor(sigma: Permutation, k: TensorField11) -> TensorField11:
 
 # ---------------------------------------------------------------------------
 # residuals
+
+
+def _nan_max2(a: float, b: float) -> float:
+    return a if a != a or a >= b else b
+
+
+def nan_max(values: Iterable[float]) -> float:
+    """The largest of ``values``, or NaN if any of them is NaN, in any order.
+
+    Python's ``max`` keeps its running value when the next one is NaN, so a
+    NaN residual would pass unless it came first.
+    """
+    return float(functools.reduce(_nan_max2, values))
 
 
 def closure_residual(omega: OneFormField, p) -> float:
@@ -488,6 +436,44 @@ def wedge_matrix(a, b) -> np.ndarray:
     return np.outer(a, b) - np.outer(b, a)
 
 
+# Lenard complexes ----------------------------------------------------------
+
+
+def lenard_residuals(operators: Sequence[TensorField11], X: VectorFieldSpec,
+                     forms: Sequence[OneFormField], points: Sequence[np.ndarray],
+                     extras: Callable[[np.ndarray, list[np.ndarray]],
+                                      Iterable[tuple[str, float]]]) -> dict[str, float]:
+    """Worst residual over ``points`` of each condition of a Lenard complex.
+
+    The axioms every complex shares are checked here: commuting chain fields
+    [K_j X, K_l X] = 0 (``vector_field_commutators``), commuting operators
+    (``operator_commutators``), vanishing Haantjes torsion
+    (``haantjes_torsion``) and closed ``forms`` (``square_closure``).
+    ``extras(u, mats)`` yields (condition name, residual) pairs for a
+    family's own conditions at u, given the operator matrices there.  Every
+    condition is reduced as the points go by, NaN-propagating.
+    """
+    chain_fields = [vector_image(k, X) for k in operators]
+
+    def shared(u: np.ndarray, mats: list[np.ndarray]) -> Iterator[tuple[str, float]]:
+        for j, l in pairwise_indices(len(operators)):
+            a, b = mats[j], mats[l]
+            yield ("vector_field_commutators",
+                   lie_bracket_residual(chain_fields[j], chain_fields[l], u))
+            yield "operator_commutators", float(np.max(np.abs(a @ b - b @ a)))
+        for k in operators:
+            yield "haantjes_torsion", haantjes_residual(k, u)
+        for f in forms:
+            yield "square_closure", closure_residual(f, u)
+
+    worst: dict[str, float] = {}
+    for u in points:
+        mats = [k.mat_at(u) for k in operators]
+        for name, value in itertools.chain(shared(u, mats), extras(u, mats)):
+            worst[name] = _nan_max2(worst.get(name, value), value)
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # finite differences (cross-check only, never the primary derivative)
 
@@ -572,12 +558,6 @@ def fd_check_tensor(k: TensorField11, p) -> float:
     u = coords_of(p, k.chart.dim)
     check_regular(k.predicates, u)
     return float(np.max(np.abs(fd_jacobian(k.mat, u) - k.jac(u))))
-
-
-def fd_check_scalar(f: ScalarField, p) -> float:
-    u = coords_of(p, f.chart.dim)
-    check_regular(f.predicates, u)
-    return float(np.max(np.abs(fd_gradient(f.value, u) - np.asarray(f.grad(u), dtype=float))))
 
 
 # ---------------------------------------------------------------------------

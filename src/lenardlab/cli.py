@@ -17,6 +17,7 @@ Exit status is 0 exactly when every report condition passes.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import equivariant as eq
 from . import gelfand_dikii as gd
-from .chartcore import ScalarField, closure_residual, fd_hessian, fd_jacobian
+from .chartcore import ScalarField, closure_residual, fd_hessian, fd_jacobian, nan_max
 from .report import VerificationReport, render_json, render_text
 from .sampling import SamplingExhaustedError, default_rng, sample_box, sample_gapped_box, sample_segments
 from .wdvv import (
@@ -59,7 +60,10 @@ def _tol_default(env: str, fallback: float) -> float:
     raw = os.environ.get(env)
     if raw is None:
         return fallback
-    return float(raw)
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"{env} must be a number, got {raw!r}") from None
 
 
 def _emit(doc: dict, cfg: RunConfig) -> None:
@@ -89,20 +93,22 @@ def cmd_verify_wdvv(args: argparse.Namespace, cfg: RunConfig) -> int:
     params.update({"points": cfg.points, "seed": cfg.seed, "euler": args.euler})
 
     report = VerificationReport()
-    worst = max(wdvv_residual(pre, x) for x in pts)
+    worst = nan_max(wdvv_residual(pre, x) for x in pts)
     report.add("wdvv_commutation", len(pts), worst, cfg.tol_analytic)
 
-    fd_h = max(float(np.max(np.abs(fd_hessian(pre.value, x) - pre.hessian(x)))) for x in pts[:10])
-    fd_c = max(float(np.max(np.abs(fd_jacobian(pre.hessian, x) - pre.third(x)))) for x in pts[:10])
+    fd_h = nan_max(float(np.max(np.abs(fd_hessian(pre.value, x) - pre.hessian(x))))
+                   for x in pts[:10])
+    fd_c = nan_max(float(np.max(np.abs(fd_jacobian(pre.hessian, x) - pre.third(x))))
+                   for x in pts[:10])
     report.add("hessian_fd_agreement", min(len(pts), 10), fd_h, cfg.tol_fd)
     report.add("third_fd_agreement", min(len(pts), 10), fd_c, cfg.tol_fd)
 
     if args.euler == "quarter-x":
         w = EulerWeights.proportional(0.25)
-        worst_g = max(generalized_wdvv_residual(pre, w, x) for x in pts)
+        worst_g = nan_max(generalized_wdvv_residual(pre, w, x) for x in pts)
         report.add("generalized_wdvv_commutation", len(pts), worst_g, cfg.tol_analytic)
         g0 = g_matrix(pre, w, pts[0])
-        drift = max(float(np.max(np.abs(g_matrix(pre, w, x) - g0))) for x in pts)
+        drift = nan_max(float(np.max(np.abs(g_matrix(pre, w, x) - g0))) for x in pts)
         report.add("euler_contraction_constant", len(pts), drift, 1e-10)
         params["euler_g_matrix"] = [[float(v) for v in row] for row in g0]
 
@@ -113,15 +119,16 @@ def cmd_verify_wdvv(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _complex_report(cx: eq.LenardComplex, pts, cfg: RunConfig) -> VerificationReport:
     report = eq.verify_complex(cx, pts, tol_analytic=cfg.tol_analytic,
                                tol_fd=cfg.tol_fd, with_fd=True)
-    # symmetry of the square coefficients is reported by its own condition
-    worst = 0.0
-    for a in pts:
+
+    def square_wdvv(a) -> float:
+        # symmetry of the square coefficients is reported by its own condition
         try:
-            worst = max(worst, eq.wdvv_residual_of_complex(cx, a, require_symmetric=False))
+            return eq.wdvv_residual_of_complex(cx, a, require_symmetric=False)
         except SingularSliceError:
-            worst = max(worst, 1.0)
-    report.add("wdvv_commutation_from_square", len(pts), worst, 1e-8)
-    split = max(eq.split_form_residual(cx.params, a, cx=cx) for a in pts)
+            return 1.0
+
+    report.add("wdvv_commutation_from_square", len(pts), nan_max(map(square_wdvv, pts)), 1e-8)
+    split = nan_max(eq.split_form_residual(cx.params, a, cx=cx) for a in pts)
     report.add("split_form_identity", len(pts), split, cfg.tol_analytic)
     return report
 
@@ -153,6 +160,8 @@ def cmd_build_complex(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _reproduce_example3(args: argparse.Namespace, cfg: RunConfig) -> int:
+    if args.segments <= 0:
+        raise ValueError("segment count must be positive")
     params, reference = eq.example3_fixture()
     cx = eq.assemble_complex(params)
     rng = default_rng(cfg.seed)
@@ -161,13 +170,11 @@ def _reproduce_example3(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     displays = eq.example3_display_forms()
     built = dict(cx.square.named_forms())
-    worst = 0.0
-    for a in pts[:20]:
-        for name, disp in displays.items():
-            worst = max(worst, float(np.max(np.abs(built[name].coeff_at(a) - disp(a)))))
+    worst = nan_max(float(np.max(np.abs(built[name].coeff_at(a) - disp(a))))
+                    for a in pts[:20] for name, disp in displays.items())
     report.add("display_coefficients_match", min(len(pts), 20), worst, 1e-10)
 
-    worst = max(
+    worst = nan_max(
         float(np.max(np.abs(k.mat_at(a) @ a - eq.EXAMPLE3_CHAIN_FIELDS[j])))
         for a in pts for j, k in enumerate(cx.operators)
     )
@@ -178,16 +185,18 @@ def _reproduce_example3(args: argparse.Namespace, cfg: RunConfig) -> int:
                for p in eq.square_form_in_x(cx.square, j, l).predicates]
     segs = sample_segments(rng, args.segments, predicates=x_preds,
                            to_ambient=lambda a: h @ a)
-    worst = 0.0
-    for x0, x1 in segs:
-        dh = reference.hessian_at(x1) - reference.hessian_at(x0)
-        for j in range(3):
-            for l in range(j, 3):
-                val = eq.reconstruct_potential_entry(cx.square, j, l, x0, x1)
-                worst = max(worst, abs(val - dh[j, l]))
+
+    def reconstruction_errors():
+        for x0, x1 in segs:
+            dh = reference.hessian_at(x1) - reference.hessian_at(x0)
+            for j in range(3):
+                for l in range(j, 3):
+                    yield abs(eq.reconstruct_potential_entry(cx.square, j, l, x0, x1) - dh[j, l])
+
+    worst = nan_max(reconstruction_errors())
     report.add("potential_reconstruction", len(segs), worst, 1e-6)
 
-    agree = max(
+    agree = nan_max(
         abs(eq.wdvv_residual_of_complex(cx, a) - wdvv_residual(reference, h @ a))
         for a in pts[:20]
     )
@@ -212,16 +221,16 @@ def _reproduce_gd(args: argparse.Namespace, cfg: RunConfig) -> int:
         ScalarField(chart, lambda w: float(w[0] * w[1]),
                     lambda w: np.array([w[1], w[0], 0.0])),
     ]
-    worst = max(gd.gd_torsion_identity_residual(f, w) for w in pts for f in probes)
+    worst = nan_max(gd.gd_torsion_identity_residual(f, w) for w in pts for f in probes)
     report.add("torsion_identity", len(pts), worst, cfg.tol_analytic)
 
     # lower-bound checks are encoded as shortfalls: residual = max(0, bound - value)
     w0 = np.array([1.0, 2.0, 3.0])
     torsion_norm = float(np.max(np.abs(
         gd.nijenhuis_contracted(gd.gd_operator(), probes[1], w0))))
-    report.add("nijenhuis_nonvanishing", 1, max(0.0, 0.1 - torsion_norm), 1e-12)
-    naive = max(closure_residual(gd.naive_power_form(3), w) for w in pts[:10])
-    report.add("power_chain_not_closed", min(len(pts), 10), max(0.0, 0.1 - naive), 1e-12)
+    report.add("nijenhuis_nonvanishing", 1, nan_max((0.0, 0.1 - torsion_norm)), 1e-12)
+    naive = nan_max(closure_residual(gd.naive_power_form(3), w) for w in pts[:10])
+    report.add("power_chain_not_closed", min(len(pts), 10), nan_max((0.0, 0.1 - naive)), 1e-12)
 
     _emit(report.to_dict("reproduce gd", {"points": cfg.points, "seed": cfg.seed}), cfg)
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -268,15 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(command=args.command, points=args.points, seed=args.seed,
-                    tol_analytic=args.tol_analytic, tol_fd=args.tol_fd,
-                    fmt=args.fmt, out=args.out)
-    if cfg.points <= 0 or cfg.tol_analytic <= 0 or cfg.tol_fd <= 0:
-        print("error: point count and tolerances must be positive", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        args = build_parser().parse_args(argv)
+        cfg = RunConfig(command=args.command, points=args.points, seed=args.seed,
+                        tol_analytic=args.tol_analytic, tol_fd=args.tol_fd,
+                        fmt=args.fmt, out=args.out)
+        if cfg.points <= 0 or not all(math.isfinite(t) and t > 0
+                                      for t in (cfg.tol_analytic, cfg.tol_fd)):
+            raise ValueError("point count and tolerances must be positive and finite")
         if args.command == "verify-wdvv":
             return cmd_verify_wdvv(args, cfg)
         if args.command == "build-complex":

@@ -34,9 +34,10 @@ with lambda = x is the inverse Hessian of A, [[3/4,-1/4,-1/4],...].
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -47,19 +48,17 @@ from .chartcore import (
     SingularPointError,
     TensorField11,
     VectorFieldSpec,
-    closure_residual,
     coords_of,
     covector_image,
     fd_check_one_form,
     fd_check_tensor,
     fd_check_vector_field,
-    haantjes_residual,
     integrate_one_form,
-    lie_bracket_residual,
+    lenard_residuals,
+    nan_max,
     pairwise_indices,
     pullback,
     transform_tensor,
-    vector_image,
 )
 from .report import VerificationReport
 from .wdvv import (
@@ -145,14 +144,6 @@ class QuadraticInvariant:
         """dA = sum_i A_i da_i in the a-chart (exact by construction)."""
         h = self.hessian()
         return OneFormField(A_CHART, lambda a: h @ a, lambda a: h)
-
-
-def a_to_A(quad: QuadraticInvariant, a) -> np.ndarray:
-    return quad.a_to_A(a)
-
-
-def A_to_a(quad: QuadraticInvariant, big_a) -> np.ndarray:
-    return quad.A_to_a(big_a)
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +326,27 @@ class EquivariantSquare:
 
 
 def _probe_residual(form_a: OneFormField, form_b: OneFormField) -> float:
-    worst, used = 0.0, 0
+    diffs = []
     for a in _PROBES:
         try:
-            worst = max(worst, float(np.max(np.abs(form_a.coeff_at(a) - form_b.coeff_at(a)))))
-            used += 1
+            diffs.append(float(np.max(np.abs(form_a.coeff_at(a) - form_b.coeff_at(a)))))
         except SingularPointError:
             continue
-    if used == 0:
+    if not diffs:
         raise SingularPointError("all probe points are singular for these forms")
-    return worst
+    return nan_max(diffs)
+
+
+def _exchange_table(square: EquivariantSquare):
+    """The exchange table: sigma_{jl} sends theta_{pq} to theta_{pi(p) pi(q)}.
+
+    Yields (label, sigma_{jl}* theta_{pq}, theta_{pi(p) pi(q)}) for every
+    transposition and every entry of the square.
+    """
+    for sig, j, l in TRANSPOSITIONS:
+        for p, q in itertools.combinations_with_replacement(range(3), 2):
+            yield (f"sigma({j},{l}), entry ({p},{q})", pullback(sig, square.form(p, q)),
+                   square.form(sig.mapping[p], sig.mapping[q]))
 
 
 def complete_square(dA: OneFormField, dP: OneFormField, dQ: OneFormField,
@@ -358,7 +360,7 @@ def complete_square(dA: OneFormField, dP: OneFormField, dQ: OneFormField,
     """
     for name, sig, form in (("dA", SIGMA_12, dA), ("dQ", SIGMA_12, dQ), ("dP", SIGMA_23, dP)):
         r = _probe_residual(pullback(sig, form), form)
-        if r > tol:
+        if not r <= tol:
             raise SquareSymmetryError(f"{name} violates its input symmetry (residual {r:.3e})")
 
     square = EquivariantSquare(
@@ -369,17 +371,12 @@ def complete_square(dA: OneFormField, dP: OneFormField, dQ: OneFormField,
         dV=pullback(SIGMA_13, dP),
         quad=quad,
     )
-    # exchange table: sigma_{jl} sends theta_{pq} to theta_{pi(p) pi(q)}
-    for sig, j, l in TRANSPOSITIONS:
-        perm = list(range(3))
-        perm[j], perm[l] = perm[l], perm[j]
-        for p, q in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
-            r = _probe_residual(pullback(sig, square.form(p, q)), square.form(perm[p], perm[q]))
-            if r > tol:
-                raise SquareSymmetryError(
-                    f"completed square breaks the exchange table at sigma({j},{l}), "
-                    f"entry ({p},{q}): residual {r:.3e}"
-                )
+    for label, moved, target in _exchange_table(square):
+        r = _probe_residual(moved, target)
+        if not r <= tol:
+            raise SquareSymmetryError(
+                f"completed square breaks the exchange table at {label}: residual {r:.3e}"
+            )
     return square
 
 
@@ -490,10 +487,8 @@ def third_tensor_from_chain(cx: LenardComplex, p) -> np.ndarray:
 
 
 def _symmetry_defect(c: np.ndarray) -> float:
-    worst = 0.0
-    for axes in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        worst = max(worst, float(np.max(np.abs(c - np.transpose(c, axes)))))
-    return worst
+    return nan_max(float(np.max(np.abs(c - np.transpose(c, axes))))
+                   for axes in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)))
 
 
 def wdvv_residual_of_complex(cx: LenardComplex, p, tol_chain: float = TOL_ANALYTIC,
@@ -507,106 +502,78 @@ def wdvv_residual_of_complex(cx: LenardComplex, p, tol_chain: float = TOL_ANALYT
     """
     a = coords_of(p, 3)
     hinv = cx.quad.hessian_inverse()
-    chain_defect = max(
+    chain_defect = nan_max(
         float(np.max(np.abs(k.mat_at(a) @ cx.X.comp_at(a) - hinv[j])))
         for j, k in enumerate(cx.operators)
     )
-    if chain_defect > tol_chain:
+    if not chain_defect <= tol_chain:
         raise ValueError(
             f"vector chain condition fails at {a} (defect {chain_defect:.3e}); "
             "the x-chart is not established, no WDVV residual is defined"
         )
     c = third_tensor_from_square(cx, p)
-    if require_symmetric and _symmetry_defect(c) > 1e-6:
+    if require_symmetric and not _symmetry_defect(c) <= 1e-6:
         raise ValueError("square coefficients are not totally symmetric at this point")
     return _commutation_residual(c, _guarded_inverse(c[0], "pivot slice c[0]"))
+
+
+# verify_complex's conditions in report order; the FD check follows
+_CONDITIONS = (
+    "chain_of_forms", "chain_of_vector_fields", "vector_field_commutators",
+    "square_closure", "operator_commutators", "third_tensor_symmetry",
+    "haantjes_torsion", "symmetry_constraint", "partition_of_identity",
+    "k2dR_equals_k3dQ", "operator_exchange", "square_equivariance",
+)
 
 
 def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TOL_ANALYTIC,
                    tol_fd: float = TOL_FD, with_fd: bool = False) -> VerificationReport:
     """Check every defining identity of the complex at the given points.
 
-    Residuals are aggregated as maxima over points (order-independent), one
-    report condition per identity family.
+    Residuals are aggregated as NaN-propagating maxima over points
+    (order-independent), one report condition per identity family.
     """
     pts = [coords_of(p, 3) for p in points]
     if not pts:
         raise ValueError("need at least one point")
     hinv = cx.quad.hessian_inverse()
-    forms = cx.square.named_forms()
-    chain_fields = [vector_image(k, cx.X) for k in cx.operators]
+    forms = list(cx.square.named_forms().values())
     theta = k3_dq_form(cx)
     theta_pulled = pullback(SIGMA_23, theta)
     exchanged = [(transform_tensor(sig, cx.operators[j]), cx.operators[l])
                  for sig, j, l in TRANSPOSITIONS]
-    table_pairs = []
-    for sig, j, l in TRANSPOSITIONS:
-        perm = list(range(3))
-        perm[j], perm[l] = perm[l], perm[j]
-        for p_, q_ in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
-            table_pairs.append((pullback(sig, cx.square.form(p_, q_)),
-                                cx.square.form(perm[p_], perm[q_])))
-
-    res = {name: 0.0 for name in (
-        "chain_of_forms", "chain_of_vector_fields", "vector_field_commutators",
-        "square_closure", "operator_commutators", "third_tensor_symmetry",
-        "haantjes_torsion", "symmetry_constraint", "partition_of_identity",
-        "k2dR_equals_k3dQ", "operator_exchange", "square_equivariance",
-    )}
-    if with_fd:
-        res["jacobian_fd_agreement"] = 0.0
-
+    table = [(moved, target) for _, moved, target in _exchange_table(cx.square)]
     eye = np.eye(3)
-    for a in pts:
-        big_a = cx.dA.coeff_at(a)
-        mats = [k.mat_at(a) for k in cx.operators]
-        for j in range(3):
-            res["chain_of_forms"] = max(res["chain_of_forms"],
-                                        float(np.max(np.abs(big_a @ mats[j] - eye[j]))))
-            res["chain_of_vector_fields"] = max(res["chain_of_vector_fields"],
-                                                float(np.max(np.abs(mats[j] @ a - hinv[j]))))
-            res["haantjes_torsion"] = max(res["haantjes_torsion"],
-                                          haantjes_residual(cx.operators[j], a))
-        for j, l in pairwise_indices(3):
-            res["operator_commutators"] = max(
-                res["operator_commutators"],
-                float(np.max(np.abs(mats[j] @ mats[l] - mats[l] @ mats[j]))))
-            res["vector_field_commutators"] = max(
-                res["vector_field_commutators"],
-                lie_bracket_residual(chain_fields[j], chain_fields[l], a))
-        for f in forms.values():
-            res["square_closure"] = max(res["square_closure"], closure_residual(f, a))
-        res["third_tensor_symmetry"] = max(res["third_tensor_symmetry"],
-                                           _symmetry_defect(third_tensor_from_chain(cx, a)))
-        res["symmetry_constraint"] = max(
-            res["symmetry_constraint"],
-            float(np.max(np.abs(theta_pulled.coeff_at(a) - theta.coeff_at(a)))))
-        res["partition_of_identity"] = max(
-            res["partition_of_identity"],
-            float(np.max(np.abs(sum(big_a[i] * mats[i] for i in range(3)) - eye))))
-        res["k2dR_equals_k3dQ"] = max(
-            res["k2dR_equals_k3dQ"],
-            float(np.max(np.abs(cx.square.dR.coeff_at(a) @ mats[1]
-                                - cx.square.dQ.coeff_at(a) @ mats[2]))))
-        for moved, target in exchanged:
-            res["operator_exchange"] = max(
-                res["operator_exchange"],
-                float(np.max(np.abs(moved.mat_at(a) - target.mat_at(a)))))
-        for fa, fb in table_pairs:
-            res["square_equivariance"] = max(
-                res["square_equivariance"],
-                float(np.max(np.abs(fa.coeff_at(a) - fb.coeff_at(a)))))
-        if with_fd:
-            worst = max(fd_check_one_form(f, a) for f in forms.values())
-            worst = max(worst, max(fd_check_tensor(k, a) for k in cx.operators))
-            worst = max(worst, fd_check_vector_field(cx.X, a))
-            res["jacobian_fd_agreement"] = max(res["jacobian_fd_agreement"], worst)
 
+    def extras(a: np.ndarray, mats: list[np.ndarray]) -> Iterator[tuple[str, float]]:
+        big_a = cx.dA.coeff_at(a)
+        for j in range(3):
+            yield "chain_of_forms", float(np.max(np.abs(big_a @ mats[j] - eye[j])))
+            yield "chain_of_vector_fields", float(np.max(np.abs(mats[j] @ a - hinv[j])))
+        yield "third_tensor_symmetry", _symmetry_defect(third_tensor_from_chain(cx, a))
+        yield "symmetry_constraint", float(np.max(np.abs(theta_pulled.coeff_at(a)
+                                                         - theta.coeff_at(a))))
+        yield "partition_of_identity", float(np.max(np.abs(
+            sum(big_a[i] * mats[i] for i in range(3)) - eye)))
+        yield "k2dR_equals_k3dQ", float(np.max(np.abs(cx.square.dR.coeff_at(a) @ mats[1]
+                                                      - cx.square.dQ.coeff_at(a) @ mats[2])))
+        for moved, target in exchanged:
+            yield "operator_exchange", float(np.max(np.abs(moved.mat_at(a) - target.mat_at(a))))
+        for moved, target in table:
+            yield "square_equivariance", float(np.max(np.abs(moved.coeff_at(a)
+                                                             - target.coeff_at(a))))
+        if with_fd:
+            for f in forms:
+                yield "jacobian_fd_agreement", fd_check_one_form(f, a)
+            for k in cx.operators:
+                yield "jacobian_fd_agreement", fd_check_tensor(k, a)
+            yield "jacobian_fd_agreement", fd_check_vector_field(cx.X, a)
+
+    worst = lenard_residuals(cx.operators, cx.X, forms, pts, extras)
     report = VerificationReport()
-    n = len(pts)
-    for name, value in res.items():
+    for name in _CONDITIONS + (("jacobian_fd_agreement",) if with_fd else ()):
         tol = tol_fd if name == "jacobian_fd_agreement" else tol_analytic
-        report.add(name, n, value, tol)
+        report.add(name, len(pts), worst[name], tol)
     return report
 
 

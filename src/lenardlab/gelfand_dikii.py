@@ -22,45 +22,35 @@ Haantjes torsion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .chartcore import (
     Chart,
-    NIJENHUIS_WEDGE_CALIBRATION,
     REGULARITY_MARGIN,
     OneFormField,
-    RegularPoint,
     ScalarField,
     TensorField11,
     VectorFieldSpec,
     closure_residual,
-    commutator_residual,
     constant_form,
     coordinate_vector_field,
     coords_of,
     covector_image,
     fd_check_one_form,
     fd_check_tensor,
-    haantjes_residual,
     identity_tensor,
-    lie_bracket_residual,
+    lenard_residuals,
+    nan_max,
     nijenhuis_contracted,
-    pairwise_indices,
     tensor_add_scalar_identity,
     tensor_compose,
-    vector_image,
     wedge_matrix,
 )
 from .report import VerificationReport
 
 W_CHART = Chart("w", 3)
-
-
-def gd_point(w0: float, w1: float, w2: float) -> RegularPoint:
-    """A point of the w-chart; the operator is polynomial, so no locus to avoid."""
-    return RegularPoint(W_CHART, np.array([w0, w1, w2], dtype=float))
 
 
 def gd_operator() -> TensorField11:
@@ -109,12 +99,11 @@ def gd_complex() -> GDComplex:
 
 
 def gd_torsion_identity_residual(f: ScalarField, p) -> float:
-    """Residual of df(Torsion(K)) = dw2 ^ df at p, with the package-wide
-    calibration factor applied."""
+    """Residual of df(Torsion(K)) = dw2 ^ df at p."""
     k = gd_operator()
     contracted = nijenhuis_contracted(k, f, p)
     e2 = np.array([0.0, 0.0, 1.0])
-    target = NIJENHUIS_WEDGE_CALIBRATION * wedge_matrix(e2, f.grad_at(p))
+    target = wedge_matrix(e2, f.grad_at(p))
     return float(np.max(np.abs(contracted - target)))
 
 
@@ -137,6 +126,14 @@ def naive_power_form(k_power: int) -> OneFormField:
     return form
 
 
+# verify_gd_complex's conditions in report order; the FD check and chain
+# independence follow
+_CONDITIONS = (
+    "chain_closure", "square_closure", "vector_field_commutators",
+    "operator_commutators", "haantjes_torsion", "operator_symmetry_along_X",
+)
+
+
 def verify_gd_complex(points: Sequence, tol: float = 1e-8,
                       tol_fd: float = 1e-6, with_fd: bool = False) -> VerificationReport:
     """Check the complex conditions for (Id, K, K^2 + w2 Id, dw2, d/dw0)."""
@@ -145,50 +142,27 @@ def verify_gd_complex(points: Sequence, tol: float = 1e-8,
         raise ValueError("need at least one point")
     cx = gd_complex()
     chain = [chain_form(cx, j) for j in range(3)]
-    square = {(j, l): square_form(cx, j, l) for j in range(3) for l in range(j, 3)}
-    fields = [vector_image(k, cx.X) for k in cx.operators]
+    square = [square_form(cx, j, l) for j in range(3) for l in range(j, 3)]
 
-    res = {
-        "chain_closure": 0.0,
-        "square_closure": 0.0,
-        "vector_field_commutators": 0.0,
-        "operator_commutators": 0.0,
-        "haantjes_torsion": 0.0,
-        "operator_symmetry_along_X": 0.0,
-    }
-    if with_fd:
-        res["jacobian_fd_agreement"] = 0.0
-
-    # chain independence is reported per point, not assumed: the shortfall of
-    # |det| below the regularity margin (here det = -8 identically)
-    min_det = np.inf
-    for w in pts:
-        chain_mat = np.stack([f.coeff_at(w) for f in chain])
-        min_det = min(min_det, abs(float(np.linalg.det(chain_mat))))
+    def extras(w: np.ndarray, mats: list[np.ndarray]) -> Iterator[tuple[str, float]]:
         for f in chain:
-            res["chain_closure"] = max(res["chain_closure"], closure_residual(f, w))
-        for f in square.values():
-            res["square_closure"] = max(res["square_closure"], closure_residual(f, w))
-        for j, l in pairwise_indices(3):
-            res["vector_field_commutators"] = max(
-                res["vector_field_commutators"],
-                lie_bracket_residual(fields[j], fields[l], w))
-            res["operator_commutators"] = max(
-                res["operator_commutators"],
-                commutator_residual(cx.operators[j], cx.operators[l], w))
+            yield "chain_closure", closure_residual(f, w)
         for k in cx.operators:
-            res["haantjes_torsion"] = max(res["haantjes_torsion"], haantjes_residual(k, w))
             # Lie_X(K) = 0 for X = d/dw0: no matrix entry depends on w0.
-            res["operator_symmetry_along_X"] = max(
-                res["operator_symmetry_along_X"],
-                float(np.max(np.abs(k.jac_at(w)[:, :, 0]))))
+            yield "operator_symmetry_along_X", float(np.max(np.abs(k.jac_at(w)[:, :, 0])))
         if with_fd:
-            worst = max(fd_check_one_form(f, w) for f in square.values())
-            worst = max(worst, max(fd_check_tensor(k, w) for k in cx.operators))
-            res["jacobian_fd_agreement"] = max(res["jacobian_fd_agreement"], worst)
+            for f in square:
+                yield "jacobian_fd_agreement", fd_check_one_form(f, w)
+            for k in cx.operators:
+                yield "jacobian_fd_agreement", fd_check_tensor(k, w)
+        # chain independence is reported per point, not assumed: the shortfall of
+        # |det| below the regularity margin (here det = -8 identically)
+        det = abs(float(np.linalg.det(np.stack([f.coeff_at(w) for f in chain]))))
+        yield "chain_independence", nan_max((0.0, REGULARITY_MARGIN - det))
 
+    worst = lenard_residuals(cx.operators, cx.X, square, pts, extras)
     report = VerificationReport()
-    for name, value in res.items():
-        report.add(name, len(pts), value, tol_fd if name == "jacobian_fd_agreement" else tol)
-    report.add("chain_independence", len(pts), max(0.0, REGULARITY_MARGIN - min_det), 1e-12)
+    for name in _CONDITIONS + (("jacobian_fd_agreement",) if with_fd else ()):
+        report.add(name, len(pts), worst[name], tol_fd if name == "jacobian_fd_agreement" else tol)
+    report.add("chain_independence", len(pts), worst["chain_independence"], 1e-12)
     return report

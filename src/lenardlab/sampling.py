@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chartcore import REGULARITY_MARGIN, assert_segment_regular
+from .chartcore import REGULARITY_MARGIN, SingularSegmentError, assert_segment_regular
 
 DEFAULT_BOX = (0.5, 3.0)
 DEFAULT_GAP = 0.05
@@ -88,7 +88,7 @@ def sample_segments(rng: np.random.Generator, count: int,
             u0, u1 = to_ambient(u0), to_ambient(u1)
         try:
             assert_segment_regular(predicates, u0, u1)
-        except Exception:
+        except SingularSegmentError:
             continue
         segments.append((u0, u1))
     return segments

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chartcore import Chart, check_regular, coords_of, pairwise_indices
+from .chartcore import Chart, check_regular, coords_of, nan_max, pairwise_indices
 
 # Refuse WDVV pivots worse conditioned than this instead of amplifying noise.
 MAX_PIVOT_COND = 1e8
@@ -66,18 +66,6 @@ class Prepotential:
             lambda u: s * self.value(u),
             lambda u: s * np.asarray(self.hessian(u), dtype=float),
             lambda u: s * np.asarray(self.third(u), dtype=float),
-            self.predicates,
-        )
-
-    def plus_quadratic(self, q: np.ndarray) -> "Prepotential":
-        """Add the quadratic form (1/2) x^T q x; third derivatives are untouched."""
-        q = np.asarray(q, dtype=float)
-        q = 0.5 * (q + q.T)  # only the symmetric part enters the Hessian
-        return Prepotential(
-            self.chart,
-            lambda u: self.value(u) + 0.5 * float(u @ q @ u),
-            lambda u: np.asarray(self.hessian(u), dtype=float) + q,
-            self.third,
             self.predicates,
         )
 
@@ -211,15 +199,15 @@ def _guarded_inverse(mat: np.ndarray, what: str) -> np.ndarray:
 
 
 def _commutation_residual(c: np.ndarray, pivot_inv: np.ndarray) -> float:
-    n = c.shape[0]
     pinv_norm = np.linalg.norm(pivot_inv)
-    worst = 0.0
-    for j, l in pairwise_indices(n):
+
+    def pair(j: int, l: int) -> float:
         a = c[j] @ pivot_inv @ c[l]
         num = np.max(np.abs(a - a.T))
         den = max(1.0, np.linalg.norm(c[j]) * pinv_norm * np.linalg.norm(c[l]))
-        worst = max(worst, num / den)
-    return float(worst)
+        return num / den
+
+    return nan_max(pair(j, l) for j, l in pairwise_indices(c.shape[0]))
 
 
 def wdvv_residual(pre: Prepotential, x) -> float:

@@ -133,10 +133,22 @@ def test_env_var_tightens_tolerance(monkeypatch, capsys):
     assert doc["conditions"][0]["tol"] == pytest.approx(1e-18)
 
 
-def test_invalid_point_count(capsys):
-    code, _, err = run(capsys, "verify-wdvv", "--points", "0")
-    assert code == 2
-    assert "positive" in err
+def test_invalid_point_count(monkeypatch, capsys):
+    for argv in (("verify-wdvv", "--points", "0"), ("reproduce", "example3", "--segments", "0")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "positive" in err
+    for flag in ("--tol-analytic", "--tol-fd"):
+        for value in ("nan", "inf", "-inf"):
+            code, _, err = run(capsys, "verify-wdvv", "--points", "5", f"{flag}={value}")
+            assert code == 2, (flag, value)
+            assert "finite" in err
+    for env in ("LENARDLAB_TOL_ANALYTIC", "LENARDLAB_TOL_FD"):
+        with monkeypatch.context() as mp:
+            mp.setenv(env, "abc")
+            code, _, err = run(capsys, "verify-wdvv", "--points", "5")
+        assert code == 2, env
+        assert env in err and "'abc'" in err
 
 
 def test_text_format_renders_status_lines(capsys):

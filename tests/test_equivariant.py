@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,12 @@ from hypothesis import strategies as st
 
 from lenardlab import chartcore as cc
 from lenardlab import equivariant as eq
-from lenardlab.sampling import default_rng, sample_gapped_box, sample_segments
+from lenardlab.sampling import (
+    SamplingExhaustedError,
+    default_rng,
+    sample_gapped_box,
+    sample_segments,
+)
 from lenardlab.wdvv import wdvv_residual
 
 
@@ -16,8 +23,6 @@ def test_chart_map_example_values():
     quad = eq.QuadraticInvariant(2.0, 1.0)
     assert np.allclose(quad.a_to_A([1.0, 0.0, 0.0]), [2.0, 1.0, 1.0])
     assert np.allclose(quad.a_to_A(np.zeros(3)), np.zeros(3))
-    assert np.allclose(eq.a_to_A(quad, [1.0, 0.0, 0.0]), [2.0, 1.0, 1.0])
-    assert np.allclose(eq.A_to_a(quad, [2.0, 1.0, 1.0]), [1.0, 0.0, 0.0])
 
 
 @settings(max_examples=40)
@@ -267,6 +272,18 @@ def test_verification_is_order_independent(example3, example3_points):
         assert a.to_dict() == b.to_dict()
 
 
+def test_nan_residual_fails_in_either_point_order(example3, example3_points):
+    # Python's max(0.0, nan) is 0.0 and max(1.0, nan) is 1.0: a NaN point must
+    # fail every condition whether it comes first or last
+    _, _, cx = example3
+    good = example3_points[0]
+    bad = good.copy()
+    bad[1] = np.nan
+    for pts in ([good, bad], [bad, good]):
+        report = eq.verify_complex(cx, pts, with_fd=True)
+        assert all(math.isnan(c.max_residual) and not c.passed for c in report.conditions)
+
+
 @pytest.mark.parametrize("alpha,beta,root", [(2.0, 1.0, 2), (5.0, 2.0, 1), (5.0, 2.0, 2)])
 def test_verify_complex_other_roots(alpha, beta, root):
     roots = eq.solve_phi_roots(alpha, beta)
@@ -365,6 +382,17 @@ def _segments(example3, count=5, seed=333):
              for p in eq.square_form_in_x(cx.square, j, l).predicates]
     return sample_segments(default_rng(seed), count, predicates=preds,
                            to_ambient=lambda a: h @ a)
+
+
+def test_segment_sampler_propagates_predicate_errors():
+    # only SingularSegmentError means "draw again"; any other error is a bug
+    def broken(u):
+        raise ZeroDivisionError("broken predicate")
+
+    with pytest.raises(ZeroDivisionError):
+        sample_segments(default_rng(3), 1, predicates=[broken], max_tries=50)
+    with pytest.raises(SamplingExhaustedError):
+        sample_segments(default_rng(3), 1, predicates=[lambda u: 0.0], max_tries=50)
 
 
 def test_reconstruction_matches_reference_hessian(example3):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,11 +40,6 @@ def test_operator_jacobian_fd(rng):
     k = gd.gd_operator()
     for w in rng.uniform(-2, 2, (5, 3)):
         assert cc.fd_check_tensor(k, w) < 1e-9
-
-
-def test_gd_point_constructor():
-    p = gd.gd_point(1.0, 2.0, 3.0)
-    assert np.allclose(p.coords, W0)
 
 
 # --- torsion -----------------------------------------------------------------
@@ -130,6 +127,18 @@ def test_verify_gd_complex_passes(rng):
     names = {c.name for c in report.conditions}
     assert {"chain_closure", "square_closure", "operator_commutators",
             "haantjes_torsion", "chain_independence"} <= names
+
+
+def test_nan_residual_fails_in_either_point_order():
+    # Python's max(0.0, nan) is 0.0 and max(1.0, nan) is 1.0
+    bad = np.array([W0[0], np.nan, W0[2]])
+    for pts in ([W0, bad], [bad, W0]):
+        with np.errstate(invalid="ignore"):
+            report = gd.verify_gd_complex(pts, with_fd=True)
+        for name in ("square_closure", "operator_commutators", "haantjes_torsion",
+                     "jacobian_fd_agreement"):
+            assert math.isnan(report.condition(name).max_residual)
+            assert not report.condition(name).passed
 
 
 def test_chain_covectors_have_constant_determinant(rng):
