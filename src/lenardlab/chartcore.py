@@ -7,6 +7,11 @@ differences available only as an independent cross-check.
 
 Conventions, fixed once for the whole package:
 
+* Points carry a leading point axis: every field callable and regularity
+  predicate takes an array of shape (..., dim) and broadcasts over the
+  leading axes, so a batch of N points is one (N, dim) call and a single
+  point is the () case of the same code.  Component shapes below are the
+  trailing axes; predicates return shape (...).
 * A (1,1)-tensor field K is stored as a single matrix-valued map M(u).
   Row i of M is the covector image of the i-th coordinate differential,
       (K du_i)_m = M[i, m],
@@ -18,6 +23,7 @@ Conventions, fixed once for the whole package:
 * Nijenhuis torsion: N_K(X, Y) = K^2 [X, Y] + [KX, KY] - K[KX, Y] - K[X, KY].
 * Wedge of one-forms on basis pairs: (a ^ b)[i, j] = a_i b_j - a_j b_i.
 
+The ``*_residual`` helpers return the worst value over all points given.
 With these conventions the contraction df(N_K) for the quadratic
 hydrodynamic operator of :mod:`lenardlab.gelfand_dikii` reproduces
 dw_2 ^ df with factor exactly +1.
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -39,7 +46,7 @@ REGULARITY_MARGIN = 1e-3
 # Central-difference step is FD_STEP * max(1, |u_i|) per coordinate.
 FD_STEP = 1e-5
 
-Predicate = Callable[[np.ndarray], float]
+Predicate = Callable[[np.ndarray], np.ndarray]
 
 
 class SingularPointError(ValueError):
@@ -67,19 +74,47 @@ class Chart:
 
 
 def coords_of(p, dim: int | None = None) -> np.ndarray:
-    """The coordinates of a point as a float array, checked against ``dim``."""
+    """The coordinates of a point, or of points along leading axes, as a
+    float array of shape (..., dim), checked against ``dim``."""
     u = np.asarray(p, dtype=float)
-    if dim is not None and u.shape != (dim,):
-        raise ChartMismatchError(f"expected a point of length {dim}, got shape {u.shape}")
+    # a single point passes the first test; only batches reach the slice
+    if dim is not None and u.shape != (dim,) and u.shape[-1:] != (dim,):
+        raise ChartMismatchError(f"expected points of length {dim}, got shape {u.shape}")
     return u
+
+
+# numpy's boolean scalars are singletons: a single point whose predicate
+# clears the margin compares to exactly this object
+_REGULAR = np.False_
+
+
+def _on_points(k: int, values, u: np.ndarray) -> np.ndarray:
+    """Predicate #k's ``values`` broadcast to one value per point of ``u``."""
+    try:
+        return np.broadcast_to(values, u.shape[:-1])
+    except ValueError:
+        raise TypeError(f"regularity predicate #{k} gives shape {np.shape(values)} "
+                        f"on points of shape {u.shape}") from None
 
 
 def check_regular(predicates: Sequence[Predicate], u: np.ndarray,
                   margin: float = REGULARITY_MARGIN) -> None:
-    for k, pred in enumerate(predicates):
-        if abs(pred(u)) < margin:
+    """Raise SingularPointError unless every predicate stays ``margin`` away
+    from zero at every point of ``u``; the message names the first offending
+    point.  A predicate whose values do not broadcast over the points of
+    ``u`` is a TypeError."""
+    for pred in predicates:
+        bad = abs(pred(u)) < margin
+        if bad is _REGULAR:  # a regular single point: one identity test
+            continue
+        k = predicates.index(pred)
+        bad = _on_points(k, bad, u)
+        if bad.any():
+            i = int(np.argmax(bad.ravel()))
+            value = np.ravel(_on_points(k, pred(u), u))[i]
+            point = u.reshape(-1, u.shape[-1])[i]
             raise SingularPointError(
-                f"regularity predicate #{k} is {pred(u):.3e} at {u} (margin {margin:g})"
+                f"regularity predicate #{k} is {value:.3e} at {point} (margin {margin:g})"
             )
 
 
@@ -96,10 +131,10 @@ class ScalarField:
     grad: Callable[[np.ndarray], np.ndarray]
     predicates: tuple[Predicate, ...] = ()
 
-    def value_at(self, p) -> float:
+    def value_at(self, p) -> np.ndarray:
         u = coords_of(p, self.chart.dim)
         check_regular(self.predicates, u)
-        return float(self.value(u))
+        return np.asarray(self.value(u), dtype=float)
 
     def grad_at(self, p) -> np.ndarray:
         u = coords_of(p, self.chart.dim)
@@ -170,10 +205,15 @@ class TensorField11:
 # constructors ---------------------------------------------------------------
 
 
+def constant_map(value) -> Callable[[np.ndarray], np.ndarray]:
+    """The map u -> value, repeated over the point axes of u."""
+    value = np.asarray(value, dtype=float)
+    return lambda u: np.broadcast_to(value, np.shape(u)[:-1] + value.shape)
+
+
 def constant_form(chart: Chart, coeffs) -> OneFormField:
     c = np.array(coeffs, dtype=float)
-    zero = np.zeros((chart.dim, chart.dim))
-    return OneFormField(chart, lambda u: c, lambda u: zero)
+    return OneFormField(chart, constant_map(c), constant_map(np.zeros((chart.dim, chart.dim))))
 
 
 def coordinate_form(chart: Chart, i: int) -> OneFormField:
@@ -185,8 +225,7 @@ def coordinate_form(chart: Chart, i: int) -> OneFormField:
 
 def constant_vector_field(chart: Chart, comps) -> VectorFieldSpec:
     c = np.array(comps, dtype=float)
-    zero = np.zeros((chart.dim, chart.dim))
-    return VectorFieldSpec(chart, lambda u: c, lambda u: zero)
+    return VectorFieldSpec(chart, constant_map(c), constant_map(np.zeros((chart.dim, chart.dim))))
 
 
 def coordinate_vector_field(chart: Chart, i: int) -> VectorFieldSpec:
@@ -197,8 +236,7 @@ def coordinate_vector_field(chart: Chart, i: int) -> VectorFieldSpec:
 
 def constant_tensor(chart: Chart, mat) -> TensorField11:
     m = np.array(mat, dtype=float)
-    zero = np.zeros((chart.dim,) * 3)
-    return TensorField11(chart, lambda u: m, lambda u: zero)
+    return TensorField11(chart, constant_map(m), constant_map(np.zeros((chart.dim,) * 3)))
 
 
 def identity_tensor(chart: Chart) -> TensorField11:
@@ -240,8 +278,13 @@ class Permutation:
     def dim(self) -> int:
         return len(self.mapping)
 
+    @functools.cached_property
+    def index(self) -> np.ndarray:
+        """``mapping`` as an index array, for ``take`` along the coordinate axis."""
+        return np.array(self.mapping)
+
     def __call__(self, u) -> np.ndarray:
-        return np.asarray(u, dtype=float)[list(self.mapping)]
+        return np.asarray(u, dtype=float).take(self.index, axis=-1)
 
     def inverse(self) -> "Permutation":
         return Permutation(tuple(int(k) for k in np.argsort(self.mapping)))
@@ -257,13 +300,13 @@ def pullback(sigma: Permutation, omega: OneFormField) -> OneFormField:
         raise ChartMismatchError(
             f"permutation of dim {sigma.dim} on chart of dim {omega.chart.dim}"
         )
-    inv = np.argsort(sigma.mapping)
+    inv = sigma.inverse().index
 
     def coeff(u: np.ndarray) -> np.ndarray:
-        return np.asarray(omega.coeff(sigma(u)), dtype=float)[inv]
+        return np.asarray(omega.coeff(sigma(u)), dtype=float).take(inv, axis=-1)
 
     def jac(u: np.ndarray) -> np.ndarray:
-        return np.asarray(omega.jac(sigma(u)), dtype=float)[np.ix_(inv, inv)]
+        return np.asarray(omega.jac(sigma(u)), dtype=float).take(inv, -1).take(inv, -2)
 
     preds = tuple((lambda uu, p=p: p(sigma(uu))) for p in omega.predicates)
     return OneFormField(omega.chart, coeff, jac, preds)
@@ -276,13 +319,13 @@ def transform_tensor(sigma: Permutation, k: TensorField11) -> TensorField11:
             f"permutation of dim {sigma.dim} on chart of dim {k.chart.dim}"
         )
     inv = sigma.inverse()
-    idx = list(sigma.mapping)
+    idx = sigma.index
 
     def mat(u: np.ndarray) -> np.ndarray:
-        return np.asarray(k.mat(inv(u)), dtype=float)[np.ix_(idx, idx)]
+        return np.asarray(k.mat(inv(u)), dtype=float).take(idx, -1).take(idx, -2)
 
     def jac(u: np.ndarray) -> np.ndarray:
-        return np.asarray(k.jac(inv(u)), dtype=float)[np.ix_(idx, idx, idx)]
+        return np.asarray(k.jac(inv(u)), dtype=float).take(idx, -1).take(idx, -2).take(idx, -3)
 
     preds = tuple((lambda uu, p=p: p(inv(uu))) for p in k.predicates)
     return TensorField11(k.chart, mat, jac, preds)
@@ -305,10 +348,22 @@ def nan_max(values: Iterable[float]) -> float:
     return float(functools.reduce(_nan_max2, values))
 
 
+def apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix times vector at every point: (..., i, j) x (..., j) -> (..., i).
+
+    ``m @ v`` would read a batch of 3 vectors as one 3x3 matrix."""
+    return np.einsum("...ij,...j->...i", m, v)
+
+
+def covector_apply(theta: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Row vector times matrix at every point: (..., i) x (..., i, m) -> (..., m)."""
+    return np.einsum("...i,...im->...m", theta, m)
+
+
 def closure_residual(omega: OneFormField, p) -> float:
     """Max antisymmetric part of the coefficient Jacobian; zero iff d(omega) = 0 at p."""
     j = omega.jac_at(p)
-    return float(np.max(np.abs(j - j.T)))
+    return float(np.max(np.abs(j - np.swapaxes(j, -1, -2))))
 
 
 def commutator_residual(k: TensorField11, l: TensorField11, p) -> float:
@@ -320,7 +375,7 @@ def commutator_residual(k: TensorField11, l: TensorField11, p) -> float:
 def lie_bracket(x: VectorFieldSpec, y: VectorFieldSpec, p) -> np.ndarray:
     """[X, Y] = (DY) X - (DX) Y from the analytic Jacobians."""
     _same_chart(x, y)
-    return y.jac_at(p) @ x.comp_at(p) - x.jac_at(p) @ y.comp_at(p)
+    return apply(y.jac_at(p), x.comp_at(p)) - apply(x.jac_at(p), y.comp_at(p))
 
 
 def lie_bracket_residual(x: VectorFieldSpec, y: VectorFieldSpec, p) -> float:
@@ -332,14 +387,15 @@ def covector_image(k: TensorField11, omega: OneFormField) -> OneFormField:
     chart = _same_chart(k, omega)
 
     def coeff(u: np.ndarray) -> np.ndarray:
-        return np.asarray(omega.coeff(u), dtype=float) @ np.asarray(k.mat(u), dtype=float)
+        return covector_apply(np.asarray(omega.coeff(u), dtype=float),
+                              np.asarray(k.mat(u), dtype=float))
 
     def jac(u: np.ndarray) -> np.ndarray:
         th = np.asarray(omega.coeff(u), dtype=float)
         jth = np.asarray(omega.jac(u), dtype=float)
         m = np.asarray(k.mat(u), dtype=float)
         jm = np.asarray(k.jac(u), dtype=float)
-        return np.einsum("id,im->md", jth, m) + np.einsum("i,imd->md", th, jm)
+        return np.einsum("...id,...im->...md", jth, m) + np.einsum("...i,...imd->...md", th, jm)
 
     return OneFormField(chart, coeff, jac, k.predicates + omega.predicates)
 
@@ -349,14 +405,14 @@ def vector_image(k: TensorField11, x: VectorFieldSpec) -> VectorFieldSpec:
     chart = _same_chart(k, x)
 
     def comp(u: np.ndarray) -> np.ndarray:
-        return np.asarray(k.mat(u), dtype=float) @ np.asarray(x.comp(u), dtype=float)
+        return apply(np.asarray(k.mat(u), dtype=float), np.asarray(x.comp(u), dtype=float))
 
     def jac(u: np.ndarray) -> np.ndarray:
         m = np.asarray(k.mat(u), dtype=float)
         jm = np.asarray(k.jac(u), dtype=float)
         xc = np.asarray(x.comp(u), dtype=float)
         jx = np.asarray(x.jac(u), dtype=float)
-        return np.einsum("ibd,b->id", jm, xc) + m @ jx
+        return np.einsum("...ibd,...b->...id", jm, xc) + m @ jx
 
     return VectorFieldSpec(chart, comp, jac, k.predicates + x.predicates)
 
@@ -371,7 +427,7 @@ def tensor_compose(k: TensorField11, l: TensorField11) -> TensorField11:
     def jac(u: np.ndarray) -> np.ndarray:
         mk, ml = np.asarray(k.mat(u), dtype=float), np.asarray(l.mat(u), dtype=float)
         jk, jl = np.asarray(k.jac(u), dtype=float), np.asarray(l.jac(u), dtype=float)
-        return np.einsum("ibd,bj->ijd", jk, ml) + np.einsum("ib,bjd->ijd", mk, jl)
+        return np.einsum("...ibd,...bj->...ijd", jk, ml) + np.einsum("...ib,...bjd->...ijd", mk, jl)
 
     return TensorField11(chart, mat, jac, k.predicates + l.predicates)
 
@@ -382,11 +438,12 @@ def tensor_add_scalar_identity(k: TensorField11, f: ScalarField) -> TensorField1
     eye = np.eye(chart.dim)
 
     def mat(u: np.ndarray) -> np.ndarray:
-        return np.asarray(k.mat(u), dtype=float) + float(f.value(u)) * eye
+        return (np.asarray(k.mat(u), dtype=float)
+                + np.asarray(f.value(u), dtype=float)[..., None, None] * eye)
 
     def jac(u: np.ndarray) -> np.ndarray:
         g = np.asarray(f.grad(u), dtype=float)
-        return np.asarray(k.jac(u), dtype=float) + np.einsum("ij,d->ijd", eye, g)
+        return np.asarray(k.jac(u), dtype=float) + np.einsum("ij,...d->...ijd", eye, g)
 
     return TensorField11(chart, mat, jac, k.predicates + f.predicates)
 
@@ -398,10 +455,10 @@ def nijenhuis_tensor(k: TensorField11, p) -> np.ndarray:
     """Components N[a, i, j] of the Nijenhuis torsion on coordinate basis pairs."""
     m = k.mat_at(p)
     j = k.jac_at(p)
-    t1 = np.einsum("bi,ajb->aij", m, j)
-    t2 = np.einsum("bj,aib->aij", m, j)
-    t3 = np.einsum("ab,bji->aij", m, j)
-    t4 = np.einsum("ab,bij->aij", m, j)
+    t1 = np.einsum("...bi,...ajb->...aij", m, j)
+    t2 = np.einsum("...bj,...aib->...aij", m, j)
+    t3 = np.einsum("...ab,...bji->...aij", m, j)
+    t4 = np.einsum("...ab,...bij->...aij", m, j)
     return t1 - t2 - t3 + t4
 
 
@@ -409,7 +466,7 @@ def nijenhuis_contracted(k: TensorField11, f: ScalarField, p) -> np.ndarray:
     """The antisymmetric matrix df(N_K(., .)) on coordinate basis pairs."""
     _same_chart(k, f)
     n = nijenhuis_tensor(k, p)
-    return np.einsum("a,aij->ij", f.grad_at(p), n)
+    return np.einsum("...a,...aij->...ij", f.grad_at(p), n)
 
 
 def haantjes_tensor(k: TensorField11, p) -> np.ndarray:
@@ -418,10 +475,10 @@ def haantjes_tensor(k: TensorField11, p) -> np.ndarray:
     n = nijenhuis_tensor(k, p)
     m2 = m @ m
     return (
-        np.einsum("ab,bij->aij", m2, n)
-        + np.einsum("abc,bi,cj->aij", n, m, m)
-        - np.einsum("ab,bcj,ci->aij", m, n, m)
-        - np.einsum("ab,bic,cj->aij", m, n, m)
+        np.einsum("...ab,...bij->...aij", m2, n)
+        + np.einsum("...abc,...bi,...cj->...aij", n, m, m)
+        - np.einsum("...ab,...bcj,...ci->...aij", m, n, m)
+        - np.einsum("...ab,...bic,...cj->...aij", m, n, m)
     )
 
 
@@ -431,16 +488,16 @@ def haantjes_residual(k: TensorField11, p) -> float:
 
 def wedge_matrix(a, b) -> np.ndarray:
     """(a ^ b) on coordinate basis pairs."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.outer(a, b) - np.outer(b, a)
+    a = np.asarray(a, dtype=float)[..., :, None]
+    b = np.asarray(b, dtype=float)[..., :, None]
+    return a * np.swapaxes(b, -1, -2) - b * np.swapaxes(a, -1, -2)
 
 
 # Lenard complexes ----------------------------------------------------------
 
 
 def lenard_residuals(operators: Sequence[TensorField11], X: VectorFieldSpec,
-                     forms: Sequence[OneFormField], points: Sequence[np.ndarray],
+                     forms: Sequence[OneFormField], points: np.ndarray,
                      extras: Callable[[np.ndarray, list[np.ndarray]],
                                       Iterable[tuple[str, float]]]) -> dict[str, float]:
     """Worst residual over ``points`` of each condition of a Lenard complex.
@@ -449,29 +506,39 @@ def lenard_residuals(operators: Sequence[TensorField11], X: VectorFieldSpec,
     [K_j X, K_l X] = 0 (``vector_field_commutators``), commuting operators
     (``operator_commutators``), vanishing Haantjes torsion
     (``haantjes_torsion``) and closed ``forms`` (``square_closure``).
-    ``extras(u, mats)`` yields (condition name, residual) pairs for a
-    family's own conditions at u, given the operator matrices there.  Every
-    condition is reduced as the points go by, NaN-propagating.
+    ``extras(points, mats)`` yields (condition name, residual) pairs for a
+    family's own conditions, given the operator matrices at every point.
+    Each field is evaluated once over the whole (N, dim) batch, and every
+    condition is a NaN-propagating maximum, whatever the point order.
     """
     chain_fields = [vector_image(k, X) for k in operators]
+    mats = [k.mat_at(points) for k in operators]
 
-    def shared(u: np.ndarray, mats: list[np.ndarray]) -> Iterator[tuple[str, float]]:
+    def shared() -> Iterator[tuple[str, float]]:
         for j, l in pairwise_indices(len(operators)):
             a, b = mats[j], mats[l]
             yield ("vector_field_commutators",
-                   lie_bracket_residual(chain_fields[j], chain_fields[l], u))
+                   lie_bracket_residual(chain_fields[j], chain_fields[l], points))
             yield "operator_commutators", float(np.max(np.abs(a @ b - b @ a)))
         for k in operators:
-            yield "haantjes_torsion", haantjes_residual(k, u)
+            yield "haantjes_torsion", haantjes_residual(k, points)
         for f in forms:
-            yield "square_closure", closure_residual(f, u)
+            yield "square_closure", closure_residual(f, points)
 
     worst: dict[str, float] = {}
-    for u in points:
-        mats = [k.mat_at(u) for k in operators]
-        for name, value in itertools.chain(shared(u, mats), extras(u, mats)):
-            worst[name] = _nan_max2(worst.get(name, value), value)
+    for name, value in itertools.chain(shared(), extras(points, mats)):
+        worst[name] = _nan_max2(worst.get(name, value), value)
     return worst
+
+
+def point_batch(points, dim: int) -> np.ndarray:
+    """``points`` as an (N, dim) float array with N >= 1."""
+    u = np.asarray(points, dtype=float)
+    if u.size == 0:
+        raise ValueError("need at least one point")
+    if u.ndim != 2:
+        raise ChartMismatchError(f"expected an (N, {dim}) point array, got shape {u.shape}")
+    return coords_of(u, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +550,10 @@ def _fd_steps(u: np.ndarray) -> np.ndarray:
 
 
 def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
-    """Central-difference Jacobian of a (possibly tensor-valued) map; the
-    differentiation index is appended as the last axis.
+    """Central-difference Jacobian of a (possibly tensor-valued) map at the
+    points ``u`` of shape (..., dim); the differentiation index is appended
+    as the last axis.  ``fun`` is called 4 * dim times, each time with every
+    point shifted along one coordinate.
 
     Uses the five-point (fourth-order) central stencil: with the h above, a
     two-point stencil cannot certify 1e-6 agreement for the logarithmic
@@ -493,20 +562,22 @@ def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     h = _fd_steps(u)
+    h_by_coord = h.T  # h_by_coord[d]: the steps along coordinate d, at every point
 
     def at(d: int, k: int) -> np.ndarray:
         v = u.copy()
-        v[d] += k * h[d]
+        v.T[d] += k * h_by_coord[d]
         return np.asarray(fun(v), dtype=float)
 
-    cols = []
-    for d in range(u.size):
-        cols.append((at(d, -2) - 8.0 * at(d, -1) + 8.0 * at(d, 1) - at(d, 2)) / (12.0 * h[d]))
-    return np.stack(cols, axis=-1)
+    jac = np.stack([at(d, -2) - 8.0 * at(d, -1) + 8.0 * at(d, 1) - at(d, 2)
+                    for d in range(u.shape[-1])], axis=-1)
+    # 12 h_d, aligned with the point axes and the appended derivative axis
+    step = (12.0 * h).reshape(h.shape[:-1] + (1,) * (jac.ndim - h.ndim) + h.shape[-1:])
+    return jac / step
 
 
-def fd_gradient(fun: Callable[[np.ndarray], float], u) -> np.ndarray:
-    return fd_jacobian(lambda v: np.array(float(fun(v))), u).reshape(-1)
+def fd_gradient(fun: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
+    return fd_jacobian(lambda v: np.asarray(fun(v), dtype=float), u)
 
 
 # Second differences sit on a roundoff floor of eps|f|/h^2, so they use a
@@ -542,22 +613,24 @@ def fd_hessian(fun: Callable[[np.ndarray], float], u) -> np.ndarray:
     return out
 
 
+def _fd_check(field, value: Callable[[np.ndarray], np.ndarray], p) -> float:
+    """Worst gap between ``field.jac`` and the FD Jacobian of ``value`` over
+    the points ``p``, from one ``fd_jacobian`` call."""
+    u = coords_of(p, field.chart.dim)
+    check_regular(field.predicates, u)
+    return float(np.max(np.abs(fd_jacobian(value, u) - field.jac(u))))
+
+
 def fd_check_one_form(omega: OneFormField, p) -> float:
-    u = coords_of(p, omega.chart.dim)
-    check_regular(omega.predicates, u)
-    return float(np.max(np.abs(fd_jacobian(omega.coeff, u) - omega.jac(u))))
+    return _fd_check(omega, omega.coeff, p)
 
 
 def fd_check_vector_field(x: VectorFieldSpec, p) -> float:
-    u = coords_of(p, x.chart.dim)
-    check_regular(x.predicates, u)
-    return float(np.max(np.abs(fd_jacobian(x.comp, u) - x.jac(u))))
+    return _fd_check(x, x.comp, p)
 
 
 def fd_check_tensor(k: TensorField11, p) -> float:
-    u = coords_of(p, k.chart.dim)
-    check_regular(k.predicates, u)
-    return float(np.max(np.abs(fd_jacobian(k.mat, u) - k.jac(u))))
+    return _fd_check(k, k.mat, p)
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +641,16 @@ def assert_segment_regular(predicates: Sequence[Predicate], u0, u1,
                            samples: int = 65, margin: float = REGULARITY_MARGIN) -> None:
     """Reject straight segments on which any predicate changes sign or enters
     the singular margin (sampled test; the predicates in use are monotone
-    along straight lines, so endpoint agreement is already decisive)."""
+    along straight lines, so endpoint agreement is already decisive).
+
+    Each predicate is evaluated once on the (samples, dim) array of sample
+    points; values that do not broadcast over them are a TypeError.
+    """
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
+    path = u0 + np.linspace(0.0, 1.0, samples)[:, None] * (u1 - u0)
     for k, pred in enumerate(predicates):
-        vals = np.array([pred(u0 + t * (u1 - u0)) for t in np.linspace(0.0, 1.0, samples)])
+        vals = _on_points(k, pred(path), path)
         if np.min(np.abs(vals)) < margin or np.min(vals) * np.max(vals) < 0:
             raise SingularSegmentError(
                 f"segment {u0} -> {u1} crosses the zero set of predicate #{k}"
@@ -592,7 +670,9 @@ def integrate_one_form(omega: OneFormField, u_from, u_to,
     """Line integral of omega along the straight segment, adaptive Gauss-Legendre.
 
     Panels are bisected until the two-half refinement agrees with the single
-    panel estimate to ``tol`` (scaled by panel count).
+    panel estimate to ``tol``.  A panel that has not converged at
+    ``max_depth`` (or whose estimate is NaN) makes the integral NaN, so an
+    unconverged integral cannot pass a tolerance check.
     """
     u0 = np.asarray(u_from, dtype=float)
     u1 = np.asarray(u_to, dtype=float)
@@ -608,8 +688,11 @@ def integrate_one_form(omega: OneFormField, u_from, u_to,
         mid = 0.5 * (a + b)
         left = _gl_panel(f, a, mid)
         right = _gl_panel(f, mid, b)
-        if depth >= max_depth or abs(left + right - whole) <= tol:
+        err = abs(left + right - whole)
+        if err <= tol:
             return left + right
+        if depth >= max_depth or err != err:
+            return math.nan
         return adapt(a, mid, left, depth + 1) + adapt(mid, b, right, depth + 1)
 
     return adapt(0.0, 1.0, _gl_panel(f, 0.0, 1.0), 0)

@@ -48,7 +48,10 @@ from .chartcore import (
     SingularPointError,
     TensorField11,
     VectorFieldSpec,
+    apply,
+    constant_map,
     coords_of,
+    covector_apply,
     covector_image,
     fd_check_one_form,
     fd_check_tensor,
@@ -57,6 +60,7 @@ from .chartcore import (
     lenard_residuals,
     nan_max,
     pairwise_indices,
+    point_batch,
     pullback,
     transform_tensor,
 )
@@ -106,7 +110,9 @@ class QuadraticInvariant:
 
     The product block is the full symmetric sum (S3 invariance forces the
     a3 a1 term).  Admissibility requires (alpha - beta)^2 (2 beta + alpha)
-    to be nonzero, so the Hessian is invertible.
+    to be nonzero, so the Hessian is invertible.  The Hessian and its inverse
+    are symmetric, so for points a of shape (..., 3), ``a @ H`` is H a at
+    every point.
     """
 
     alpha: float
@@ -127,23 +133,23 @@ class QuadraticInvariant:
         d = (self.alpha - self.beta) * (self.alpha + 2 * self.beta)
         return ((self.alpha + 2 * self.beta) * np.eye(3) - self.beta * np.ones((3, 3))) / d
 
-    def value(self, a) -> float:
+    def value(self, a) -> np.ndarray:
         a = coords_of(a, 3)
-        return float(0.5 * a @ self.hessian() @ a)
+        return 0.5 * np.sum((a @ self.hessian()) * a, axis=-1)
 
     def gradient(self, a) -> np.ndarray:
-        return self.hessian() @ coords_of(a, 3)
+        return coords_of(a, 3) @ self.hessian()
 
     def a_to_A(self, a) -> np.ndarray:
-        return self.hessian() @ coords_of(a, 3)
+        return coords_of(a, 3) @ self.hessian()
 
     def A_to_a(self, big_a) -> np.ndarray:
-        return self.hessian_inverse() @ coords_of(big_a, 3)
+        return coords_of(big_a, 3) @ self.hessian_inverse()
 
     def gradient_form(self) -> OneFormField:
         """dA = sum_i A_i da_i in the a-chart (exact by construction)."""
         h = self.hessian()
-        return OneFormField(A_CHART, lambda a: h @ a, lambda a: h)
+        return OneFormField(A_CHART, lambda a: a @ h, constant_map(h))
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +217,15 @@ def phi(alpha: float, beta: float, sigma2: float) -> float:
     return 2 * beta * f1 * f2 / ((alpha - beta) ** 2 * (2 * beta + alpha) ** 2)
 
 
-def psi(big_a) -> float:
-    """Psi(A) = (A1 A2 + A2 A3 + A3 A1) / ((A1+A2)(A2+A3)(A3+A1))."""
-    a1, a2, a3 = coords_of(big_a, 3)
+def psi(big_a) -> np.ndarray:
+    """Psi(A) = (A1 A2 + A2 A3 + A3 A1) / ((A1+A2)(A2+A3)(A3+A1)) at every point."""
+    big_a = coords_of(big_a, 3)
+    a1, a2, a3 = np.moveaxis(big_a, -1, 0)
     den = (a1 + a2) * (a2 + a3) * (a3 + a1)
-    if den == 0.0:
-        raise SingularPointError(f"pole of Psi at A = {(a1, a2, a3)}")
-    return float((a1 * a2 + a2 * a3 + a3 * a1) / den)
+    pole = np.ravel(den == 0.0)
+    if pole.any():
+        raise SingularPointError(f"pole of Psi at A = {big_a.reshape(-1, 3)[np.argmax(pole)]}")
+    return (a1 * a2 + a2 * a3 + a3 * a1) / den
 
 
 PhiRoots = namedtuple("PhiRoots", ["root1", "root2"])
@@ -248,23 +256,21 @@ def solve_phi_roots(alpha: float, beta: float) -> PhiRoots:
 
 
 def _log_form(quad: QuadraticInvariant, terms: Sequence[tuple[float, np.ndarray]]) -> OneFormField:
-    """sum of w * d(v.A)/(v.A) terms, expressed in the a-chart via A = H a."""
+    """sum of w * d(v.A)/(v.A) terms, expressed in the a-chart via A = H a.
+
+    All terms are evaluated at once: with W the weights and D the directions
+    (one per row), the coefficients are ((W / (A D^T)) D) H.
+    """
     h = quad.hessian()
-    weights = [float(w) for w, _ in terms]
-    dirs = [np.asarray(v, dtype=float) for _, v in terms]
+    weights = np.array([float(w) for w, _ in terms])
+    dirs = np.array([np.asarray(v, dtype=float) for _, v in terms])
 
     def coeff(a: np.ndarray) -> np.ndarray:
-        big_a = h @ a
-        c = np.zeros(3)
-        for w, v in zip(weights, dirs):
-            c += w * v / float(v @ big_a)
-        return h @ c
+        return ((weights / ((a @ h) @ dirs.T)) @ dirs) @ h
 
     def jac(a: np.ndarray) -> np.ndarray:
-        big_a = h @ a
-        j = np.zeros((3, 3))
-        for w, v in zip(weights, dirs):
-            j -= w * np.outer(v, v) / float(v @ big_a) ** 2
+        s = (a @ h) @ dirs.T
+        j = -(dirs.T * (weights / s**2)[..., None, :]) @ dirs
         return h @ j @ h
 
     seen: dict[tuple, None] = {}
@@ -273,7 +279,7 @@ def _log_form(quad: QuadraticInvariant, terms: Sequence[tuple[float, np.ndarray]
         key = tuple(np.round(v, 12))
         if key not in seen:
             seen[key] = None
-            preds.append(lambda a, v=v: float(v @ (h @ a)))
+            preds.append(lambda a, v=v: (a @ h) @ v)
     return OneFormField(A_CHART, coeff, jac, tuple(preds))
 
 
@@ -385,10 +391,10 @@ def _tensor_from_rows(rows: Sequence[OneFormField]) -> TensorField11:
     chart = rows[0].chart
 
     def mat(u: np.ndarray) -> np.ndarray:
-        return np.stack([np.asarray(r.coeff(u), dtype=float) for r in rows])
+        return np.stack([np.asarray(r.coeff(u), dtype=float) for r in rows], axis=-2)
 
     def jac(u: np.ndarray) -> np.ndarray:
-        return np.stack([np.asarray(r.jac(u), dtype=float) for r in rows])
+        return np.stack([np.asarray(r.jac(u), dtype=float) for r in rows], axis=-3)
 
     preds = tuple(p for r in rows for p in r.predicates)
     return TensorField11(chart, mat, jac, preds)
@@ -412,7 +418,7 @@ class LenardComplex:
         preds = []
         for f in self.square.named_forms().values():
             preds.extend(f.predicates)
-        preds.extend((lambda a, i=i, j=j: a[i] - a[j]) for i, j in pairwise_indices(3))
+        preds.extend((lambda a, i=i, j=j: a[..., i] - a[..., j]) for i, j in pairwise_indices(3))
         return tuple(preds)
 
 
@@ -422,7 +428,7 @@ def assemble_complex(params: FamilyParams) -> LenardComplex:
     k1 = _tensor_from_rows([square.dP, square.dQ, square.dR])
     k2 = _tensor_from_rows([square.dQ, square.dS, square.dT])
     k3 = _tensor_from_rows([square.dR, square.dT, square.dV])
-    x = VectorFieldSpec(A_CHART, lambda a: np.asarray(a, dtype=float), lambda a: np.eye(3))
+    x = VectorFieldSpec(A_CHART, lambda a: np.asarray(a, dtype=float), constant_map(np.eye(3)))
     return LenardComplex(params, square, (k1, k2, k3), dA, x)
 
 
@@ -442,7 +448,7 @@ def symmetry_constraint_residual(cx: LenardComplex, p) -> float:
 
 
 def split_form_residual(params: FamilyParams, p, cx: LenardComplex | None = None) -> float:
-    """Residual of the factorized identity
+    """Worst residual over the points ``p`` of the factorized identity
 
         sigma23*(K3 dQ) - K3 dQ = Phi(alpha, beta, sigma2) Psi(A)
                                     (dA3/A3 - dA2/A2).
@@ -450,10 +456,11 @@ def split_form_residual(params: FamilyParams, p, cx: LenardComplex | None = None
     cx = cx if cx is not None else assemble_complex(params)
     theta = k3_dq_form(cx)
     lhs = pullback(SIGMA_23, theta).coeff_at(p) - theta.coeff_at(p)
-    a = coords_of(p, 3)
-    big_a = params.quad.a_to_A(a)
+    big_a = params.quad.a_to_A(p)
     scalar = phi(params.quad.alpha, params.quad.beta, params.sigma2) * psi(big_a)
-    rhs = scalar * (params.quad.hessian() @ np.array([0.0, -1.0 / big_a[1], 1.0 / big_a[2]]))
+    a_chart = np.stack([np.zeros_like(big_a[..., 0]), -1.0 / big_a[..., 1],
+                        1.0 / big_a[..., 2]], axis=-1)
+    rhs = np.asarray(scalar)[..., None] * (a_chart @ params.quad.hessian())
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -462,33 +469,31 @@ def split_form_residual(params: FamilyParams, p, cx: LenardComplex | None = None
 
 
 def third_tensor_from_square(cx: LenardComplex, p) -> np.ndarray:
-    """c[j, l, m] = m-th x-chart coefficient of theta_{jl} at p (p in the a-chart)."""
+    """c[..., j, l, m] = m-th x-chart coefficient of theta_{jl} at p (p in the a-chart)."""
     hinv = cx.quad.hessian_inverse()
     a = coords_of(p, 3)
-    c = np.zeros((3, 3, 3))
-    for j in range(3):
-        for l in range(3):
-            c[j, l] = hinv @ cx.square.form(j, l).coeff_at(a)
-    return c
+    rows = {(j, l): cx.square.form(j, l).coeff_at(a) @ hinv
+            for j, l in itertools.combinations_with_replacement(range(3), 2)}
+    return np.stack([np.stack([rows[min(j, l), max(j, l)] for l in range(3)], axis=-2)
+                     for j in range(3)], axis=-3)
 
 
 def third_tensor_from_chain(cx: LenardComplex, p) -> np.ndarray:
-    """c[j, l, m] = dA(K_j K_l K_m X) at p; totally symmetric for a genuine complex."""
+    """c[..., j, l, m] = dA(K_j K_l K_m X) at p; totally symmetric for a genuine complex."""
     a = coords_of(p, 3)
-    mats = [k.mat_at(a) for k in cx.operators]
+    mats = np.stack([k.mat_at(a) for k in cx.operators], axis=-3)  # [..., j, row, col]
     big_a = cx.dA.coeff_at(a)
     x = cx.X.comp_at(a)
-    c = np.zeros((3, 3, 3))
-    for j in range(3):
-        for l in range(3):
-            for m in range(3):
-                c[j, l, m] = big_a @ (mats[j] @ (mats[l] @ (mats[m] @ x)))
-    return c
+    kx = np.einsum("...mcd,...d->...mc", mats, x)          # K_m X
+    kkx = np.einsum("...lbc,...mc->...lmb", mats, kx)      # K_l K_m X
+    kkkx = np.einsum("...jab,...lmb->...jlma", mats, kkx)  # K_j K_l K_m X
+    return np.einsum("...a,...jlma->...jlm", big_a, kkkx)
 
 
 def _symmetry_defect(c: np.ndarray) -> float:
-    return nan_max(float(np.max(np.abs(c - np.transpose(c, axes))))
-                   for axes in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)))
+    """Largest deviation of c[..., j, l, m] from total symmetry, over all points."""
+    return nan_max(float(np.max(np.abs(c - np.einsum(f"...jlm->...{perm}", c))))
+                   for perm in ("jml", "ljm", "lmj", "mjl", "mlj"))
 
 
 def wdvv_residual_of_complex(cx: LenardComplex, p, tol_chain: float = TOL_ANALYTIC,
@@ -530,12 +535,11 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
                    tol_fd: float = TOL_FD, with_fd: bool = False) -> VerificationReport:
     """Check every defining identity of the complex at the given points.
 
-    Residuals are aggregated as NaN-propagating maxima over points
-    (order-independent), one report condition per identity family.
+    Every field is evaluated once over the whole (N, 3) batch of points;
+    residuals are NaN-propagating maxima over points (order-independent),
+    one report condition per identity family.
     """
-    pts = [coords_of(p, 3) for p in points]
-    if not pts:
-        raise ValueError("need at least one point")
+    pts = point_batch(points, 3)
     hinv = cx.quad.hessian_inverse()
     forms = list(cx.square.named_forms().values())
     theta = k3_dq_form(cx)
@@ -545,23 +549,24 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
     table = [(moved, target) for _, moved, target in _exchange_table(cx.square)]
     eye = np.eye(3)
 
+    def gap(x: np.ndarray, y: np.ndarray) -> float:
+        return float(np.max(np.abs(x - y)))
+
     def extras(a: np.ndarray, mats: list[np.ndarray]) -> Iterator[tuple[str, float]]:
         big_a = cx.dA.coeff_at(a)
         for j in range(3):
-            yield "chain_of_forms", float(np.max(np.abs(big_a @ mats[j] - eye[j])))
-            yield "chain_of_vector_fields", float(np.max(np.abs(mats[j] @ a - hinv[j])))
+            yield "chain_of_forms", gap(covector_apply(big_a, mats[j]), eye[j])
+            yield "chain_of_vector_fields", gap(apply(mats[j], a), hinv[j])
         yield "third_tensor_symmetry", _symmetry_defect(third_tensor_from_chain(cx, a))
-        yield "symmetry_constraint", float(np.max(np.abs(theta_pulled.coeff_at(a)
-                                                         - theta.coeff_at(a))))
-        yield "partition_of_identity", float(np.max(np.abs(
-            sum(big_a[i] * mats[i] for i in range(3)) - eye)))
-        yield "k2dR_equals_k3dQ", float(np.max(np.abs(cx.square.dR.coeff_at(a) @ mats[1]
-                                                      - cx.square.dQ.coeff_at(a) @ mats[2])))
+        yield "symmetry_constraint", gap(theta_pulled.coeff_at(a), theta.coeff_at(a))
+        yield "partition_of_identity", gap(
+            sum(big_a[..., i, None, None] * mats[i] for i in range(3)), eye)
+        yield "k2dR_equals_k3dQ", gap(covector_apply(cx.square.dR.coeff_at(a), mats[1]),
+                                      covector_apply(cx.square.dQ.coeff_at(a), mats[2]))
         for moved, target in exchanged:
-            yield "operator_exchange", float(np.max(np.abs(moved.mat_at(a) - target.mat_at(a))))
+            yield "operator_exchange", gap(moved.mat_at(a), target.mat_at(a))
         for moved, target in table:
-            yield "square_equivariance", float(np.max(np.abs(moved.coeff_at(a)
-                                                             - target.coeff_at(a))))
+            yield "square_equivariance", gap(moved.coeff_at(a), target.coeff_at(a))
         if with_fd:
             for f in forms:
                 yield "jacobian_fd_agreement", fd_check_one_form(f, a)
@@ -589,12 +594,12 @@ def square_form_in_x(square: EquivariantSquare, j: int, l: int) -> OneFormField:
     form = square.form(j, l)
 
     def coeff(x: np.ndarray) -> np.ndarray:
-        return hinv @ np.asarray(form.coeff(hinv @ x), dtype=float)
+        return np.asarray(form.coeff(x @ hinv), dtype=float) @ hinv
 
     def jac(x: np.ndarray) -> np.ndarray:
-        return hinv @ np.asarray(form.jac(hinv @ x), dtype=float) @ hinv
+        return hinv @ np.asarray(form.jac(x @ hinv), dtype=float) @ hinv
 
-    preds = tuple((lambda x, p=p: p(hinv @ x)) for p in form.predicates)
+    preds = tuple((lambda x, p=p: p(x @ hinv)) for p in form.predicates)
     return OneFormField(X_CHART, coeff, jac, preds)
 
 
@@ -635,52 +640,59 @@ def example3_display_forms() -> dict:
     These are the hand-simplified rational expressions for the seven forms.
     The first dP numerator must contain -2*a1*a3 (its -2*a2*a3 variant is not
     a closed form); dS and dV follow from dP by the coordinate exchanges.
+    Each display takes points of shape (..., 3).
     """
+    def coords(a):
+        return np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+
+    def form(*comps):
+        return np.stack(np.broadcast_arrays(*comps), axis=-1)
+
     def dA(a):
-        a1, a2, a3 = a
-        return np.array([2 * a1 + a2 + a3, a1 + 2 * a2 + a3, a1 + a2 + 2 * a3])
+        a1, a2, a3 = coords(a)
+        return form(2 * a1 + a2 + a3, a1 + 2 * a2 + a3, a1 + a2 + 2 * a3)
 
     def dQ(a):
-        a1, a2, a3 = a
-        return np.array([-0.25 / (a1 - a2), 0.25 / (a1 - a2), 0.0])
+        a1, a2, a3 = coords(a)
+        return form(-0.25 / (a1 - a2), 0.25 / (a1 - a2), 0.0)
 
     def dR(a):
-        a1, a2, a3 = a
-        return np.array([-0.25 / (a1 - a3), 0.0, 0.25 / (a1 - a3)])
+        a1, a2, a3 = coords(a)
+        return form(-0.25 / (a1 - a3), 0.0, 0.25 / (a1 - a3))
 
     def dT(a):
-        a1, a2, a3 = a
-        return np.array([0.0, -0.25 / (a2 - a3), 0.25 / (a2 - a3)])
+        a1, a2, a3 = coords(a)
+        return form(0.0, -0.25 / (a2 - a3), 0.25 / (a2 - a3))
 
     def dP(a):
-        a1, a2, a3 = a
+        a1, a2, a3 = coords(a)
         x1 = 2 * a1 + a2 + a3
-        return np.array([
+        return form(
             (6 * a1**2 - 2 * a1 * a2 - 2 * a1 * a3 - a2**2 - a3**2)
             / (4 * x1 * (a1 - a2) * (a1 - a3)),
             -(2 * a2 + a1 + a3) / (4 * x1 * (a1 - a2)),
             -(2 * a3 + a1 + a2) / (4 * x1 * (a1 - a3)),
-        ])
+        )
 
     def dS(a):
-        a1, a2, a3 = a
+        a1, a2, a3 = coords(a)
         x2 = 2 * a2 + a1 + a3
-        return np.array([
+        return form(
             -(2 * a1 + a2 + a3) / (4 * x2 * (a2 - a1)),
             (6 * a2**2 - 2 * a2 * a3 - 2 * a2 * a1 - a3**2 - a1**2)
             / (4 * x2 * (a2 - a1) * (a2 - a3)),
             -(2 * a3 + a2 + a1) / (4 * x2 * (a2 - a3)),
-        ])
+        )
 
     def dV(a):
-        a1, a2, a3 = a
+        a1, a2, a3 = coords(a)
         x3 = 2 * a3 + a1 + a2
-        return np.array([
+        return form(
             -(2 * a1 + a2 + a3) / (4 * x3 * (a3 - a1)),
             -(2 * a2 + a1 + a3) / (4 * x3 * (a3 - a2)),
             (6 * a3**2 - 2 * a3 * a1 - 2 * a3 * a2 - a1**2 - a2**2)
             / (4 * x3 * (a3 - a1) * (a3 - a2)),
-        ])
+        )
 
     return {"dA": dA, "dQ": dQ, "dR": dR, "dT": dT, "dP": dP, "dS": dS, "dV": dV}
 

@@ -1,0 +1,139 @@
+"""Fields over a point axis: a batch of N points gives the stacked values of
+N single-point evaluations, and the verifiers cost the same number of
+passes whatever N is."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from lenardlab import chartcore as cc
+from lenardlab import equivariant as eq
+from lenardlab import gelfand_dikii as gd
+from lenardlab.sampling import default_rng, sample_gapped_box
+
+# N = 3 = dim is where a matrix product silently stands in for a batch of
+# matrix-vector products
+BATCH_SIZES = st.sampled_from((1, 3, 7))
+SEEDS = st.integers(0, 2**16)
+
+
+def assert_batch_is_stack(fn, points):
+    """fn(points) equals the stacked fn(u) at rtol 1e-13; entries that cancel
+    far below the array's scale are compared at 1e-13 of that scale."""
+    stacked = np.stack([np.asarray(fn(u), dtype=float) for u in points])
+    batch = np.broadcast_to(np.asarray(fn(points), dtype=float), stacked.shape)
+    np.testing.assert_allclose(batch, stacked, rtol=1e-13,
+                               atol=1e-13 * float(np.max(np.abs(stacked))))
+
+
+def assert_fields_batch(forms, operators, vector_fields, points):
+    for f in forms:
+        assert_batch_is_stack(f.coeff, points)
+        assert_batch_is_stack(f.jac, points)
+    for k in operators:
+        assert_batch_is_stack(k.mat, points)
+        assert_batch_is_stack(k.jac, points)
+    for x in vector_fields:
+        assert_batch_is_stack(x.comp, points)
+        assert_batch_is_stack(x.jac, points)
+    for field in (*forms, *operators, *vector_fields):
+        for pred in field.predicates:
+            assert_batch_is_stack(pred, points)
+
+
+def assert_report_is_max_of_points(verify, points):
+    batch = verify(points).conditions
+    single = [verify(u[None]).conditions for u in points]
+    for k, cond in enumerate(batch):
+        worst = max(run[k].max_residual for run in single)
+        assert [run[k].name for run in single] == [cond.name] * len(points)
+        assert abs(cond.max_residual - worst) <= 0.05 * cond.tol, cond.name
+
+
+@st.composite
+def lenard_complexes(draw):
+    alpha = draw(st.floats(1.0, 6.0))
+    beta = draw(st.floats(0.2, 3.0))
+    assume(abs(alpha - beta) > 0.3)
+    roots = eq.solve_phi_roots(alpha, beta)
+    sigma2 = roots.root1 if draw(st.booleans()) else roots.root2
+    return eq.assemble_complex(eq.FamilyParams.solve(alpha, beta, sigma2))
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cx=lenard_complexes(), seed=SEEDS, n=BATCH_SIZES)
+def test_equivariant_fields_and_verifier_batch(cx, seed, n):
+    pts = sample_gapped_box(default_rng(seed), n, predicates=cx.sampling_predicates())
+    theta = eq.k3_dq_form(cx)
+    forms = [*cx.square.named_forms().values(), theta, cc.pullback(eq.SIGMA_23, theta)]
+    operators = [*cx.operators, *(cc.transform_tensor(sig, cx.operators[j])
+                                  for sig, j, _ in eq.TRANSPOSITIONS)]
+    assert_fields_batch(forms, operators, [cx.X], pts)
+    for pred in cx.sampling_predicates():
+        assert_batch_is_stack(pred, pts)
+    assert_report_is_max_of_points(lambda u: eq.verify_complex(cx, u, with_fd=True), pts)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=SEEDS, n=BATCH_SIZES)
+def test_gelfand_dikii_fields_and_verifier_batch(seed, n):
+    pts = default_rng(seed).uniform(-2.0, 2.0, (n, 3))
+    cx = gd.gd_complex()
+    forms = [cx.dA, *(gd.chain_form(cx, j) for j in range(3)),
+             *(gd.square_form(cx, j, l) for j in range(3) for l in range(j, 3))]
+    assert_fields_batch(forms, cx.operators, [cx.X], pts)
+    assert_batch_is_stack(cx.scalar.value, pts)
+    assert_batch_is_stack(cx.scalar.grad, pts)
+    assert_report_is_max_of_points(lambda u: gd.verify_gd_complex(u, with_fd=True), pts)
+
+
+# --- one pass per batch ----------------------------------------------------------
+
+
+def count_regularity_checks(monkeypatch, run) -> int:
+    calls = []
+    check = cc.check_regular
+
+    def counted(predicates, u, *args):
+        calls.append(1)
+        return check(predicates, u, *args)
+
+    monkeypatch.setattr(cc, "check_regular", counted)
+    run()
+    monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize("verify", ["equivariant", "gelfand_dikii"])
+def test_verifiers_check_regularity_once_per_batch_not_per_point(monkeypatch, example3, verify):
+    _, _, cx = example3
+    if verify == "equivariant":
+        def run(n):
+            pts = sample_gapped_box(default_rng(9), n, predicates=cx.sampling_predicates())
+            return lambda: eq.verify_complex(cx, pts, with_fd=True)
+    else:
+        def run(n):
+            pts = default_rng(9).uniform(-2.0, 2.0, (n, 3))
+            return lambda: gd.verify_gd_complex(pts, with_fd=True)
+
+    few = count_regularity_checks(monkeypatch, run(3))
+    assert few > 0
+    assert count_regularity_checks(monkeypatch, run(30)) == few
+
+
+# --- regularity over a batch ----------------------------------------------------
+
+
+def test_check_regular_names_the_first_offending_point():
+    pred = lambda u: u[..., 0] - u[..., 1]
+    pts = np.array([[2.0, 1.0, 0.0], [1.5, 1.5, 0.0], [3.0, 3.0, 1.0]])
+    cc.check_regular([pred], pts[:1])
+    with pytest.raises(cc.SingularPointError, match=r"\[1\.5 1\.5 0\. ?\]"):
+        cc.check_regular([pred], pts)
+
+
+def test_check_regular_rejects_predicates_that_do_not_broadcast():
+    pts = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]])
+    with pytest.raises(TypeError, match="shape"):
+        cc.check_regular([lambda u: u[0] - u[1]], pts)

@@ -247,17 +247,36 @@ def test_path_independence_over_polygonal_paths():
 
 
 def test_segment_crossing_singular_locus_raises():
-    pred = lambda u: u[0] - u[1]
+    pred = lambda u: u[..., 0] - u[..., 1]
     with pytest.raises(cc.SingularSegmentError):
         cc.assert_segment_regular([pred], np.array([2.0, 1.0, 0.0]), np.array([1.0, 2.0, 0.0]))
     # same ordering at both ends is fine
     cc.assert_segment_regular([pred], np.array([2.0, 1.0, 0.0]), np.array([3.0, 1.5, 0.0]))
 
 
+def test_segment_check_rejects_predicates_that_do_not_broadcast():
+    # u[0] - u[1] indexes rows of the (65, 3) sample array, not coordinates
+    with pytest.raises(TypeError, match="shape"):
+        cc.assert_segment_regular([lambda u: u[0] - u[1]], np.array([2.0, 1.0, 0.0]),
+                                  np.array([3.0, 1.5, 0.0]))
+
+
+def test_unconverged_integral_is_nan():
+    # a jump at u0 = 1/3 never lands on a bisection point, so refinement
+    # cannot meet the tolerance within four levels
+    omega = cc.OneFormField(
+        CH3, lambda u: np.array([1.0 if u[0] > 1.0 / 3.0 else 0.0, 0.0, 0.0]),
+        lambda u: np.zeros((3, 3)))
+    u0, u1 = np.zeros(3), np.array([1.0, 0.0, 0.0])
+    assert np.isnan(cc.integrate_one_form(omega, u0, u1, max_depth=4))
+    smooth = cc.integrate_one_form(exact_form(), u0 + 1.0, u1 + 1.0, max_depth=4)
+    assert smooth == pytest.approx(2.0**2 - 1.0, abs=1e-10)
+
+
 def test_integration_guard_rejects_singular_path():
     omega = cc.OneFormField(
         CH3, lambda u: np.array([1.0 / u[0], 0.0, 0.0]),
-        lambda u: np.diag([-1.0 / u[0] ** 2, 0, 0]), (lambda u: u[0],))
+        lambda u: np.diag([-1.0 / u[0] ** 2, 0, 0]), (lambda u: u[..., 0],))
     with pytest.raises(cc.SingularSegmentError):
         cc.integrate_one_form(omega, np.array([-1.0, 0, 0]), np.array([1.0, 0, 0]))
 
