@@ -33,7 +33,6 @@ from .equivariant import (
     solve_phi_roots,
     solve_sigma_constraints,
     split_form_residual,
-    symmetry_constraint_residual,
     verify_complex,
     wdvv_residual_of_complex,
 )

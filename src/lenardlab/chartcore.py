@@ -7,11 +7,14 @@ differences available only as an independent cross-check.
 
 Conventions, fixed once for the whole package:
 
-* Points carry a leading point axis: every field callable and regularity
-  predicate takes an array of shape (..., dim) and broadcasts over the
-  leading axes, so a batch of N points is one (N, dim) call and a single
-  point is the () case of the same code.  Component shapes below are the
-  trailing axes; predicates return shape (...).
+* Points carry a leading point axis: every field callable takes an array
+  of shape (..., dim) and broadcasts over the leading axes, so a batch of N
+  points is one (N, dim) call and a single point is the () case of the same
+  code.  Component shapes below are the trailing axes.
+* Regularity predicates are linear data: a field stores them as a (P, dim)
+  array C of covector rows, and u is regular iff |u . c| >= margin for every
+  row c.  Every singular locus in the package is such a hyperplane, so chart
+  changes act on the columns of C and unions of fields stack its rows.
 * A (1,1)-tensor field K is stored as a single matrix-valued map M(u).
   Row i of M is the covector image of the i-th coordinate differential,
       (K du_i)_m = M[i, m],
@@ -45,8 +48,6 @@ REGULARITY_MARGIN = 1e-3
 
 # Central-difference step is FD_STEP * max(1, |u_i|) per coordinate.
 FD_STEP = 1e-5
-
-Predicate = Callable[[np.ndarray], np.ndarray]
 
 
 class SingularPointError(ValueError):
@@ -83,123 +84,128 @@ def coords_of(p, dim: int | None = None) -> np.ndarray:
     return u
 
 
-# numpy's boolean scalars are singletons: a single point whose predicate
-# clears the margin compares to exactly this object
-_REGULAR = np.False_
+def predicate_rows(predicates, dim: int) -> np.ndarray:
+    """Regularity predicates as a (P, dim) float array of covector rows."""
+    return np.asarray(predicates, dtype=float).reshape(-1, dim)
 
 
-def _on_points(k: int, values, u: np.ndarray) -> np.ndarray:
-    """Predicate #k's ``values`` broadcast to one value per point of ``u``."""
-    try:
-        return np.broadcast_to(values, u.shape[:-1])
-    except ValueError:
-        raise TypeError(f"regularity predicate #{k} gives shape {np.shape(values)} "
-                        f"on points of shape {u.shape}") from None
+def difference_rows(dim: int) -> np.ndarray:
+    """The rows e_i - e_j, i < j: the hyperplanes u_i = u_j."""
+    i, j = np.triu_indices(dim, 1)
+    return np.eye(dim)[i] - np.eye(dim)[j]
 
 
-def check_regular(predicates: Sequence[Predicate], u: np.ndarray,
+def union_predicates(*row_sets: np.ndarray) -> np.ndarray:
+    """The rows of every (P_i, dim) set, one row per direction up to sign.
+
+    Of parallel rows the shortest is kept: it is the one that binds the
+    ``|u . c| >= margin`` test, so every verdict stays the same.  A zero row
+    is kept (once) and makes every point singular.
+    """
+    rows = np.concatenate(row_sets)
+    norms = np.linalg.norm(rows, axis=-1)
+    order = np.argsort(norms, kind="stable")
+    rows, norms = rows[order], norms[order]
+    unit = rows / np.where(norms > 0.0, norms, 1.0)[:, None]
+    apart = np.minimum(np.linalg.norm(unit[:, None] - unit[None], axis=-1),
+                       np.linalg.norm(unit[:, None] + unit[None], axis=-1))
+    return rows[~np.tril(apart <= 1e-12, -1).any(axis=-1)]
+
+
+def check_regular(predicates: np.ndarray, u: np.ndarray,
                   margin: float = REGULARITY_MARGIN) -> None:
-    """Raise SingularPointError unless every predicate stays ``margin`` away
-    from zero at every point of ``u``; the message names the first offending
-    point.  A predicate whose values do not broadcast over the points of
-    ``u`` is a TypeError."""
-    for pred in predicates:
-        bad = abs(pred(u)) < margin
-        if bad is _REGULAR:  # a regular single point: one identity test
-            continue
-        k = predicates.index(pred)
-        bad = _on_points(k, bad, u)
-        if bad.any():
-            i = int(np.argmax(bad.ravel()))
-            value = np.ravel(_on_points(k, pred(u), u))[i]
-            point = u.reshape(-1, u.shape[-1])[i]
-            raise SingularPointError(
-                f"regularity predicate #{k} is {value:.3e} at {point} (margin {margin:g})"
-            )
+    """Raise SingularPointError unless ``|u . c| >= margin`` for every row c
+    of the (P, dim) ``predicates`` at every point of ``u``; the message names
+    the first offending point."""
+    values = u @ predicates.T
+    bad = np.abs(values) < margin
+    if bad.any():
+        i, k = divmod(int(np.argmax(bad.ravel())), len(predicates))
+        raise SingularPointError(
+            f"regularity predicate #{k} is {values.reshape(-1, len(predicates))[i, k]:.3e} "
+            f"at {u.reshape(-1, u.shape[-1])[i]} (margin {margin:g})"
+        )
 
 
 # ---------------------------------------------------------------------------
 # fields
 
 
+class _Field:
+    """Stores the ``predicates`` a field is built with as (P, dim) rows and
+    checks the points its ``*_at`` methods are given against them."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "predicates", predicate_rows(self.predicates, self.chart.dim))
+
+    def _regular(self, p) -> np.ndarray:
+        u = coords_of(p, self.chart.dim)
+        check_regular(self.predicates, u)
+        return u
+
+
 @dataclass(frozen=True, eq=False)
-class ScalarField:
+class ScalarField(_Field):
     """Scalar function with analytic gradient."""
 
     chart: Chart
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    predicates: tuple[Predicate, ...] = ()
+    predicates: np.ndarray = ()
 
     def value_at(self, p) -> np.ndarray:
-        u = coords_of(p, self.chart.dim)
-        check_regular(self.predicates, u)
-        return np.asarray(self.value(u), dtype=float)
+        return np.asarray(self.value(self._regular(p)), dtype=float)
 
     def grad_at(self, p) -> np.ndarray:
-        u = coords_of(p, self.chart.dim)
-        check_regular(self.predicates, u)
-        return np.asarray(self.grad(u), dtype=float)
+        return np.asarray(self.grad(self._regular(p)), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
-class OneFormField:
+class OneFormField(_Field):
     """One-form sum_i c_i(u) du_i with analytic coefficient Jacobian."""
 
     chart: Chart
     coeff: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
-    predicates: tuple[Predicate, ...] = ()
+    predicates: np.ndarray = ()
 
     def coeff_at(self, p) -> np.ndarray:
-        u = coords_of(p, self.chart.dim)
-        check_regular(self.predicates, u)
-        return np.asarray(self.coeff(u), dtype=float)
+        return np.asarray(self.coeff(self._regular(p)), dtype=float)
 
     def jac_at(self, p) -> np.ndarray:
-        u = coords_of(p, self.chart.dim)
-        check_regular(self.predicates, u)
-        return np.asarray(self.jac(u), dtype=float)
+        return np.asarray(self.jac(self._regular(p)), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
-class VectorFieldSpec:
+class VectorFieldSpec(_Field):
     """Vector field with analytic component Jacobian."""
 
     chart: Chart
     comp: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
-    predicates: tuple[Predicate, ...] = ()
+    predicates: np.ndarray = ()
 
     def comp_at(self, p) -> np.ndarray:
-        u = coords_of(p, self.chart.dim)
-        check_regular(self.predicates, u)
-        return np.asarray(self.comp(u), dtype=float)
+        return np.asarray(self.comp(self._regular(p)), dtype=float)
 
     def jac_at(self, p) -> np.ndarray:
-        u = coords_of(p, self.chart.dim)
-        check_regular(self.predicates, u)
-        return np.asarray(self.jac(u), dtype=float)
+        return np.asarray(self.jac(self._regular(p)), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
-class TensorField11:
+class TensorField11(_Field):
     """(1,1)-tensor field; see the module docstring for the row convention."""
 
     chart: Chart
     mat: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
-    predicates: tuple[Predicate, ...] = ()
+    predicates: np.ndarray = ()
 
     def mat_at(self, p) -> np.ndarray:
-        u = coords_of(p, self.chart.dim)
-        check_regular(self.predicates, u)
-        return np.asarray(self.mat(u), dtype=float)
+        return np.asarray(self.mat(self._regular(p)), dtype=float)
 
     def jac_at(self, p) -> np.ndarray:
-        u = coords_of(p, self.chart.dim)
-        check_regular(self.predicates, u)
-        return np.asarray(self.jac(u), dtype=float)
+        return np.asarray(self.jac(self._regular(p)), dtype=float)
 
 
 # constructors ---------------------------------------------------------------
@@ -308,8 +314,7 @@ def pullback(sigma: Permutation, omega: OneFormField) -> OneFormField:
     def jac(u: np.ndarray) -> np.ndarray:
         return np.asarray(omega.jac(sigma(u)), dtype=float).take(inv, -1).take(inv, -2)
 
-    preds = tuple((lambda uu, p=p: p(sigma(uu))) for p in omega.predicates)
-    return OneFormField(omega.chart, coeff, jac, preds)
+    return OneFormField(omega.chart, coeff, jac, omega.predicates.take(inv, axis=-1))
 
 
 def transform_tensor(sigma: Permutation, k: TensorField11) -> TensorField11:
@@ -327,8 +332,7 @@ def transform_tensor(sigma: Permutation, k: TensorField11) -> TensorField11:
     def jac(u: np.ndarray) -> np.ndarray:
         return np.asarray(k.jac(inv(u)), dtype=float).take(idx, -1).take(idx, -2).take(idx, -3)
 
-    preds = tuple((lambda uu, p=p: p(inv(uu))) for p in k.predicates)
-    return TensorField11(k.chart, mat, jac, preds)
+    return TensorField11(k.chart, mat, jac, k.predicates.take(idx, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +401,7 @@ def covector_image(k: TensorField11, omega: OneFormField) -> OneFormField:
         jm = np.asarray(k.jac(u), dtype=float)
         return np.einsum("...id,...im->...md", jth, m) + np.einsum("...i,...imd->...md", th, jm)
 
-    return OneFormField(chart, coeff, jac, k.predicates + omega.predicates)
+    return OneFormField(chart, coeff, jac, union_predicates(k.predicates, omega.predicates))
 
 
 def vector_image(k: TensorField11, x: VectorFieldSpec) -> VectorFieldSpec:
@@ -414,7 +418,7 @@ def vector_image(k: TensorField11, x: VectorFieldSpec) -> VectorFieldSpec:
         jx = np.asarray(x.jac(u), dtype=float)
         return np.einsum("...ibd,...b->...id", jm, xc) + m @ jx
 
-    return VectorFieldSpec(chart, comp, jac, k.predicates + x.predicates)
+    return VectorFieldSpec(chart, comp, jac, union_predicates(k.predicates, x.predicates))
 
 
 def tensor_compose(k: TensorField11, l: TensorField11) -> TensorField11:
@@ -429,7 +433,7 @@ def tensor_compose(k: TensorField11, l: TensorField11) -> TensorField11:
         jk, jl = np.asarray(k.jac(u), dtype=float), np.asarray(l.jac(u), dtype=float)
         return np.einsum("...ibd,...bj->...ijd", jk, ml) + np.einsum("...ib,...bjd->...ijd", mk, jl)
 
-    return TensorField11(chart, mat, jac, k.predicates + l.predicates)
+    return TensorField11(chart, mat, jac, union_predicates(k.predicates, l.predicates))
 
 
 def tensor_add_scalar_identity(k: TensorField11, f: ScalarField) -> TensorField11:
@@ -445,7 +449,7 @@ def tensor_add_scalar_identity(k: TensorField11, f: ScalarField) -> TensorField1
         g = np.asarray(f.grad(u), dtype=float)
         return np.asarray(k.jac(u), dtype=float) + np.einsum("ij,...d->...ijd", eye, g)
 
-    return TensorField11(chart, mat, jac, k.predicates + f.predicates)
+    return TensorField11(chart, mat, jac, union_predicates(k.predicates, f.predicates))
 
 
 # torsion --------------------------------------------------------------------
@@ -576,10 +580,6 @@ def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
     return jac / step
 
 
-def fd_gradient(fun: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
-    return fd_jacobian(lambda v: np.asarray(fun(v), dtype=float), u)
-
-
 # Second differences sit on a roundoff floor of eps|f|/h^2, so they use a
 # larger step than the first-derivative checks.
 FD_STEP_SECOND = 3e-4
@@ -637,24 +637,22 @@ def fd_check_tensor(k: TensorField11, p) -> float:
 # line integrals
 
 
-def assert_segment_regular(predicates: Sequence[Predicate], u0, u1,
-                           samples: int = 65, margin: float = REGULARITY_MARGIN) -> None:
-    """Reject straight segments on which any predicate changes sign or enters
-    the singular margin (sampled test; the predicates in use are monotone
-    along straight lines, so endpoint agreement is already decisive).
+def assert_segment_regular(predicates: np.ndarray, u0, u1,
+                           margin: float = REGULARITY_MARGIN) -> None:
+    """Reject straight segments on which any predicate row changes sign or
+    enters the singular margin.
 
-    Each predicate is evaluated once on the (samples, dim) array of sample
-    points; values that do not broadcast over them are a TypeError.
+    The test is exact: a linear form is smallest in absolute value at an
+    endpoint of a segment unless it changes sign on it.
     """
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
-    path = u0 + np.linspace(0.0, 1.0, samples)[:, None] * (u1 - u0)
-    for k, pred in enumerate(predicates):
-        vals = _on_points(k, pred(path), path)
-        if np.min(np.abs(vals)) < margin or np.min(vals) * np.max(vals) < 0:
-            raise SingularSegmentError(
-                f"segment {u0} -> {u1} crosses the zero set of predicate #{k}"
-            )
+    v0, v1 = predicates @ u0, predicates @ u1
+    bad = (np.minimum(np.abs(v0), np.abs(v1)) < margin) | (v0 * v1 < 0.0)
+    if bad.any():
+        raise SingularSegmentError(
+            f"segment {u0} -> {u1} crosses the zero set of predicate #{int(np.argmax(bad))}"
+        )
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)

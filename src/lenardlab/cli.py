@@ -34,6 +34,7 @@ from .chartcore import (
     fd_hessian,
     fd_jacobian,
     nan_max,
+    union_predicates,
 )
 from .report import VerificationReport, render_json, render_text
 from .sampling import SamplingExhaustedError, default_rng, sample_box, sample_gapped_box, sample_segments
@@ -189,8 +190,8 @@ def _reproduce_example3(args: argparse.Namespace, cfg: RunConfig) -> int:
     report.add("chain_field_constants", len(pts), worst, 1e-12)
 
     h = params.quad.hessian()
-    x_preds = [p for j in range(3) for l in range(j, 3)
-               for p in eq.square_form_in_x(cx.square, j, l).predicates]
+    x_preds = union_predicates(*(eq.square_form_in_x(cx.square, j, l).predicates
+                                 for j in range(3) for l in range(j, 3)))
     segs = sample_segments(rng, args.segments, predicates=x_preds,
                            to_ambient=lambda a: h @ a)
 
@@ -282,9 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_tolerance_values(argv: list[str]) -> list[str]:
+    """``--tol-fd -inf`` as ``--tol-fd=-inf``: argparse reads a separate word
+    that starts with '-' and is not a plain decimal as an option."""
+    flags = ("--tol-analytic", "--tol-fd")
+    return [f"{w}={argv[i + 1]}" if w in flags and i + 1 < len(argv) else w
+            for i, w in enumerate(argv) if not (i and argv[i - 1] in flags)]
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            _attach_tolerance_values(sys.argv[1:] if argv is None else argv))
         cfg = RunConfig(command=args.command, points=args.points, seed=args.seed,
                         tol_analytic=args.tol_analytic, tol_fd=args.tol_fd,
                         fmt=args.fmt, out=args.out)

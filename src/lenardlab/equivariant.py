@@ -53,16 +53,17 @@ from .chartcore import (
     coords_of,
     covector_apply,
     covector_image,
+    difference_rows,
     fd_check_one_form,
     fd_check_tensor,
     fd_check_vector_field,
     integrate_one_form,
     lenard_residuals,
     nan_max,
-    pairwise_indices,
     point_batch,
     pullback,
     transform_tensor,
+    union_predicates,
 )
 from .report import VerificationReport
 from .wdvv import (
@@ -273,14 +274,7 @@ def _log_form(quad: QuadraticInvariant, terms: Sequence[tuple[float, np.ndarray]
         j = -(dirs.T * (weights / s**2)[..., None, :]) @ dirs
         return h @ j @ h
 
-    seen: dict[tuple, None] = {}
-    preds = []
-    for v in dirs:
-        key = tuple(np.round(v, 12))
-        if key not in seen:
-            seen[key] = None
-            preds.append(lambda a, v=v: (a @ h) @ v)
-    return OneFormField(A_CHART, coeff, jac, tuple(preds))
+    return OneFormField(A_CHART, coeff, jac, union_predicates(dirs @ h))
 
 
 def build_dQ(params: FamilyParams) -> OneFormField:
@@ -396,8 +390,7 @@ def _tensor_from_rows(rows: Sequence[OneFormField]) -> TensorField11:
     def jac(u: np.ndarray) -> np.ndarray:
         return np.stack([np.asarray(r.jac(u), dtype=float) for r in rows], axis=-3)
 
-    preds = tuple(p for r in rows for p in r.predicates)
-    return TensorField11(chart, mat, jac, preds)
+    return TensorField11(chart, mat, jac, union_predicates(*(r.predicates for r in rows)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,12 +407,10 @@ class LenardComplex:
     def quad(self) -> QuadraticInvariant:
         return self.params.quad
 
-    def sampling_predicates(self) -> tuple:
-        preds = []
-        for f in self.square.named_forms().values():
-            preds.extend(f.predicates)
-        preds.extend((lambda a, i=i, j=j: a[..., i] - a[..., j]) for i, j in pairwise_indices(3))
-        return tuple(preds)
+    def sampling_predicates(self) -> np.ndarray:
+        """The square's rows and the rows a_i - a_j, one per direction."""
+        return union_predicates(*(f.predicates for f in self.square.named_forms().values()),
+                                difference_rows(3))
 
 
 def assemble_complex(params: FamilyParams) -> LenardComplex:
@@ -438,13 +429,6 @@ def assemble_complex(params: FamilyParams) -> LenardComplex:
 
 def k3_dq_form(cx: LenardComplex) -> OneFormField:
     return covector_image(cx.operators[2], cx.square.dQ)
-
-
-def symmetry_constraint_residual(cx: LenardComplex, p) -> float:
-    """Max-norm of sigma23*(K3 dQ) - K3 dQ at p (a-chart coefficients)."""
-    theta = k3_dq_form(cx)
-    diff = pullback(SIGMA_23, theta).coeff_at(p) - theta.coeff_at(p)
-    return float(np.max(np.abs(diff)))
 
 
 def split_form_residual(params: FamilyParams, p, cx: LenardComplex | None = None) -> float:
@@ -599,8 +583,7 @@ def square_form_in_x(square: EquivariantSquare, j: int, l: int) -> OneFormField:
     def jac(x: np.ndarray) -> np.ndarray:
         return hinv @ np.asarray(form.jac(x @ hinv), dtype=float) @ hinv
 
-    preds = tuple((lambda x, p=p: p(x @ hinv)) for p in form.predicates)
-    return OneFormField(X_CHART, coeff, jac, preds)
+    return OneFormField(X_CHART, coeff, jac, form.predicates @ hinv)
 
 
 def reconstruct_potential_entry(square: EquivariantSquare, j: int, l: int,

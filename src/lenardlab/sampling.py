@@ -6,11 +6,16 @@ explicitly, so runs are reproducible bit-for-bit for a fixed seed.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .chartcore import REGULARITY_MARGIN, SingularSegmentError, assert_segment_regular
+from .chartcore import (
+    REGULARITY_MARGIN,
+    SingularSegmentError,
+    assert_segment_regular,
+    predicate_rows,
+)
 
 DEFAULT_BOX = (0.5, 3.0)
 DEFAULT_GAP = 0.05
@@ -32,11 +37,12 @@ def sample_box(rng: np.random.Generator, count: int, dim: int,
 def sample_gapped_box(rng: np.random.Generator, count: int, dim: int = 3,
                       low: float = DEFAULT_BOX[0], high: float = DEFAULT_BOX[1],
                       gap: float = DEFAULT_GAP,
-                      predicates: Sequence[Callable] = (),
+                      predicates: np.ndarray = (),
                       margin: float = REGULARITY_MARGIN,
                       max_tries: int = 10_000) -> np.ndarray:
     """Uniform points in [low, high]^dim with pairwise coordinate gaps >= gap,
-    rejecting points where any predicate enters the singular margin."""
+    rejecting points u where |u . c| < margin for a predicate row c."""
+    rows = predicate_rows(predicates, dim)
     out = []
     tries = 0
     while len(out) < count:
@@ -49,14 +55,14 @@ def sample_gapped_box(rng: np.random.Generator, count: int, dim: int = 3,
         diffs = np.abs(u[:, None] - u[None, :])[np.triu_indices(dim, 1)]
         if diffs.size and np.min(diffs) < gap:
             continue
-        if any(abs(pred(u)) < margin for pred in predicates):
+        if (np.abs(rows @ u) < margin).any():
             continue
         out.append(u)
     return np.array(out)
 
 
 def sample_segments(rng: np.random.Generator, count: int,
-                    predicates: Sequence[Callable] = (),
+                    predicates: np.ndarray = (),
                     to_ambient: Callable[[np.ndarray], np.ndarray] | None = None,
                     dim: int = 3, low: float = DEFAULT_BOX[0], high: float = DEFAULT_BOX[1],
                     gap: float = DEFAULT_GAP,
@@ -65,9 +71,10 @@ def sample_segments(rng: np.random.Generator, count: int,
 
     Both endpoints are drawn with the same descending coordinate order, which
     keeps every pairwise difference one-signed along the segment; the
-    predicates (affine in practice) are then checked along the whole path.
+    predicate rows are then checked exactly along the whole path.
     ``to_ambient`` optionally maps draws into the chart the predicates live on.
     """
+    rows = predicate_rows(predicates, dim)
     segments: list[tuple[np.ndarray, np.ndarray]] = []
     tries = 0
     while len(segments) < count:
@@ -87,7 +94,7 @@ def sample_segments(rng: np.random.Generator, count: int,
         if to_ambient is not None:
             u0, u1 = to_ambient(u0), to_ambient(u1)
         try:
-            assert_segment_regular(predicates, u0, u1)
+            assert_segment_regular(rows, u0, u1)
         except SingularSegmentError:
             continue
         segments.append((u0, u1))

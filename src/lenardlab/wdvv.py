@@ -10,7 +10,8 @@ and the generalized residual replaces h1 by g = sum_k lambda_k c_k.  Both are
 normalized by the product of operand norms so thresholds are scale-free.
 
 All logarithms appear as log u^2 = 2 log |u|; u = 0 is excluded by the
-regularity predicates.
+regularity predicates, the rows e_i and e_i - e_j, which every closed form
+of the Veselov family checks once per call.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chartcore import Chart, check_regular, coords_of, nan_max, pairwise_indices
+from .chartcore import Chart, check_regular, coords_of, difference_rows, nan_max, pairwise_indices
 
 # Refuse WDVV pivots worse conditioned than this instead of amplifying noise.
 MAX_PIVOT_COND = 1e8
@@ -37,28 +38,25 @@ class SingularSliceError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True, eq=False)
 class Prepotential:
-    """A scalar potential with analytic Hessian and third derivatives."""
+    """A scalar potential with analytic Hessian and third derivatives.
+
+    The maps reject points outside their own domain, so each ``*_at`` call
+    checks regularity once, inside the map.
+    """
 
     chart: Chart
     value: Callable[[np.ndarray], float]
     hessian: Callable[[np.ndarray], np.ndarray]
     third: Callable[[np.ndarray], np.ndarray]
-    predicates: tuple = ()
 
     def value_at(self, p) -> float:
-        u = coords_of(p, self.chart.dim)
-        check_regular(self.predicates, u)
-        return float(self.value(u))
+        return float(self.value(coords_of(p, self.chart.dim)))
 
     def hessian_at(self, p) -> np.ndarray:
-        u = coords_of(p, self.chart.dim)
-        check_regular(self.predicates, u)
-        return np.asarray(self.hessian(u), dtype=float)
+        return np.asarray(self.hessian(coords_of(p, self.chart.dim)), dtype=float)
 
     def third_at(self, p) -> np.ndarray:
-        u = coords_of(p, self.chart.dim)
-        check_regular(self.predicates, u)
-        return np.asarray(self.third(u), dtype=float)
+        return np.asarray(self.third(coords_of(p, self.chart.dim)), dtype=float)
 
     def scaled(self, s: float) -> "Prepotential":
         return Prepotential(
@@ -66,7 +64,6 @@ class Prepotential:
             lambda u: s * self.value(u),
             lambda u: s * np.asarray(self.hessian(u), dtype=float),
             lambda u: s * np.asarray(self.third(u), dtype=float),
-            self.predicates,
         )
 
 
@@ -82,15 +79,16 @@ class VeselovPotential:
             raise ValueError("need n >= 2")
         if self.m == 0:
             raise ValueError("parameter m must be nonzero")
+        object.__setattr__(self, "_rows", np.concatenate([np.eye(self.n), difference_rows(self.n)]))
 
-    def predicates(self) -> tuple:
-        preds = [(lambda x, i=i: x[i]) for i in range(self.n)]
-        preds += [(lambda x, i=i, j=j: x[i] - x[j]) for i, j in pairwise_indices(self.n)]
-        return tuple(preds)
+    def predicates(self) -> np.ndarray:
+        """The rows e_i and e_i - e_j: the hyperplanes x_i = 0 and x_i = x_j."""
+        return self._rows
 
 
 def veselov_value(pot: VeselovPotential, x) -> float:
     x = coords_of(x, pot.n)
+    check_regular(pot.predicates(), x)
     total = 0.0
     for i, j in pairwise_indices(pot.n):
         u = x[i] - x[j]
@@ -158,7 +156,6 @@ def veselov_prepotential(pot: VeselovPotential, scale: float = 1.0) -> Prepotent
         lambda u: veselov_value(pot, u),
         lambda u: veselov_hessian(pot, u),
         lambda u: veselov_third(pot, u),
-        pot.predicates(),
     )
     return base if scale == 1.0 else base.scaled(scale)
 

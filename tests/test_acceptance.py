@@ -258,7 +258,7 @@ def test_criterion_8_cross_validation(reference_complex):
     pot = wdvv.VeselovPotential(3, 2.0)
     xpts = _veselov_points(pot, 100, SEED + 71)
     fd_pot = max(
-        max(float(np.max(np.abs(cc.fd_gradient(lambda u: wdvv.veselov_value(pot, u), x)
+        max(float(np.max(np.abs(cc.fd_jacobian(lambda u: wdvv.veselov_value(pot, u), x)
                                 - wdvv.veselov_gradient(pot, x)))),
             float(np.max(np.abs(cc.fd_jacobian(lambda u: wdvv.veselov_gradient(pot, u), x)
                                 - wdvv.veselov_hessian(pot, x)))),

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lenardlab import chartcore as cc
@@ -57,7 +57,7 @@ def test_closure_of_exact_log_form():
         v = np.array([-0.25, 0.25, 0.0]) / (u[0] - u[1]) ** 2
         return np.outer(v, [-1.0, 1.0, 0.0])
 
-    omega = cc.OneFormField(CH3, coeff, jac, (lambda u: u[0] - u[1],))
+    omega = cc.OneFormField(CH3, coeff, jac, [[1.0, -1.0, 0.0]])
     assert cc.closure_residual(omega, np.array([2.0, 1.0, 3.0])) < 1e-12
     assert cc.fd_check_one_form(omega, np.array([2.0, 1.0, 3.0])) < 1e-8
 
@@ -106,6 +106,18 @@ def test_pullback_respects_group_law(sig, tau, m, u):
 def test_pullback_preserves_closure(sig, m, u):
     omega = affine_form(m + m.T)  # symmetric Jacobian: closed
     assert cc.closure_residual(cc.pullback(sig, omega), u) < 1e-12
+
+
+@settings(max_examples=30)
+@given(sig=perm3, m=mat3, u=points3)
+def test_predicate_rows_follow_the_point_map(sig, m, u):
+    # a pulled-back form is singular at u where the original is at sigma(u);
+    # a transformed tensor where the original is at sigma^-1(u)
+    omega = cc.OneFormField(CH3, lambda v: v, cc.constant_map(np.eye(3)), m)
+    k = cc.TensorField11(CH3, cc.constant_map(np.eye(3)), cc.constant_map(np.zeros((3, 3, 3))), m)
+    assert np.allclose(cc.pullback(sig, omega).predicates @ u, m @ sig(u), rtol=0, atol=1e-12)
+    assert np.allclose(cc.transform_tensor(sig, k).predicates @ u, m @ sig.inverse()(u),
+                       rtol=0, atol=1e-12)
 
 
 # --- tensor actions ---------------------------------------------------------
@@ -183,6 +195,23 @@ def test_constant_tensor_has_no_torsion(m, u):
     assert cc.haantjes_residual(k, u) == 0.0
 
 
+def test_union_keeps_one_row_per_direction():
+    c = np.array([1.0, -2.0, 0.5])
+    assert np.array_equal(cc.union_predicates(np.array([2 * c, c, -c])), [c])
+    e = np.eye(3)
+    rows = cc.union_predicates(e, -3 * e, np.zeros((1, 3)), np.zeros((2, 3)))
+    assert np.array_equal(rows, np.concatenate([np.zeros((1, 3)), e]))
+
+
+@settings(max_examples=30)
+@given(u=points3)
+def test_zero_row_rejects_every_point(u):
+    with pytest.raises(cc.SingularPointError):
+        cc.check_regular(np.zeros((1, 3)), u)
+    with pytest.raises(cc.SingularSegmentError):
+        cc.assert_segment_regular(np.zeros((1, 3)), u, u + 1.0)
+
+
 def test_wedge_matrix_antisymmetry():
     w = cc.wedge_matrix([1.0, 0, 0], [0, 2.0, 0])
     assert np.allclose(w, -w.T)
@@ -246,19 +275,46 @@ def test_path_independence_over_polygonal_paths():
     assert direct == pytest.approx(detour, abs=1e-9)
 
 
+def dense_segment_verdict(rows, u0, u1, samples=1025) -> bool:
+    """Reference: the rows on ``samples`` points of the segment, rejected on a
+    value inside the margin or a sign change."""
+    vals = (u0 + np.linspace(0.0, 1.0, samples)[:, None] * (u1 - u0)) @ rows.T
+    return not np.any((np.min(np.abs(vals), axis=0) < cc.REGULARITY_MARGIN)
+                      | (np.min(vals, axis=0) * np.max(vals, axis=0) < 0.0))
+
+
+# Multiples of 2^-12 with integer rows keep every sample value exact, so the
+# two tests see the same numbers; 0 and +-2^-12 ... +-4 * 2^-12 lie inside the
+# margin.
+grid = st.integers(-4 * 4096, 4 * 4096).map(lambda k: k / 4096)
+grid_points = st.tuples(grid, grid, grid).map(np.array)
+int_rows = st.lists(st.tuples(entries, entries, entries), min_size=1, max_size=4).map(
+    lambda r: np.array(r, dtype=float))
+
+
+@settings(max_examples=200)
+@given(rows=int_rows, u0=grid_points, u1=grid_points)
+@example(rows=np.array([[1.0, -1.0, 0.0]]), u0=np.array([2.0, 1.0, 0.0]),
+         u1=np.array([1.0, 2.0, 0.0]))  # a sign change inside the segment
+@example(rows=np.array([[1.0, 0.0, 0.0]]), u0=np.array([3 / 4096, 1.0, 0.0]),
+         u1=np.array([2.0, 1.0, 0.0]))  # an endpoint inside the margin
+@example(rows=np.array([[1.0, 0.0, 0.0]]), u0=np.array([5 / 4096, 1.0, 0.0]),
+         u1=np.array([2.0, 1.0, 0.0]))  # an endpoint just outside it
+def test_exact_segment_check_agrees_with_dense_sampling(rows, u0, u1):
+    try:
+        cc.assert_segment_regular(rows, u0, u1)
+        regular = True
+    except cc.SingularSegmentError:
+        regular = False
+    assert regular == dense_segment_verdict(rows, u0, u1)
+
+
 def test_segment_crossing_singular_locus_raises():
-    pred = lambda u: u[..., 0] - u[..., 1]
+    rows = np.array([[1.0, -1.0, 0.0]])  # u0 - u1
     with pytest.raises(cc.SingularSegmentError):
-        cc.assert_segment_regular([pred], np.array([2.0, 1.0, 0.0]), np.array([1.0, 2.0, 0.0]))
+        cc.assert_segment_regular(rows, np.array([2.0, 1.0, 0.0]), np.array([1.0, 2.0, 0.0]))
     # same ordering at both ends is fine
-    cc.assert_segment_regular([pred], np.array([2.0, 1.0, 0.0]), np.array([3.0, 1.5, 0.0]))
-
-
-def test_segment_check_rejects_predicates_that_do_not_broadcast():
-    # u[0] - u[1] indexes rows of the (65, 3) sample array, not coordinates
-    with pytest.raises(TypeError, match="shape"):
-        cc.assert_segment_regular([lambda u: u[0] - u[1]], np.array([2.0, 1.0, 0.0]),
-                                  np.array([3.0, 1.5, 0.0]))
+    cc.assert_segment_regular(rows, np.array([2.0, 1.0, 0.0]), np.array([3.0, 1.5, 0.0]))
 
 
 def test_unconverged_integral_is_nan():
@@ -276,7 +332,7 @@ def test_unconverged_integral_is_nan():
 def test_integration_guard_rejects_singular_path():
     omega = cc.OneFormField(
         CH3, lambda u: np.array([1.0 / u[0], 0.0, 0.0]),
-        lambda u: np.diag([-1.0 / u[0] ** 2, 0, 0]), (lambda u: u[..., 0],))
+        lambda u: np.diag([-1.0 / u[0] ** 2, 0, 0]), [[1.0, 0.0, 0.0]])
     with pytest.raises(cc.SingularSegmentError):
         cc.integrate_one_form(omega, np.array([-1.0, 0, 0]), np.array([1.0, 0, 0]))
 

@@ -140,9 +140,10 @@ def test_invalid_point_count(monkeypatch, capsys):
         assert "positive" in err
     for flag in ("--tol-analytic", "--tol-fd"):
         for value in ("nan", "inf", "-inf"):
-            code, _, err = run(capsys, "verify-wdvv", "--points", "5", f"{flag}={value}")
-            assert code == 2, (flag, value)
-            assert "finite" in err
+            for words in ([f"{flag}={value}"], [flag, value]):
+                code, _, err = run(capsys, "verify-wdvv", "--points", "5", *words)
+                assert code == 2, words
+                assert "finite" in err
     for env in ("LENARDLAB_TOL_ANALYTIC", "LENARDLAB_TOL_FD"):
         with monkeypatch.context() as mp:
             mp.setenv(env, "abc")

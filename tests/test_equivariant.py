@@ -49,7 +49,7 @@ def test_gradient_form_matches_quadratic():
     a = np.array([0.8, 1.7, 2.5])
     assert cc.fd_check_one_form(dA, a) < 1e-9
     assert cc.closure_residual(dA, a) == 0.0
-    assert np.allclose(cc.fd_gradient(quad.value, a), quad.gradient(a), atol=1e-8)
+    assert np.allclose(cc.fd_jacobian(quad.value, a), quad.gradient(a), atol=1e-8)
 
 
 # --- parameter constraints ----------------------------------------------------
@@ -250,6 +250,24 @@ def test_k2dR_matches_k3dQ(example3, sample_a):
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
+@pytest.mark.parametrize("alpha,beta,root", [(2.0, 1.0, 1), (2.0, 1.0, 2), (5.0, 2.0, 1),
+                                             (5.0, 2.0, 2)])
+def test_sampling_predicates_are_the_nine_hyperplanes(alpha, beta, root):
+    # A_i = 0, A_i + A_j = 0 and A_i - A_j = 0, the last parallel to a_i = a_j
+    sigma2 = eq.solve_phi_roots(alpha, beta)[root - 1]
+    cx = eq.assemble_complex(eq.FamilyParams.solve(alpha, beta, sigma2))
+    rows = cx.sampling_predicates()
+    assert rows.shape == (9, 3)
+
+    def direction(c):  # scaled to max-norm 1, first nonzero entry positive
+        d = np.round(c / np.max(np.abs(c)), 12)
+        return tuple(d * np.sign(d[np.flatnonzero(d)[0]]))
+
+    assert {direction(c) for c in rows @ cx.quad.hessian_inverse()} == {
+        (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1),
+        (1, -1, 0), (1, 0, -1), (0, 1, -1)}
+
+
 def test_verify_complex_reference_family(example3, example3_points):
     _, _, cx = example3
     report = eq.verify_complex(cx, example3_points, with_fd=True)
@@ -303,9 +321,13 @@ def test_perturbed_root_breaks_commutativity(example3_points):
     assert report.condition("chain_of_vector_fields").passed
 
 
+def symmetry_constraint(cx, points) -> float:
+    return eq.verify_complex(cx, points).condition("symmetry_constraint").max_residual
+
+
 def test_symmetry_constraint_residual_vanishes_at_root(example3, sample_a):
     _, _, cx = example3
-    assert max(eq.symmetry_constraint_residual(cx, a) for a in sample_a) < 1e-10
+    assert symmetry_constraint(cx, sample_a) < 1e-10
 
 
 @pytest.mark.parametrize("sigma2", [0.0, -0.0625, -0.25, 0.1, -0.115])
@@ -318,7 +340,7 @@ def test_split_form_identity_off_root(sigma2, sample_a):
     a = sample_a[0]
     big_a = params.quad.a_to_A(a)
     scale = abs(eq.phi(2.0, 1.0, sigma2) * eq.psi(big_a))
-    assert eq.symmetry_constraint_residual(cx, a) > 0.1 * scale
+    assert symmetry_constraint(cx, [a]) > 0.1 * scale
 
 
 def test_split_form_scalar_magnitude(example3_points):
@@ -329,7 +351,7 @@ def test_split_form_scalar_magnitude(example3_points):
     big_a = params.quad.a_to_A(a)
     comparison = abs(eq.phi(2.0, 1.0, 0.0) * eq.psi(big_a)) * np.max(np.abs(
         params.quad.hessian() @ np.array([0.0, -1.0 / big_a[1], 1.0 / big_a[2]])))
-    assert eq.symmetry_constraint_residual(cx, a) == pytest.approx(comparison, rel=1e-9)
+    assert symmetry_constraint(cx, [a]) == pytest.approx(comparison, rel=1e-9)
 
 
 # --- WDVV from the square ---------------------------------------------------------
@@ -385,14 +407,9 @@ def _segments(example3, count=5, seed=333):
 
 
 def test_segment_sampler_propagates_predicate_errors():
-    # only SingularSegmentError means "draw again"; any other error is a bug
-    def broken(u):
-        raise ZeroDivisionError("broken predicate")
-
-    with pytest.raises(ZeroDivisionError):
-        sample_segments(default_rng(3), 1, predicates=[broken], max_tries=50)
+    # a zero row is singular everywhere, so every draw is rejected
     with pytest.raises(SamplingExhaustedError):
-        sample_segments(default_rng(3), 1, predicates=[lambda u: 0.0], max_tries=50)
+        sample_segments(default_rng(3), 1, predicates=[[0.0, 0.0, 0.0]], max_tries=50)
 
 
 def test_reconstruction_matches_reference_hessian(example3):
