@@ -587,29 +587,31 @@ FD_STEP_SECOND = 3e-4
 _STENCIL4 = {-2: 1.0 / 12.0, -1: -8.0 / 12.0, 1: 8.0 / 12.0, 2: -1.0 / 12.0}
 
 
-def fd_hessian(fun: Callable[[np.ndarray], float], u) -> np.ndarray:
-    """Fourth-order central second differences of a scalar map."""
+def fd_hessian(fun: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
+    """Fourth-order central second differences of a scalar map at the points
+    ``u`` of shape (..., dim); the Hessian axes are appended.  ``fun`` is
+    called once per stencil shift, each time with every point shifted."""
     u = np.asarray(u, dtype=float)
     h = FD_STEP_SECOND * np.maximum(1.0, np.abs(u))
-    n = u.size
+    n = u.shape[-1]
+    eye = np.eye(n)
 
-    def at(shift: dict[int, int]) -> float:
-        v = u.copy()
-        for d, k in shift.items():
-            v[d] += k * h[d]
-        return float(fun(v))
+    def at(shift: np.ndarray) -> np.ndarray:
+        """``fun`` at every point moved by ``shift`` (in steps) per coordinate."""
+        return np.asarray(fun(u + shift * h), dtype=float)
 
-    out = np.empty((n, n))
-    f0 = at({})
+    out = np.empty(u.shape[:-1] + (n, n))
+    f0 = at(np.zeros(n))
     for i in range(n):
-        out[i, i] = (-at({i: -2}) + 16 * at({i: -1}) - 30 * f0
-                     + 16 * at({i: 1}) - at({i: 2})) / (12 * h[i] * h[i])
+        hi = h[..., i]
+        out[..., i, i] = (-at(-2 * eye[i]) + 16 * at(-eye[i]) - 30 * f0
+                          + 16 * at(eye[i]) - at(2 * eye[i])) / (12 * hi * hi)
         for j in range(i + 1, n):
             acc = 0.0
             for ki, ci in _STENCIL4.items():
                 for kj, cj in _STENCIL4.items():
-                    acc += ci * cj * at({i: ki, j: kj})
-            out[i, j] = out[j, i] = acc / (h[i] * h[j])
+                    acc = acc + ci * cj * at(ki * eye[i] + kj * eye[j])
+            out[..., i, j] = out[..., j, i] = acc / (hi * h[..., j])
     return out
 
 

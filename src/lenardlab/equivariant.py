@@ -34,6 +34,7 @@ with lambda = x is the inverse Hessian of A, [[3/4,-1/4,-1/4],...].
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
@@ -69,9 +70,9 @@ from .report import VerificationReport
 from .wdvv import (
     Prepotential,
     VeselovPotential,
-    _commutation_residual,
-    _guarded_inverse,
+    commutation_residuals,
     veselov_prepotential,
+    worst_residual,
 )
 
 A_CHART = Chart("a", 3)
@@ -474,36 +475,55 @@ def third_tensor_from_chain(cx: LenardComplex, p) -> np.ndarray:
     return np.einsum("...a,...jlma->...jlm", big_a, kkkx)
 
 
-def _symmetry_defect(c: np.ndarray) -> float:
-    """Largest deviation of c[..., j, l, m] from total symmetry, over all points."""
-    return nan_max(float(np.max(np.abs(c - np.einsum(f"...jlm->...{perm}", c))))
-                   for perm in ("jml", "ljm", "lmj", "mjl", "mlj"))
+def _symmetry_defect(c: np.ndarray) -> np.ndarray:
+    """Largest deviation of c[..., j, l, m] from total symmetry, at every point."""
+    return functools.reduce(np.maximum, (
+        np.max(np.abs(c - np.einsum(f"...jlm->...{perm}", c)), axis=(-3, -2, -1))
+        for perm in ("jml", "ljm", "lmj", "mjl", "mlj")))
 
 
-def wdvv_residual_of_complex(cx: LenardComplex, p, tol_chain: float = TOL_ANALYTIC,
-                             require_symmetric: bool = True) -> float:
-    """WDVV commutation residual of the square written in the x-chart.
+def _require_within(defect: np.ndarray, tol: float, a: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first point of ``a`` whose ``defect``
+    exceeds ``tol`` or is NaN."""
+    bad = ~(defect <= tol)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"{what} at {a.reshape(-1, 3)[k]} (defect {np.ravel(defect)[k]:.3e})")
+
+
+def square_wdvv_residuals(cx: LenardComplex, p, tol_chain: float,
+                          require_symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """WDVV commutation residuals of the square written in the x-chart, at
+    every point of p (shape (..., 3), a-chart), and the mask of the points
+    whose pivot c[0] is refused (their residual is NaN).
 
     The identification x-chart = A-chart is only valid when the vector chain
     condition K_j X = d/dA_j holds, so that is asserted first.  With
     ``require_symmetric`` the total symmetry of the coefficients is asserted
     too; callers that report the symmetry defect separately may disable it.
+    Either assertion raises ValueError naming the first point that fails it.
     """
     a = coords_of(p, 3)
     hinv = cx.quad.hessian_inverse()
-    chain_defect = nan_max(
-        float(np.max(np.abs(k.mat_at(a) @ cx.X.comp_at(a) - hinv[j])))
-        for j, k in enumerate(cx.operators)
-    )
-    if not chain_defect <= tol_chain:
-        raise ValueError(
-            f"vector chain condition fails at {a} (defect {chain_defect:.3e}); "
-            "the x-chart is not established, no WDVV residual is defined"
-        )
-    c = third_tensor_from_square(cx, p)
-    if require_symmetric and not _symmetry_defect(c) <= 1e-6:
-        raise ValueError("square coefficients are not totally symmetric at this point")
-    return _commutation_residual(c, _guarded_inverse(c[0], "pivot slice c[0]"))
+    x = cx.X.comp_at(a)
+    chain_defect = functools.reduce(np.maximum, (
+        np.max(np.abs(apply(k.mat_at(a), x) - hinv[j]), axis=-1)
+        for j, k in enumerate(cx.operators)))
+    _require_within(chain_defect, tol_chain, a,
+                    "no x-chart, hence no WDVV residual: the vector chain condition fails")
+    c = third_tensor_from_square(cx, a)
+    if require_symmetric:
+        _require_within(_symmetry_defect(c), 1e-6, a,
+                        "the square coefficients are not totally symmetric")
+    return commutation_residuals(c, c[..., 0, :, :])
+
+
+def wdvv_residual_of_complex(cx: LenardComplex, p, tol_chain: float = TOL_ANALYTIC,
+                             require_symmetric: bool = True) -> float:
+    """The worst of :func:`square_wdvv_residuals` over the points p; raises
+    SingularSliceError naming the first point whose pivot c[0] is refused."""
+    return worst_residual(*square_wdvv_residuals(cx, p, tol_chain, require_symmetric),
+                          "pivot slice c[0]", p)
 
 
 # verify_complex's conditions in report order; the FD check follows
@@ -541,7 +561,8 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
         for j in range(3):
             yield "chain_of_forms", gap(covector_apply(big_a, mats[j]), eye[j])
             yield "chain_of_vector_fields", gap(apply(mats[j], a), hinv[j])
-        yield "third_tensor_symmetry", _symmetry_defect(third_tensor_from_chain(cx, a))
+        yield "third_tensor_symmetry", float(np.max(
+            _symmetry_defect(third_tensor_from_chain(cx, a))))
         yield "symmetry_constraint", gap(theta_pulled.coeff_at(a), theta.coeff_at(a))
         yield "partition_of_identity", gap(
             sum(big_a[..., i, None, None] * mats[i] for i in range(3)), eye)

@@ -41,24 +41,37 @@ def sample_gapped_box(rng: np.random.Generator, count: int, dim: int = 3,
                       margin: float = REGULARITY_MARGIN,
                       max_tries: int = 10_000) -> np.ndarray:
     """Uniform points in [low, high]^dim with pairwise coordinate gaps >= gap,
-    rejecting points u where |u . c| < margin for a predicate row c."""
+    rejecting points u where |u . c| < margin for a predicate row c.
+
+    Points are drawn in blocks of twice the number still needed, and
+    rejected as masks.  The result and the generator's end state are those
+    of drawing one point at a time until ``count`` are accepted, or until
+    ``max_tries`` draws: the block that completes the count is rewound to
+    its last accepted point with the bit generator's ``advance`` (PCG64, as
+    made by :func:`default_rng`, has it).
+    """
     rows = predicate_rows(predicates, dim)
-    out = []
-    tries = 0
-    while len(out) < count:
-        tries += 1
-        if tries > max_tries:
-            raise SamplingExhaustedError(
-                f"found {len(out)}/{count} regular points after {max_tries} draws"
-            )
-        u = rng.uniform(low, high, size=dim)
-        diffs = np.abs(u[:, None] - u[None, :])[np.triu_indices(dim, 1)]
-        if diffs.size and np.min(diffs) < gap:
-            continue
-        if (np.abs(rows @ u) < margin).any():
-            continue
-        out.append(u)
-    return np.array(out)
+    i, j = np.triu_indices(dim, 1)
+    parts: list[np.ndarray] = []
+    found = tries = 0
+    while found < count and tries < max_tries:
+        size = min(2 * (count - found), max_tries - tries)
+        state = rng.bit_generator.state
+        block = rng.uniform(low, high, size=(size, dim))
+        regular = ((np.abs(block[:, i] - block[:, j]) >= gap).all(axis=-1)
+                   & (np.abs(block @ rows.T) >= margin).all(axis=-1))
+        kept = np.flatnonzero(regular)[:count - found]
+        parts.append(block[kept])
+        found += len(kept)
+        tries += size
+        if found == count:
+            rng.bit_generator.state = state
+            rng.bit_generator.advance(int(kept[-1] + 1) * dim)
+    if found < count:
+        raise SamplingExhaustedError(
+            f"found {found}/{count} regular points after {max_tries} draws"
+        )
+    return np.concatenate([np.empty((0, dim)), *parts])
 
 
 def sample_segments(rng: np.random.Generator, count: int,

@@ -9,19 +9,33 @@ residual measures failure of
 and the generalized residual replaces h1 by g = sum_k lambda_k c_k.  Both are
 normalized by the product of operand norms so thresholds are scale-free.
 
+Everything works on the point axis of :mod:`lenardlab.chartcore`: the
+closed forms, the prepotential maps and the residuals take points of shape
+(..., n), so a batch of N points is one call and a single point is the ()
+case.  The residuals are computed per point, with pivots refused per point,
+and reported as the NaN-propagating worst over the batch.
+
 All logarithms appear as log u^2 = 2 log |u|; u = 0 is excluded by the
 regularity predicates, the rows e_i and e_i - e_j, which every closed form
-of the Veselov family checks once per call.
+of the Veselov family checks once per batch.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .chartcore import Chart, check_regular, coords_of, difference_rows, nan_max, pairwise_indices
+from .chartcore import (
+    Chart,
+    check_regular,
+    constant_map,
+    coords_of,
+    difference_rows,
+    pairwise_indices,
+)
 
 # Refuse WDVV pivots worse conditioned than this instead of amplifying noise.
 MAX_PIVOT_COND = 1e8
@@ -40,17 +54,18 @@ class SingularSliceError(np.linalg.LinAlgError):
 class Prepotential:
     """A scalar potential with analytic Hessian and third derivatives.
 
-    The maps reject points outside their own domain, so each ``*_at`` call
-    checks regularity once, inside the map.
+    The maps take points of shape (..., n) and reject points outside their
+    own domain, so each ``*_at`` call checks regularity once per batch,
+    inside the map.
     """
 
     chart: Chart
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     third: Callable[[np.ndarray], np.ndarray]
 
-    def value_at(self, p) -> float:
-        return float(self.value(coords_of(p, self.chart.dim)))
+    def value_at(self, p) -> np.ndarray:
+        return np.asarray(self.value(coords_of(p, self.chart.dim)), dtype=float)
 
     def hessian_at(self, p) -> np.ndarray:
         return np.asarray(self.hessian(coords_of(p, self.chart.dim)), dtype=float)
@@ -86,16 +101,16 @@ class VeselovPotential:
         return self._rows
 
 
-def veselov_value(pot: VeselovPotential, x) -> float:
+def veselov_value(pot: VeselovPotential, x) -> np.ndarray:
     x = coords_of(x, pot.n)
     check_regular(pot.predicates(), x)
     total = 0.0
     for i, j in pairwise_indices(pot.n):
-        u = x[i] - x[j]
-        total += u * u * np.log(u * u)
+        u = x[..., i] - x[..., j]
+        total = total + u * u * np.log(u * u)
     for i in range(pot.n):
-        total += (1.0 / pot.m) * x[i] ** 2 * np.log(x[i] ** 2)
-    return float(total)
+        total = total + (1.0 / pot.m) * x[..., i] ** 2 * np.log(x[..., i] ** 2)
+    return total
 
 
 def veselov_gradient(pot: VeselovPotential, x) -> np.ndarray:
@@ -103,16 +118,16 @@ def veselov_gradient(pot: VeselovPotential, x) -> np.ndarray:
     x = coords_of(x, pot.n)
     check_regular(pot.predicates(), x)
 
-    def dphi(u: float) -> float:
+    def dphi(u: np.ndarray) -> np.ndarray:
         return 2.0 * u * np.log(u * u) + 2.0 * u
 
-    g = np.zeros(pot.n)
+    g = np.zeros(x.shape)
     for i, j in pairwise_indices(pot.n):
-        v = dphi(x[i] - x[j])
-        g[i] += v
-        g[j] -= v
+        v = dphi(x[..., i] - x[..., j])
+        g[..., i] += v
+        g[..., j] -= v
     for i in range(pot.n):
-        g[i] += (1.0 / pot.m) * dphi(x[i])
+        g[..., i] += (1.0 / pot.m) * dphi(x[..., i])
     return g
 
 
@@ -122,13 +137,13 @@ def veselov_hessian(pot: VeselovPotential, x) -> np.ndarray:
     x = coords_of(x, pot.n)
     check_regular(pot.predicates(), x)
     n = pot.n
-    h = np.zeros((n, n))
+    h = np.zeros(x.shape[:-1] + (n, n))
     for i, j in pairwise_indices(n):
-        v = -(2.0 * np.log((x[i] - x[j]) ** 2) + 6.0)
-        h[i, j] = h[j, i] = v
+        v = -(2.0 * np.log((x[..., i] - x[..., j]) ** 2) + 6.0)
+        h[..., i, j] = h[..., j, i] = v
     for i in range(n):
-        h[i, i] = -sum(h[i, j] for j in range(n) if j != i) \
-            + (1.0 / pot.m) * (2.0 * np.log(x[i] ** 2) + 6.0)
+        h[..., i, i] = -sum(h[..., i, j] for j in range(n) if j != i) \
+            + (1.0 / pot.m) * (2.0 * np.log(x[..., i] ** 2) + 6.0)
     return h
 
 
@@ -137,15 +152,15 @@ def veselov_third(pot: VeselovPotential, x) -> np.ndarray:
     x = coords_of(x, pot.n)
     check_regular(pot.predicates(), x)
     n = pot.n
-    c = np.zeros((n, n, n))
+    c = np.zeros(x.shape[:-1] + (n, n, n))
     for i in range(n):
         for j in range(n):
             if i != j:
-                v = -4.0 / (x[i] - x[j])
-                c[i, i, j] = c[i, j, i] = c[j, i, i] = v
+                v = -4.0 / (x[..., i] - x[..., j])
+                c[..., i, i, j] = c[..., i, j, i] = c[..., j, i, i] = v
     for i in range(n):
-        c[i, i, i] = sum(4.0 / (x[i] - x[j]) for j in range(n) if j != i) \
-            + (1.0 / pot.m) * 4.0 / x[i]
+        c[..., i, i, i] = sum(4.0 / (x[..., i] - x[..., j]) for j in range(n) if j != i) \
+            + (1.0 / pot.m) * 4.0 / x[..., i]
     return c
 
 
@@ -169,8 +184,7 @@ class EulerWeights:
 
     @classmethod
     def constant(cls, lam) -> "EulerWeights":
-        v = np.array(lam, dtype=float)
-        return cls(lambda x: v, label="constant")
+        return cls(constant_map(lam), label="constant")
 
     @classmethod
     def proportional(cls, factor: float) -> "EulerWeights":
@@ -184,37 +198,61 @@ class EulerWeights:
 QUARTER_X = EulerWeights.proportional(0.25)
 
 
-def _guarded_inverse(mat: np.ndarray, what: str) -> np.ndarray:
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > MAX_PIVOT_COND:
-        raise SingularSliceError(
-            f"{what} has condition number {cond:.3e} (limit {MAX_PIVOT_COND:.0e}); "
-            "the one-forms d(h_1l) must be linearly independent for the "
-            "commutation residual to be meaningful"
-        )
-    return np.linalg.inv(mat)
+def _guarded_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack (..., n, n) of pivots, and the mask of the pivots
+    refused as singular or worse conditioned than MAX_PIVOT_COND.  A refused
+    pivot is inverted as the identity, so one bad point spoils no other."""
+    rejected = ~(np.linalg.cond(mat) <= MAX_PIVOT_COND)
+    eye = np.eye(mat.shape[-1])
+    return np.linalg.inv(np.where(rejected[..., None, None], eye, mat)), rejected
 
 
-def _commutation_residual(c: np.ndarray, pivot_inv: np.ndarray) -> float:
-    pinv_norm = np.linalg.norm(pivot_inv)
+def _commutation_residual(c: np.ndarray, pivot_inv: np.ndarray) -> np.ndarray:
+    """The worst pair residual at every point of a stack (..., n, n, n) of
+    third tensors; NaN wherever a pair residual is NaN."""
+    pinv_norm = np.linalg.norm(pivot_inv, axis=(-2, -1))
 
-    def pair(j: int, l: int) -> float:
-        a = c[j] @ pivot_inv @ c[l]
-        num = np.max(np.abs(a - a.T))
-        den = max(1.0, np.linalg.norm(c[j]) * pinv_norm * np.linalg.norm(c[l]))
+    def pair(j: int, l: int) -> np.ndarray:
+        cj, cl = c[..., j, :, :], c[..., l, :, :]
+        a = cj @ pivot_inv @ cl
+        num = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1))
+        den = np.maximum(1.0, np.linalg.norm(cj, axis=(-2, -1)) * pinv_norm
+                         * np.linalg.norm(cl, axis=(-2, -1)))
         return num / den
 
-    return nan_max(pair(j, l) for j, l in pairwise_indices(c.shape[0]))
+    return functools.reduce(np.maximum, (pair(j, l) for j, l in pairwise_indices(c.shape[-1])))
+
+
+def commutation_residuals(c: np.ndarray, pivot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale-free residuals of c_j P^{-1} c_l = c_l P^{-1} c_j at every point
+    of a stack of third tensors c (..., n, n, n) with pivots P (..., n, n),
+    and the mask of the points whose pivot is refused (NaN residual there)."""
+    pivot_inv, rejected = _guarded_inverse(pivot)
+    return np.where(rejected, np.nan, _commutation_residual(c, pivot_inv)), rejected
+
+
+def worst_residual(residuals: np.ndarray, rejected: np.ndarray, what: str, points) -> float:
+    """The largest of the per-point ``residuals``, NaN if any is NaN; raises
+    SingularSliceError naming the first of ``points`` whose pivot is refused."""
+    if rejected.any():
+        point = np.reshape(points, (-1, np.shape(points)[-1]))[int(np.argmax(rejected))]
+        raise SingularSliceError(
+            f"{what} at {point} is singular or has condition number above "
+            f"{MAX_PIVOT_COND:.0e}; the one-forms d(h_1l) must be linearly "
+            "independent for the commutation residual to be meaningful"
+        )
+    return float(np.max(residuals))
 
 
 def wdvv_residual(pre: Prepotential, x) -> float:
-    """Scale-free residual of the pairwise commutation with pivot c[0]."""
+    """Scale-free residual of the pairwise commutation with pivot c[0], the
+    worst over the points x of shape (..., n)."""
     c = pre.third_at(x)
-    return _commutation_residual(c, _guarded_inverse(c[0], "pivot slice c[0]"))
+    return worst_residual(*commutation_residuals(c, c[..., 0, :, :]), "pivot slice c[0]", x)
 
 
 def g_matrix(pre: Prepotential, weights: EulerWeights, x) -> np.ndarray:
-    """g = sum_k lambda_k c_k; symmetric by total symmetry of c.
+    """g = sum_k lambda_k c_k at the points x; symmetric by total symmetry of c.
 
     For the Veselov family scaled by s and lambda = c x this is the constant
 
@@ -226,12 +264,12 @@ def g_matrix(pre: Prepotential, weights: EulerWeights, x) -> np.ndarray:
     lambda = x gives [[3/4,-1/4,-1/4],...].
     """
     c = pre.third_at(x)
-    lam = weights.at(coords_of(x, pre.chart.dim))
-    return np.einsum("k,kjl->jl", lam, c)
+    return np.einsum("...k,...kjl->...jl", weights.at(coords_of(x, pre.chart.dim)), c)
 
 
 def generalized_wdvv_residual(pre: Prepotential, weights: EulerWeights, x) -> float:
-    """Commutation residual with the Euler-weighted pivot g in place of c[0]."""
+    """Commutation residual with the Euler-weighted pivot g in place of c[0],
+    the worst over the points x of shape (..., n)."""
     c = pre.third_at(x)
-    g = np.einsum("k,kjl->jl", weights.at(coords_of(x, pre.chart.dim)), c)
-    return _commutation_residual(c, _guarded_inverse(g, "Euler-weighted pivot g"))
+    g = np.einsum("...k,...kjl->...jl", weights.at(coords_of(x, pre.chart.dim)), c)
+    return worst_residual(*commutation_residuals(c, g), "Euler-weighted pivot g", x)

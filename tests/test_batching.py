@@ -2,14 +2,18 @@
 N single-point evaluations, and the verifiers cost the same number of
 passes whatever N is."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from lenardlab import chartcore as cc
+from lenardlab import cli
 from lenardlab import equivariant as eq
 from lenardlab import gelfand_dikii as gd
+from lenardlab import wdvv
 from lenardlab.sampling import default_rng, sample_gapped_box
 
 # N = 3 = dim is where a matrix product silently stands in for a batch of
@@ -86,18 +90,27 @@ def test_gelfand_dikii_fields_and_verifier_batch(seed, n):
 # --- one pass per batch ----------------------------------------------------------
 
 
-def count_regularity_checks(monkeypatch, run) -> int:
+def count_calls(monkeypatch, run, *targets) -> int:
+    """Calls made by ``run()`` to the functions named by the (module,
+    attribute) ``targets``."""
     calls = []
-    check = cc.check_regular
 
-    def counted(predicates, u, *args):
-        calls.append(1)
-        return check(predicates, u, *args)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(cc, "check_regular", counted)
+        return wrapper
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     run()
     monkeypatch.undo()
     return len(calls)
+
+
+def count_regularity_checks(monkeypatch, run) -> int:
+    return count_calls(monkeypatch, run, (cc, "check_regular"), (wdvv, "check_regular"))
 
 
 @pytest.mark.parametrize("verify", ["equivariant", "gelfand_dikii"])
@@ -115,6 +128,53 @@ def test_verifiers_check_regularity_once_per_batch_not_per_point(monkeypatch, ex
     few = count_regularity_checks(monkeypatch, run(3))
     assert few > 0
     assert count_regularity_checks(monkeypatch, run(30)) == few
+
+
+CFG = cli.RunConfig(command="build-complex", points=0, seed=0, tol_analytic=1e-9,
+                    tol_fd=1e-6, fmt="json", out=None)
+
+
+def test_wdvv_pipelines_cost_the_same_calls_for_50_and_200_points(monkeypatch, example3,
+                                                                  tmp_path):
+    _, _, cx = example3
+    entry_points = ((cli, "wdvv_residual"), (cli, "generalized_wdvv_residual"),
+                    (cli, "g_matrix"), (eq, "square_wdvv_residuals"),
+                    (eq, "commutation_residuals"))
+
+    def verify_wdvv(n):
+        return lambda: cli.main(["verify-wdvv", "--points", str(n), "--euler", "quarter-x",
+                                 "--format", "json", "--out", str(tmp_path / "r.json")])
+
+    def complex_report(n):
+        pts = sample_gapped_box(default_rng(9), n, predicates=cx.sampling_predicates())
+        return lambda: cli._complex_report(cx, pts, CFG)
+
+    for run in (verify_wdvv, complex_report):
+        checks = count_regularity_checks(monkeypatch, run(50))
+        calls = count_calls(monkeypatch, run(50), *entry_points)
+        assert checks > 0 and calls > 0
+        assert count_regularity_checks(monkeypatch, run(200)) == checks
+        assert count_calls(monkeypatch, run(200), *entry_points) == calls
+
+
+def test_complex_report_masks_a_refused_pivot_as_one(monkeypatch, example3):
+    _, _, cx = example3
+    pts = sample_gapped_box(default_rng(21), 6, predicates=cx.sampling_predicates())
+    name = "wdvv_commutation_from_square"
+    assert cli._complex_report(cx, pts, CFG).condition(name).max_residual < 1e-8
+
+    square = eq.third_tensor_from_square
+
+    def singular_at_point_2(cx_, p):
+        c = square(cx_, p).copy()
+        c[2] = 0.0
+        return c
+
+    monkeypatch.setattr(eq, "third_tensor_from_square", singular_at_point_2)
+    cond = cli._complex_report(cx, pts, CFG).condition(name)
+    assert cond.max_residual == 1.0 and not cond.passed
+    with pytest.raises(wdvv.SingularSliceError, match=re.escape(str(pts[2]))):
+        eq.wdvv_residual_of_complex(cx, pts)
 
 
 # --- regularity over a batch ----------------------------------------------------

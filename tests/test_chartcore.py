@@ -232,6 +232,23 @@ def test_fd_hessian_on_polynomial():
     assert np.max(np.abs(cc.fd_hessian(f, u) - expected)) < 1e-8
 
 
+def test_fd_hessian_batch_is_stack_of_points_with_one_call_per_shift():
+    calls = []
+
+    def f(u):
+        calls.append(1)
+        return u[..., 0] ** 3 * u[..., 1] + u[..., 2] ** 2
+
+    pts = np.array([[1.2, -0.7, 0.4], [0.3, 2.0, -1.1], [-1.5, 0.8, 2.2]])
+    batch = cc.fd_hessian(f, pts)
+    shifts = len(calls)
+    assert shifts == 1 + 4 * 3 + 16 * 3  # centre, diagonal and mixed stencils
+    np.testing.assert_array_equal(batch, np.stack([cc.fd_hessian(f, u) for u in pts]))
+    calls.clear()
+    assert cc.fd_hessian(f, pts.reshape(3, 1, 3)).shape == (3, 1, 3, 3)
+    assert len(calls) == shifts
+
+
 def test_fd_checks_catch_wrong_jacobian():
     omega = cc.OneFormField(CH3, lambda u: u**2, lambda u: np.zeros((3, 3)))
     assert cc.fd_check_one_form(omega, np.array([1.0, 2.0, 3.0])) > 1.0

@@ -152,6 +152,28 @@ def test_invalid_point_count(monkeypatch, capsys):
         assert env in err and "'abc'" in err
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--alpha", ("build-complex", "--beta", "1", "--root", "1")),
+    ("--beta", ("build-complex", "--alpha", "2", "--root", "1")),
+    ("--sigma2", ("build-complex", "--alpha", "2", "--beta", "1")),
+    ("--m", ("verify-wdvv",)),
+])
+def test_non_finite_float_option_exits_2_naming_the_flag(capsys, flag, argv):
+    for value in ("nan", "inf", "-inf"):
+        for words in ([f"{flag}={value}"], [flag, value]):
+            code, _, err = run(capsys, *argv, "--points", "3", *words)
+            assert code == 2, words
+            assert flag in err and "finite" in err, err
+
+
+def test_negative_float_option_in_exponent_form_as_separate_word(capsys):
+    # argparse takes "-1.25e-1" for an option unless it is attached to its flag
+    code, doc, _ = run_json(capsys, "build-complex", "--alpha", "2", "--beta", "1",
+                            "--sigma2", "-1.25e-1", "--points", "5", "--seed", "2")
+    assert code == 0
+    assert doc["params"]["sigma2"] == -0.125
+
+
 def test_text_format_renders_status_lines(capsys):
     code, out, _ = run(capsys, "reproduce", "gd", "--points", "5", "--seed", "1")
     assert code == 0

@@ -1,0 +1,81 @@
+"""The block rejection sampler against the one-draw-at-a-time loop it
+replaces: the same points, the same exhaustion and the same generator state
+afterwards, so later draws from the stream do not move."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lenardlab.sampling import SamplingExhaustedError, default_rng, sample_gapped_box
+
+
+def one_draw_at_a_time(rng, count, dim, low, high, gap, predicates, margin, max_tries):
+    """The reference: draw one point per try and test it on its own."""
+    rows = np.asarray(predicates, dtype=float).reshape(-1, dim)
+    out, tries = [], 0
+    while len(out) < count:
+        tries += 1
+        if tries > max_tries:
+            raise SamplingExhaustedError(
+                f"found {len(out)}/{count} regular points after {max_tries} draws")
+        u = rng.uniform(low, high, size=dim)
+        diffs = np.abs(u[:, None] - u[None, :])[np.triu_indices(dim, 1)]
+        if diffs.size and np.min(diffs) < gap:
+            continue
+        if (np.abs(rows @ u) < margin).any():
+            continue
+        out.append(u)
+    return np.array(out)
+
+
+def outcome(sampler, seed, **kwargs):
+    """(points or the exhaustion message, generator state afterwards)."""
+    rng = default_rng(seed)
+    try:
+        result = sampler(rng, **kwargs)
+    except SamplingExhaustedError as exc:
+        result = str(exc)
+    return result, rng.bit_generator.state
+
+
+@st.composite
+def sampler_args(draw):
+    dim = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+                         max_size=4))
+    return {
+        "count": draw(st.integers(1, 60)),
+        "dim": dim,
+        "low": 0.5,
+        "high": 3.0,
+        "gap": draw(st.sampled_from((0.0, 0.05, 0.3, 0.7))),
+        "predicates": np.array(rows, dtype=float).reshape(-1, dim),
+        "margin": draw(st.sampled_from((1e-3, 0.05, 0.5))),
+        "max_tries": draw(st.integers(1, 400)),
+    }
+
+
+ZERO_ROW = {"count": 5, "dim": 3, "low": 0.5, "high": 3.0, "gap": 0.05,
+            "predicates": np.zeros((1, 3)), "margin": 1e-3, "max_tries": 50}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), args=sampler_args())
+@example(seed=3, args=ZERO_ROW)
+@example(seed=4, args={**ZERO_ROW, "predicates": np.empty((0, 3)), "gap": 0.7,
+                       "max_tries": 30})
+def test_block_sampler_matches_one_draw_at_a_time(seed, args):
+    points, state = outcome(sample_gapped_box, seed, **args)
+    expected, expected_state = outcome(one_draw_at_a_time, seed, **args)
+    if isinstance(expected, str):
+        assert points == expected
+    else:
+        assert points.shape == expected.shape
+        np.testing.assert_array_equal(points, expected)
+    assert state == expected_state
+
+
+def test_zero_row_rejects_every_point():
+    with pytest.raises(SamplingExhaustedError, match="found 0/5 regular points after 50 draws"):
+        sample_gapped_box(default_rng(3), **ZERO_ROW)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -195,3 +196,48 @@ def test_scaled_prepotential_scales_derivatives():
     pre = wdvv.veselov_prepotential(POT3, scale=0.25)
     assert pre.hessian_at(X0)[0, 1] == pytest.approx(-1.5)
     assert pre.value_at(X0) == pytest.approx(0.25 * brute_value(X0, 2.0))
+
+
+# --- batches of points ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0, 7.0])
+def test_batched_residuals_agree_with_per_point_calls(m):
+    pre = wdvv.veselov_prepotential(wdvv.VeselovPotential(3, m))
+    pts = sample_points(24, seed=int(10 * m))
+    for residual in (lambda x: wdvv.wdvv_residual(pre, x),
+                     lambda x: wdvv.generalized_wdvv_residual(pre, wdvv.QUARTER_X, x)):
+        per_point = max(residual(x) for x in pts)
+        for batch in (pts, pts.reshape(4, 6, 3)):
+            assert residual(batch) == pytest.approx(per_point, rel=1e-15, abs=0.0)
+
+
+def test_batched_closed_forms_are_stacks_of_points():
+    pts = sample_points(7, seed=12)
+    for closed_form in (wdvv.veselov_value, wdvv.veselov_gradient,
+                        wdvv.veselov_hessian, wdvv.veselov_third):
+        np.testing.assert_array_equal(closed_form(POT3, pts),
+                                      np.stack([closed_form(POT3, x) for x in pts]))
+    pre = wdvv.veselov_prepotential(POT3)
+    np.testing.assert_allclose(wdvv.g_matrix(pre, wdvv.QUARTER_X, pts),
+                               np.stack([wdvv.g_matrix(pre, wdvv.QUARTER_X, x) for x in pts]),
+                               rtol=1e-15, atol=0.0)
+
+
+def test_refused_pivot_in_a_batch_raises_naming_its_point():
+    pts = sample_points(6, seed=8)
+    bad = pts[3]
+
+    def third(u):
+        # the whole tensor vanishes at one point, so its pivot c[0] is singular
+        c = wdvv.veselov_third(POT3, u)
+        return np.where(np.all(u == bad, axis=-1)[..., None, None, None], 0.0, c)
+
+    pre = wdvv.Prepotential(cc.Chart("x", 3), lambda u: wdvv.veselov_value(POT3, u),
+                            lambda u: wdvv.veselov_hessian(POT3, u), third)
+    assert wdvv.wdvv_residual(pre, np.delete(pts, 3, axis=0)) < 1e-10
+    with pytest.raises(wdvv.SingularSliceError, match=re.escape(str(bad))):
+        wdvv.wdvv_residual(pre, pts)
+    residuals, rejected = wdvv.commutation_residuals(third(pts), third(pts)[:, 0])
+    assert rejected.tolist() == [False, False, False, True, False, False]
+    assert math.isnan(residuals[3]) and np.all(residuals[~rejected] < 1e-10)
