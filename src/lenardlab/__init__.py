@@ -39,7 +39,6 @@ from .equivariant import (
 from .gelfand_dikii import gd_complex, gd_operator, gd_torsion_identity_residual, verify_gd_complex
 from .report import VerificationReport
 from .wdvv import (
-    EulerWeights,
     Prepotential,
     VeselovPotential,
     g_matrix,

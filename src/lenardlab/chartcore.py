@@ -222,22 +222,10 @@ def constant_form(chart: Chart, coeffs) -> OneFormField:
     return OneFormField(chart, constant_map(c), constant_map(np.zeros((chart.dim, chart.dim))))
 
 
-def coordinate_form(chart: Chart, i: int) -> OneFormField:
-    """The coordinate differential du_i (0-based index)."""
-    e = np.zeros(chart.dim)
-    e[i] = 1.0
-    return constant_form(chart, e)
-
-
-def constant_vector_field(chart: Chart, comps) -> VectorFieldSpec:
-    c = np.array(comps, dtype=float)
-    return VectorFieldSpec(chart, constant_map(c), constant_map(np.zeros((chart.dim, chart.dim))))
-
-
 def coordinate_vector_field(chart: Chart, i: int) -> VectorFieldSpec:
-    e = np.zeros(chart.dim)
-    e[i] = 1.0
-    return constant_vector_field(chart, e)
+    """The coordinate field d/du_i (0-based index)."""
+    return VectorFieldSpec(chart, constant_map(np.eye(chart.dim)[i]),
+                           constant_map(np.zeros((chart.dim, chart.dim))))
 
 
 def constant_tensor(chart: Chart, mat) -> TensorField11:
@@ -269,10 +257,6 @@ class Permutation:
     def __post_init__(self) -> None:
         if sorted(self.mapping) != list(range(len(self.mapping))):
             raise ValueError(f"{self.mapping} is not a bijection of 0..{len(self.mapping) - 1}")
-
-    @classmethod
-    def identity(cls, dim: int) -> "Permutation":
-        return cls(tuple(range(dim)))
 
     @classmethod
     def transposition(cls, dim: int, i: int, j: int) -> "Permutation":

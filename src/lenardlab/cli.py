@@ -9,18 +9,16 @@ reproduce       canned end-to-end pipelines: ``example3`` (the alpha=2, beta=1
                 (the quadratic hydrodynamic operator)
 
 Reports are deterministic for a fixed seed; sampling uses numpy's PCG64
-generator.  Tolerances can be overridden per run with --tol-analytic/--tol-fd
-or the environment variables LENARDLAB_TOL_ANALYTIC / LENARDLAB_TOL_FD.
-Exit status is 0 exactly when every report condition passes.
+generator.  Tolerances can be overridden per run with --tol-analytic/--tol-fd.
+Exit status is 0 exactly when every report condition passes, 1 when one
+fails and 2 on bad input.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +37,7 @@ from .chartcore import (
 from .report import VerificationReport, render_json, render_text
 from .sampling import SamplingExhaustedError, default_rng, sample_box, sample_gapped_box, sample_segments
 from .wdvv import (
-    EulerWeights,
+    QUARTER_X,
     Prepotential,
     VeselovPotential,
     commutation_residuals,
@@ -54,45 +52,30 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    command: str
-    points: int
-    seed: int
-    tol_analytic: float
-    tol_fd: float
-    fmt: str
-    out: str | None
-
-
-def _tol_default(env: str, fallback: float) -> float:
-    raw = os.environ.get(env)
-    if raw is None:
-        return fallback
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{env} must be a number, got {raw!r}") from None
-
-
-def _emit(doc: dict, cfg: RunConfig) -> None:
-    text = render_json(doc) if cfg.fmt == "json" else render_text(doc)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _emit(doc: dict, args: argparse.Namespace) -> None:
+    text = render_json(doc) if args.fmt == "json" else render_text(doc)
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
 
 
-def _potential(name: str, n: int, m: float) -> tuple[Prepotential, VeselovPotential, dict]:
+def _potential(name: str, n: int | None,
+               m: float | None) -> tuple[Prepotential, VeselovPotential, dict]:
     if name == "veselov":
+        n, m = 3 if n is None else n, 2.0 if m is None else m
         pot = VeselovPotential(n, m)
         return veselov_prepotential(pot), pot, {"potential": name, "n": n, "m": m}
-    if name == "example3-reference":
-        pot = VeselovPotential(3, 1.0)
-        return veselov_prepotential(pot, scale=1.0 / 16.0), pot, \
-            {"potential": name, "n": 3, "m": 1.0, "scale": 1.0 / 16.0}
-    raise ValueError(f"unknown potential {name!r}")
+    for flag, value in (("--n", n), ("--m", m)):
+        if value is not None:
+            raise ValueError(f"{flag} does not apply to --potential {name}")
+    pot = VeselovPotential(3, 1.0)
+    return veselov_prepotential(pot, scale=1.0 / 16.0), pot, \
+        {"potential": name, "n": 3, "m": 1.0, "scale": 1.0 / 16.0}
 
 
 # Points per batched WDVV call: bounds the (block, n, n, n) temporaries, so a
@@ -100,51 +83,49 @@ def _potential(name: str, n: int, m: float) -> tuple[Prepotential, VeselovPotent
 _BLOCK = 256
 
 
-def cmd_verify_wdvv(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_verify_wdvv(args: argparse.Namespace) -> int:
     pre, pot, params = _potential(args.potential, args.n, args.m)
-    rng = default_rng(cfg.seed)
-    pts = sample_gapped_box(rng, cfg.points, dim=pot.n, predicates=pot.predicates())
-    params.update({"points": cfg.points, "seed": cfg.seed, "euler": args.euler})
+    rng = default_rng(args.seed)
+    pts = sample_gapped_box(rng, args.points, dim=pot.n, predicates=pot.predicates())
+    params.update({"points": args.points, "seed": args.seed, "euler": args.euler})
     blocks = [pts[k:k + _BLOCK] for k in range(0, len(pts), _BLOCK)]
 
     report = VerificationReport()
     worst = nan_max(wdvv_residual(pre, b) for b in blocks)
-    report.add("wdvv_commutation", len(pts), worst, cfg.tol_analytic)
+    report.add("wdvv_commutation", len(pts), worst, args.tol_analytic)
 
     head = pts[:10]
     fd_h = float(np.max(np.abs(fd_hessian(pre.value, head) - pre.hessian(head))))
     fd_c = float(np.max(np.abs(fd_jacobian(pre.hessian, head) - pre.third(head))))
-    report.add("hessian_fd_agreement", len(head), fd_h, cfg.tol_fd)
-    report.add("third_fd_agreement", len(head), fd_c, cfg.tol_fd)
+    report.add("hessian_fd_agreement", len(head), fd_h, args.tol_fd)
+    report.add("third_fd_agreement", len(head), fd_c, args.tol_fd)
 
     if args.euler == "quarter-x":
-        w = EulerWeights.proportional(0.25)
-        worst_g = nan_max(generalized_wdvv_residual(pre, w, b) for b in blocks)
-        report.add("generalized_wdvv_commutation", len(pts), worst_g, cfg.tol_analytic)
-        g0 = g_matrix(pre, w, pts[0])
-        drift = nan_max(float(np.max(np.abs(g_matrix(pre, w, b) - g0))) for b in blocks)
+        worst_g = nan_max(generalized_wdvv_residual(pre, QUARTER_X, b) for b in blocks)
+        report.add("generalized_wdvv_commutation", len(pts), worst_g, args.tol_analytic)
+        g0 = g_matrix(pre, QUARTER_X, pts[0])
+        drift = nan_max(float(np.max(np.abs(g_matrix(pre, QUARTER_X, b) - g0)))
+                        for b in blocks)
         report.add("euler_contraction_constant", len(pts), drift, 1e-10)
         params["euler_g_matrix"] = [[float(v) for v in row] for row in g0]
 
-    _emit(report.to_dict("verify-wdvv", params), cfg)
+    _emit(report.to_dict("verify-wdvv", params), args)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _complex_report(cx: eq.LenardComplex, pts, cfg: RunConfig) -> VerificationReport:
-    report = eq.verify_complex(cx, pts, tol_analytic=cfg.tol_analytic,
-                               tol_fd=cfg.tol_fd, with_fd=True)
+def _complex_report(cx: eq.LenardComplex, pts, args: argparse.Namespace) -> VerificationReport:
+    report = eq.verify_complex(cx, pts, tol_analytic=args.tol_analytic, tol_fd=args.tol_fd)
     # symmetry of the square coefficients is reported by its own condition;
     # a refused pivot leaves no residual, and fails the condition as 1.0
-    residuals, refused = eq.square_wdvv_residuals(cx, pts, eq.TOL_ANALYTIC,
-                                                  require_symmetric=False)
+    residuals, refused = eq.square_wdvv_residuals(cx, pts, require_symmetric=False)
     report.add("wdvv_commutation_from_square", len(pts),
                float(np.max(np.where(refused, 1.0, residuals))), 1e-8)
-    split = eq.split_form_residual(cx.params, pts, cx=cx)
-    report.add("split_form_identity", len(pts), split, cfg.tol_analytic)
+    split = eq.split_form_residual(cx, pts)
+    report.add("split_form_identity", len(pts), split, args.tol_analytic)
     return report
 
 
-def cmd_build_complex(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_build_complex(args: argparse.Namespace) -> int:
     if args.sigma2 is not None:
         sigma2 = args.sigma2
         root = "explicit"
@@ -155,29 +136,29 @@ def cmd_build_complex(args: argparse.Namespace, cfg: RunConfig) -> int:
     params = eq.FamilyParams.solve(args.alpha, args.beta, sigma2)
     cx = eq.assemble_complex(params)
 
-    rng = default_rng(cfg.seed)
-    pts = sample_gapped_box(rng, cfg.points, predicates=cx.sampling_predicates())
-    report = _complex_report(cx, pts, cfg)
+    rng = default_rng(args.seed)
+    pts = sample_gapped_box(rng, args.points, predicates=cx.sampling_predicates())
+    report = _complex_report(cx, pts, args)
 
     doc_params = {
         "alpha": args.alpha, "beta": args.beta, "root": root,
         "sigma0": params.sigma0, "sigma1": params.sigma1, "sigma2": params.sigma2,
         "phi": eq.phi(args.alpha, args.beta, params.sigma2),
-        "points": cfg.points, "seed": cfg.seed,
+        "points": args.points, "seed": args.seed,
         "sampled_points": [[float(v) for v in p] for p in pts],
     }
-    _emit(report.to_dict("build-complex", doc_params), cfg)
+    _emit(report.to_dict("build-complex", doc_params), args)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _reproduce_example3(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _reproduce_example3(args: argparse.Namespace) -> int:
     if args.segments <= 0:
         raise ValueError("segment count must be positive")
     params, reference = eq.example3_fixture()
     cx = eq.assemble_complex(params)
-    rng = default_rng(cfg.seed)
-    pts = sample_gapped_box(rng, cfg.points, predicates=cx.sampling_predicates())
-    report = _complex_report(cx, pts, cfg)
+    rng = default_rng(args.seed)
+    pts = sample_gapped_box(rng, args.points, predicates=cx.sampling_predicates())
+    report = _complex_report(cx, pts, args)
 
     displays = eq.example3_display_forms()
     built = dict(cx.square.named_forms())
@@ -208,22 +189,22 @@ def _reproduce_example3(args: argparse.Namespace, cfg: RunConfig) -> int:
     report.add("potential_reconstruction", len(segs), worst, 1e-6)
 
     head = pts[:20]
-    from_square, _ = eq.square_wdvv_residuals(cx, head, eq.TOL_ANALYTIC, require_symmetric=True)
+    from_square, _ = eq.square_wdvv_residuals(cx, head, require_symmetric=True)
     c = reference.third_at(head @ h.T)
     from_reference, _ = commutation_residuals(c, c[..., 0, :, :])
     agree = float(np.max(np.abs(from_square - from_reference)))
     report.add("reference_wdvv_agreement", len(head), agree, 1e-8)
 
     doc_params = {"alpha": 2.0, "beta": 1.0, "sigma2": params.sigma2,
-                  "points": cfg.points, "segments": args.segments, "seed": cfg.seed}
-    _emit(report.to_dict("reproduce example3", doc_params), cfg)
+                  "points": args.points, "segments": args.segments, "seed": args.seed}
+    _emit(report.to_dict("reproduce example3", doc_params), args)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _reproduce_gd(args: argparse.Namespace, cfg: RunConfig) -> int:
-    rng = default_rng(cfg.seed)
-    pts = sample_box(rng, cfg.points, 3, -2.0, 2.0)
-    report = gd.verify_gd_complex(pts, tol=cfg.tol_analytic, tol_fd=cfg.tol_fd, with_fd=True)
+def _reproduce_gd(args: argparse.Namespace) -> int:
+    rng = default_rng(args.seed)
+    pts = sample_box(rng, args.points, 3, -2.0, 2.0)
+    report = gd.verify_gd_complex(pts, tol=args.tol_analytic, tol_fd=args.tol_fd)
 
     chart = gd.W_CHART
     probes = [ScalarField(chart, lambda w, i=i: w[..., i], constant_map(np.eye(3)[i]))
@@ -232,7 +213,7 @@ def _reproduce_gd(args: argparse.Namespace, cfg: RunConfig) -> int:
         chart, lambda w: w[..., 0] * w[..., 1],
         lambda w: np.stack([w[..., 1], w[..., 0], np.zeros_like(w[..., 0])], axis=-1)))
     worst = nan_max(gd.gd_torsion_identity_residual(f, pts) for f in probes)
-    report.add("torsion_identity", len(pts), worst, cfg.tol_analytic)
+    report.add("torsion_identity", len(pts), worst, args.tol_analytic)
 
     # lower-bound checks are encoded as shortfalls: residual = max(0, bound - value)
     w0 = np.array([1.0, 2.0, 3.0])
@@ -242,7 +223,7 @@ def _reproduce_gd(args: argparse.Namespace, cfg: RunConfig) -> int:
     naive = closure_residual(gd.naive_power_form(3), pts[:10])
     report.add("power_chain_not_closed", min(len(pts), 10), nan_max((0.0, 0.1 - naive)), 1e-12)
 
-    _emit(report.to_dict("reproduce gd", {"points": cfg.points, "seed": cfg.seed}), cfg)
+    _emit(report.to_dict("reproduce gd", {"points": args.points, "seed": args.seed}), args)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -254,17 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, points: int, tol_analytic: float) -> None:
         p.add_argument("--points", type=int, default=points)
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--tol-analytic", type=float,
-                       default=_tol_default("LENARDLAB_TOL_ANALYTIC", tol_analytic))
-        p.add_argument("--tol-fd", type=float,
-                       default=_tol_default("LENARDLAB_TOL_FD", 1e-6))
+        p.add_argument("--tol-analytic", type=float, default=tol_analytic)
+        p.add_argument("--tol-fd", type=float, default=1e-6)
         p.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify-wdvv", help="WDVV commutation residuals of a potential")
     p.add_argument("--potential", choices=("veselov", "example3-reference"), default="veselov")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--m", type=float, default=2.0)
+    p.add_argument("--n", type=int, default=None, help="veselov only (default 3)")
+    p.add_argument("--m", type=float, default=None, help="veselov only (default 2)")
     p.add_argument("--euler", choices=("quarter-x",), default=None,
                    help="also run the Euler-weighted commutation checks")
     common(p, points=100, tol_analytic=1e-8)
@@ -312,18 +291,15 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(
             _attach_float_values(sys.argv[1:] if argv is None else argv))
         _check_finite(args)
-        cfg = RunConfig(command=args.command, points=args.points, seed=args.seed,
-                        tol_analytic=args.tol_analytic, tol_fd=args.tol_fd,
-                        fmt=args.fmt, out=args.out)
-        if cfg.points <= 0 or not (cfg.tol_analytic > 0 and cfg.tol_fd > 0):
+        if args.points <= 0 or not (args.tol_analytic > 0 and args.tol_fd > 0):
             raise ValueError("point count and tolerances must be positive")
         if args.command == "verify-wdvv":
-            return cmd_verify_wdvv(args, cfg)
+            return cmd_verify_wdvv(args)
         if args.command == "build-complex":
-            return cmd_build_complex(args, cfg)
+            return cmd_build_complex(args)
         if args.target == "example3":
-            return _reproduce_example3(args, cfg)
-        return _reproduce_gd(args, cfg)
+            return _reproduce_example3(args)
+        return _reproduce_gd(args)
     except SamplingExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

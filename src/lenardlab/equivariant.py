@@ -432,13 +432,13 @@ def k3_dq_form(cx: LenardComplex) -> OneFormField:
     return covector_image(cx.operators[2], cx.square.dQ)
 
 
-def split_form_residual(params: FamilyParams, p, cx: LenardComplex | None = None) -> float:
+def split_form_residual(cx: LenardComplex, p) -> float:
     """Worst residual over the points ``p`` of the factorized identity
 
         sigma23*(K3 dQ) - K3 dQ = Phi(alpha, beta, sigma2) Psi(A)
                                     (dA3/A3 - dA2/A2).
     """
-    cx = cx if cx is not None else assemble_complex(params)
+    params = cx.params
     theta = k3_dq_form(cx)
     lhs = pullback(SIGMA_23, theta).coeff_at(p) - theta.coeff_at(p)
     big_a = params.quad.a_to_A(p)
@@ -491,17 +491,18 @@ def _require_within(defect: np.ndarray, tol: float, a: np.ndarray, what: str) ->
         raise ValueError(f"{what} at {a.reshape(-1, 3)[k]} (defect {np.ravel(defect)[k]:.3e})")
 
 
-def square_wdvv_residuals(cx: LenardComplex, p, tol_chain: float,
+def square_wdvv_residuals(cx: LenardComplex, p,
                           require_symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
     """WDVV commutation residuals of the square written in the x-chart, at
     every point of p (shape (..., 3), a-chart), and the mask of the points
     whose pivot c[0] is refused (their residual is NaN).
 
     The identification x-chart = A-chart is only valid when the vector chain
-    condition K_j X = d/dA_j holds, so that is asserted first.  With
-    ``require_symmetric`` the total symmetry of the coefficients is asserted
-    too; callers that report the symmetry defect separately may disable it.
-    Either assertion raises ValueError naming the first point that fails it.
+    condition K_j X = d/dA_j holds, so that is asserted first, to TOL_ANALYTIC.
+    With ``require_symmetric`` the total symmetry of the coefficients is
+    asserted too; callers that report the symmetry defect separately may
+    disable it.  Either assertion raises ValueError naming the first point
+    that fails it.
     """
     a = coords_of(p, 3)
     hinv = cx.quad.hessian_inverse()
@@ -509,7 +510,7 @@ def square_wdvv_residuals(cx: LenardComplex, p, tol_chain: float,
     chain_defect = functools.reduce(np.maximum, (
         np.max(np.abs(apply(k.mat_at(a), x) - hinv[j]), axis=-1)
         for j, k in enumerate(cx.operators)))
-    _require_within(chain_defect, tol_chain, a,
+    _require_within(chain_defect, TOL_ANALYTIC, a,
                     "no x-chart, hence no WDVV residual: the vector chain condition fails")
     c = third_tensor_from_square(cx, a)
     if require_symmetric:
@@ -518,25 +519,25 @@ def square_wdvv_residuals(cx: LenardComplex, p, tol_chain: float,
     return commutation_residuals(c, c[..., 0, :, :])
 
 
-def wdvv_residual_of_complex(cx: LenardComplex, p, tol_chain: float = TOL_ANALYTIC,
-                             require_symmetric: bool = True) -> float:
+def wdvv_residual_of_complex(cx: LenardComplex, p, require_symmetric: bool = True) -> float:
     """The worst of :func:`square_wdvv_residuals` over the points p; raises
     SingularSliceError naming the first point whose pivot c[0] is refused."""
-    return worst_residual(*square_wdvv_residuals(cx, p, tol_chain, require_symmetric),
+    return worst_residual(*square_wdvv_residuals(cx, p, require_symmetric),
                           "pivot slice c[0]", p)
 
 
-# verify_complex's conditions in report order; the FD check follows
+# verify_complex's conditions in report order
 _CONDITIONS = (
     "chain_of_forms", "chain_of_vector_fields", "vector_field_commutators",
     "square_closure", "operator_commutators", "third_tensor_symmetry",
     "haantjes_torsion", "symmetry_constraint", "partition_of_identity",
     "k2dR_equals_k3dQ", "operator_exchange", "square_equivariance",
+    "jacobian_fd_agreement",
 )
 
 
 def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TOL_ANALYTIC,
-                   tol_fd: float = TOL_FD, with_fd: bool = False) -> VerificationReport:
+                   tol_fd: float = TOL_FD) -> VerificationReport:
     """Check every defining identity of the complex at the given points.
 
     Every field is evaluated once over the whole (N, 3) batch of points;
@@ -572,16 +573,15 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
             yield "operator_exchange", gap(moved.mat_at(a), target.mat_at(a))
         for moved, target in table:
             yield "square_equivariance", gap(moved.coeff_at(a), target.coeff_at(a))
-        if with_fd:
-            for f in forms:
-                yield "jacobian_fd_agreement", fd_check_one_form(f, a)
-            for k in cx.operators:
-                yield "jacobian_fd_agreement", fd_check_tensor(k, a)
-            yield "jacobian_fd_agreement", fd_check_vector_field(cx.X, a)
+        for f in forms:
+            yield "jacobian_fd_agreement", fd_check_one_form(f, a)
+        for k in cx.operators:
+            yield "jacobian_fd_agreement", fd_check_tensor(k, a)
+        yield "jacobian_fd_agreement", fd_check_vector_field(cx.X, a)
 
     worst = lenard_residuals(cx.operators, cx.X, forms, pts, extras)
     report = VerificationReport()
-    for name in _CONDITIONS + (("jacobian_fd_agreement",) if with_fd else ()):
+    for name in _CONDITIONS:
         tol = tol_fd if name == "jacobian_fd_agreement" else tol_analytic
         report.add(name, len(pts), worst[name], tol)
     return report

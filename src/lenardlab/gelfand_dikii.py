@@ -124,16 +124,16 @@ def naive_power_form(k_power: int) -> OneFormField:
     return form
 
 
-# verify_gd_complex's conditions in report order; the FD check and chain
-# independence follow
+# verify_gd_complex's conditions in report order; chain independence follows
 _CONDITIONS = (
     "chain_closure", "square_closure", "vector_field_commutators",
     "operator_commutators", "haantjes_torsion", "operator_symmetry_along_X",
+    "jacobian_fd_agreement",
 )
 
 
 def verify_gd_complex(points: Sequence, tol: float = 1e-8,
-                      tol_fd: float = 1e-6, with_fd: bool = False) -> VerificationReport:
+                      tol_fd: float = 1e-6) -> VerificationReport:
     """Check the complex conditions for (Id, K, K^2 + w2 Id, dw2, d/dw0),
     each field evaluated once over the whole (N, 3) batch of points."""
     pts = point_batch(points, 3)
@@ -147,11 +147,10 @@ def verify_gd_complex(points: Sequence, tol: float = 1e-8,
         for k in cx.operators:
             # Lie_X(K) = 0 for X = d/dw0: no matrix entry depends on w0.
             yield "operator_symmetry_along_X", float(np.max(np.abs(k.jac_at(w)[..., 0])))
-        if with_fd:
-            for f in square:
-                yield "jacobian_fd_agreement", fd_check_one_form(f, w)
-            for k in cx.operators:
-                yield "jacobian_fd_agreement", fd_check_tensor(k, w)
+        for f in square:
+            yield "jacobian_fd_agreement", fd_check_one_form(f, w)
+        for k in cx.operators:
+            yield "jacobian_fd_agreement", fd_check_tensor(k, w)
         # chain independence is reported per point, not assumed: the shortfall of
         # |det| below the regularity margin (here det = -8 identically)
         det = np.abs(np.linalg.det(np.stack([f.coeff_at(w) for f in chain], axis=-2)))
@@ -159,7 +158,7 @@ def verify_gd_complex(points: Sequence, tol: float = 1e-8,
 
     worst = lenard_residuals(cx.operators, cx.X, square, pts, extras)
     report = VerificationReport()
-    for name in _CONDITIONS + (("jacobian_fd_agreement",) if with_fd else ()):
+    for name in _CONDITIONS:
         report.add(name, len(pts), worst[name], tol_fd if name == "jacobian_fd_agreement" else tol)
     report.add("chain_independence", len(pts), worst["chain_independence"], 1e-12)
     return report

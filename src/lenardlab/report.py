@@ -48,9 +48,6 @@ class VerificationReport:
         self.conditions.append(cond)
         return cond
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.conditions.extend(other.conditions)
-
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.conditions)

@@ -6,7 +6,8 @@ residual measures failure of
 
     c_j h1^{-1} c_l  =  c_l h1^{-1} c_j,         h1 = c[0],
 
-and the generalized residual replaces h1 by g = sum_k lambda_k c_k.  Both are
+and the generalized residual replaces h1 by g = sum_k lambda_k c_k, where the
+Euler weights are a map x -> lambda(x) on points (..., n).  Both are
 normalized by the product of operand norms so thresholds are scale-free.
 
 Everything works on the point axis of :mod:`lenardlab.chartcore`: the
@@ -31,7 +32,6 @@ import numpy as np
 from .chartcore import (
     Chart,
     check_regular,
-    constant_map,
     coords_of,
     difference_rows,
     pairwise_indices,
@@ -175,27 +175,14 @@ def veselov_prepotential(pot: VeselovPotential, scale: float = 1.0) -> Prepotent
     return base if scale == 1.0 else base.scaled(scale)
 
 
-@dataclass(frozen=True, eq=False)
-class EulerWeights:
-    """Components of the scaling vector field in the x-coordinates."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    label: str = "custom"
-
-    @classmethod
-    def constant(cls, lam) -> "EulerWeights":
-        return cls(constant_map(lam), label="constant")
-
-    @classmethod
-    def proportional(cls, factor: float) -> "EulerWeights":
-        return cls(lambda x: factor * np.asarray(x, dtype=float), label=f"{factor:g}*x")
-
-    def at(self, x) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+#: Euler weights: the map from points (..., n) to the x-components (..., n) of
+#: the scaling field; constant weights are ``chartcore.constant_map(lam)``.
+EulerWeights = Callable[[np.ndarray], np.ndarray]
 
 
-#: lambda = x/4, the weighting used for the constant-matrix contraction checks.
-QUARTER_X = EulerWeights.proportional(0.25)
+def QUARTER_X(x: np.ndarray) -> np.ndarray:
+    """lambda = x/4, the weighting used for the constant-matrix contraction checks."""
+    return 0.25 * x
 
 
 def _guarded_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,12 +251,12 @@ def g_matrix(pre: Prepotential, weights: EulerWeights, x) -> np.ndarray:
     lambda = x gives [[3/4,-1/4,-1/4],...].
     """
     c = pre.third_at(x)
-    return np.einsum("...k,...kjl->...jl", weights.at(coords_of(x, pre.chart.dim)), c)
+    return np.einsum("...k,...kjl->...jl", weights(coords_of(x, pre.chart.dim)), c)
 
 
 def generalized_wdvv_residual(pre: Prepotential, weights: EulerWeights, x) -> float:
     """Commutation residual with the Euler-weighted pivot g in place of c[0],
     the worst over the points x of shape (..., n)."""
     c = pre.third_at(x)
-    g = np.einsum("...k,...kjl->...jl", weights.at(coords_of(x, pre.chart.dim)), c)
+    g = np.einsum("...k,...kjl->...jl", weights(coords_of(x, pre.chart.dim)), c)
     return worst_residual(*commutation_residuals(c, g), "Euler-weighted pivot g", x)

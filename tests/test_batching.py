@@ -2,6 +2,7 @@
 N single-point evaluations, and the verifiers cost the same number of
 passes whatever N is."""
 
+import argparse
 import re
 
 import numpy as np
@@ -71,7 +72,7 @@ def test_equivariant_fields_and_verifier_batch(cx, seed, n):
     operators = [*cx.operators, *(cc.transform_tensor(sig, cx.operators[j])
                                   for sig, j, _ in eq.TRANSPOSITIONS)]
     assert_fields_batch(forms, operators, [cx.X], pts)
-    assert_report_is_max_of_points(lambda u: eq.verify_complex(cx, u, with_fd=True), pts)
+    assert_report_is_max_of_points(lambda u: eq.verify_complex(cx, u), pts)
 
 
 @settings(max_examples=12, deadline=None)
@@ -84,7 +85,7 @@ def test_gelfand_dikii_fields_and_verifier_batch(seed, n):
     assert_fields_batch(forms, cx.operators, [cx.X], pts)
     assert_batch_is_stack(cx.scalar.value, pts)
     assert_batch_is_stack(cx.scalar.grad, pts)
-    assert_report_is_max_of_points(lambda u: gd.verify_gd_complex(u, with_fd=True), pts)
+    assert_report_is_max_of_points(lambda u: gd.verify_gd_complex(u), pts)
 
 
 # --- one pass per batch ----------------------------------------------------------
@@ -119,19 +120,18 @@ def test_verifiers_check_regularity_once_per_batch_not_per_point(monkeypatch, ex
     if verify == "equivariant":
         def run(n):
             pts = sample_gapped_box(default_rng(9), n, predicates=cx.sampling_predicates())
-            return lambda: eq.verify_complex(cx, pts, with_fd=True)
+            return lambda: eq.verify_complex(cx, pts)
     else:
         def run(n):
             pts = default_rng(9).uniform(-2.0, 2.0, (n, 3))
-            return lambda: gd.verify_gd_complex(pts, with_fd=True)
+            return lambda: gd.verify_gd_complex(pts)
 
     few = count_regularity_checks(monkeypatch, run(3))
     assert few > 0
     assert count_regularity_checks(monkeypatch, run(30)) == few
 
 
-CFG = cli.RunConfig(command="build-complex", points=0, seed=0, tol_analytic=1e-9,
-                    tol_fd=1e-6, fmt="json", out=None)
+CFG = argparse.Namespace(tol_analytic=1e-9, tol_fd=1e-6)
 
 
 def test_wdvv_pipelines_cost_the_same_calls_for_50_and_200_points(monkeypatch, example3,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lenardlab.cli import main
+from lenardlab.cli import _FLOAT_OPTIONS, main
 
 
 def run(capsys, *argv):
@@ -51,6 +51,25 @@ def test_example3_reference_potential_selector(capsys):
                             "--points", "25", "--seed", "6")
     assert code == 0
     assert doc["params"]["scale"] == pytest.approx(1.0 / 16.0)
+
+
+def test_veselov_defaults_and_reference_run(capsys):
+    code, doc, _ = run_json(capsys, "verify-wdvv", "--points", "5", "--seed", "6")
+    assert code == 0
+    assert doc["params"]["n"] == 3 and doc["params"]["m"] == 2.0
+    code, doc, _ = run_json(capsys, "verify-wdvv", "--potential", "example3-reference",
+                            "--points", "5", "--seed", "6")
+    assert code == 0
+    assert doc["params"]["n"] == 3 and doc["params"]["m"] == 1.0
+
+
+@pytest.mark.parametrize("words", [("--n", "5"), ("--m", "7"), ("--n", "3")])
+def test_example3_reference_rejects_veselov_flags(capsys, words):
+    code, out, err = run(capsys, "verify-wdvv", "--potential", "example3-reference",
+                         "--points", "5", *words)
+    assert code == 2
+    assert out == ""
+    assert f"{words[0]} does not apply" in err
 
 
 def test_build_complex_first_root(capsys):
@@ -125,15 +144,34 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert doc["command"] == "reproduce gd"
 
 
-def test_env_var_tightens_tolerance(monkeypatch, capsys):
-    monkeypatch.setenv("LENARDLAB_TOL_ANALYTIC", "1e-18")
-    code, doc, _ = run_json(capsys, "verify-wdvv", "--m", "2", "--points", "10", "--seed", "1")
-    assert code == 1
-    assert doc["pass"] is False
-    assert doc["conditions"][0]["tol"] == pytest.approx(1e-18)
+@pytest.mark.parametrize("argv", [
+    ("verify-wdvv", "--points", "5"),
+    ("build-complex", "--alpha", "2", "--beta", "1", "--root", "1", "--points", "5"),
+])
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, argv, where):
+    target = tmp_path / "missing" / "r.json" if where == "missing_dir" else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert f"--out {target}" in err
+    assert "Traceback" not in err
 
 
-def test_invalid_point_count(monkeypatch, capsys):
+def test_tolerance_environment_variables_change_nothing(monkeypatch, capsys):
+    # options come from the command line only: a LENARDLAB_<OPTION> variable
+    # for any float option, the tolerances included, is not read
+    argv = ("verify-wdvv", "--m", "2", "--points", "10", "--seed", "1", "--format", "json")
+    plain = run(capsys, *argv)
+    for value in ("1e-18", "abc"):
+        with monkeypatch.context() as mp:
+            for flag in _FLOAT_OPTIONS:
+                mp.setenv("LENARDLAB_" + flag[2:].upper().replace("-", "_"), value)
+            assert run(capsys, *argv) == plain
+    assert plain[0] == 0
+
+
+def test_invalid_point_count(capsys):
     for argv in (("verify-wdvv", "--points", "0"), ("reproduce", "example3", "--segments", "0")):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
@@ -144,12 +182,6 @@ def test_invalid_point_count(monkeypatch, capsys):
                 code, _, err = run(capsys, "verify-wdvv", "--points", "5", *words)
                 assert code == 2, words
                 assert "finite" in err
-    for env in ("LENARDLAB_TOL_ANALYTIC", "LENARDLAB_TOL_FD"):
-        with monkeypatch.context() as mp:
-            mp.setenv(env, "abc")
-            code, _, err = run(capsys, "verify-wdvv", "--points", "5")
-        assert code == 2, env
-        assert env in err and "'abc'" in err
 
 
 @pytest.mark.parametrize("flag, argv", [

@@ -160,7 +160,7 @@ def test_family_forms_fd_jacobians(example3, sample_a):
 def test_complete_square_trivial_relabeling():
     quad = eq.QuadraticInvariant(1.0, 0.0)
     dA = quad.gradient_form()
-    dP = cc.coordinate_form(eq.A_CHART, 0)
+    dP = cc.constant_form(eq.A_CHART, np.eye(3)[0])
     dQ = cc.constant_form(eq.A_CHART, [0.0, 0.0, 0.0])
     square = eq.complete_square(dA, dP, dQ, quad=quad)
     a = np.array([0.3, 0.9, 2.1])
@@ -172,8 +172,8 @@ def test_complete_square_rejects_asymmetric_input():
     quad = eq.QuadraticInvariant(1.0, 0.0)
     dA = quad.gradient_form()
     with pytest.raises(eq.SquareSymmetryError):
-        eq.complete_square(dA, cc.coordinate_form(eq.A_CHART, 0),
-                           cc.coordinate_form(eq.A_CHART, 0))
+        eq.complete_square(dA, cc.constant_form(eq.A_CHART, np.eye(3)[0]),
+                           cc.constant_form(eq.A_CHART, np.eye(3)[0]))
 
 
 def test_square_frozen_coefficients_at_reference_point(example3):
@@ -270,7 +270,7 @@ def test_sampling_predicates_are_the_nine_hyperplanes(alpha, beta, root):
 
 def test_verify_complex_reference_family(example3, example3_points):
     _, _, cx = example3
-    report = eq.verify_complex(cx, example3_points, with_fd=True)
+    report = eq.verify_complex(cx, example3_points)
     assert report.passed, [c.to_dict() for c in report.conditions if not c.passed]
 
 
@@ -298,7 +298,7 @@ def test_nan_residual_fails_in_either_point_order(example3, example3_points):
     bad = good.copy()
     bad[1] = np.nan
     for pts in ([good, bad], [bad, good]):
-        report = eq.verify_complex(cx, pts, with_fd=True)
+        report = eq.verify_complex(cx, pts)
         assert all(math.isnan(c.max_residual) and not c.passed for c in report.conditions)
 
 
@@ -310,6 +310,17 @@ def test_verify_complex_other_roots(alpha, beta, root):
     pts = sample_gapped_box(default_rng(7 + root), 25, predicates=cx.sampling_predicates())
     report = eq.verify_complex(cx, pts)
     assert report.passed, [c.to_dict() for c in report.conditions if not c.passed]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect, see the haantjes_torsion FOUND note in CHANGES.md: the "
+    "residual is absolute, and at |K| ~ 16, |dK| ~ 226 rounding alone exceeds tol 1e-9"))
+def test_haantjes_torsion_of_an_admissible_complex_with_large_operators():
+    roots = eq.solve_phi_roots(1.5, 1.125)
+    cx = eq.assemble_complex(eq.FamilyParams.solve(1.5, 1.125, roots.root2))
+    pts = sample_gapped_box(default_rng(107), 3, predicates=cx.sampling_predicates())
+    cond = eq.verify_complex(cx, pts).condition("haantjes_torsion")
+    assert cond.passed, cond.max_residual  # reads 2.736e-9
 
 
 def test_perturbed_root_breaks_commutativity(example3_points):
@@ -335,7 +346,7 @@ def test_split_form_identity_off_root(sigma2, sample_a):
     params = eq.FamilyParams.solve(2.0, 1.0, sigma2)
     cx = eq.assemble_complex(params)
     for a in sample_a:
-        assert eq.split_form_residual(params, a, cx=cx) < 1e-9
+        assert eq.split_form_residual(cx, a) < 1e-9
     # off the roots the constraint defect has the predicted magnitude
     a = sample_a[0]
     big_a = params.quad.a_to_A(a)
@@ -444,7 +455,7 @@ def test_reconstruction_rejects_singular_path(example3):
 
 def test_square_without_quad_cannot_change_chart():
     quad = eq.QuadraticInvariant(1.0, 0.0)
-    square = eq.complete_square(quad.gradient_form(), cc.coordinate_form(eq.A_CHART, 0),
+    square = eq.complete_square(quad.gradient_form(), cc.constant_form(eq.A_CHART, np.eye(3)[0]),
                                 cc.constant_form(eq.A_CHART, [0.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="quadratic invariant"):
         eq.square_form_in_x(square, 0, 0)

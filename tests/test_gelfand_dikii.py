@@ -122,7 +122,7 @@ def test_naive_power_chain_fails_closure():
 
 def test_verify_gd_complex_passes(rng):
     pts = rng.uniform(-2, 2, (50, 3))
-    report = gd.verify_gd_complex(pts, with_fd=True)
+    report = gd.verify_gd_complex(pts)
     assert report.passed, [c.to_dict() for c in report.conditions if not c.passed]
     names = {c.name for c in report.conditions}
     assert {"chain_closure", "square_closure", "operator_commutators",
@@ -134,7 +134,7 @@ def test_nan_residual_fails_in_either_point_order():
     bad = np.array([W0[0], np.nan, W0[2]])
     for pts in ([W0, bad], [bad, W0]):
         with np.errstate(invalid="ignore"):
-            report = gd.verify_gd_complex(pts, with_fd=True)
+            report = gd.verify_gd_complex(pts)
         for name in ("square_closure", "operator_commutators", "haantjes_torsion",
                      "jacobian_fd_agreement"):
             assert math.isnan(report.condition(name).max_residual)
