@@ -439,15 +439,28 @@ def tensor_add_scalar_identity(k: TensorField11, f: ScalarField) -> TensorField1
 # torsion --------------------------------------------------------------------
 
 
-def nijenhuis_tensor(k: TensorField11, p) -> np.ndarray:
-    """Components N[a, i, j] of the Nijenhuis torsion on coordinate basis pairs."""
-    m = k.mat_at(p)
-    j = k.jac_at(p)
+def _nijenhuis(m: np.ndarray, j: np.ndarray) -> np.ndarray:
     t1 = np.einsum("...bi,...ajb->...aij", m, j)
     t2 = np.einsum("...bj,...aib->...aij", m, j)
     t3 = np.einsum("...ab,...bji->...aij", m, j)
     t4 = np.einsum("...ab,...bij->...aij", m, j)
     return t1 - t2 - t3 + t4
+
+
+def _haantjes(m: np.ndarray, j: np.ndarray) -> np.ndarray:
+    n = _nijenhuis(m, j)
+    m2 = m @ m
+    return (
+        np.einsum("...ab,...bij->...aij", m2, n)
+        + np.einsum("...abc,...bi,...cj->...aij", n, m, m)
+        - np.einsum("...ab,...bcj,...ci->...aij", m, n, m)
+        - np.einsum("...ab,...bic,...cj->...aij", m, n, m)
+    )
+
+
+def nijenhuis_tensor(k: TensorField11, p) -> np.ndarray:
+    """Components N[a, i, j] of the Nijenhuis torsion on coordinate basis pairs."""
+    return _nijenhuis(k.mat_at(p), k.jac_at(p))
 
 
 def nijenhuis_contracted(k: TensorField11, f: ScalarField, p) -> np.ndarray:
@@ -459,19 +472,20 @@ def nijenhuis_contracted(k: TensorField11, f: ScalarField, p) -> np.ndarray:
 
 def haantjes_tensor(k: TensorField11, p) -> np.ndarray:
     """H_K(X,Y) = K^2 N(X,Y) + N(KX,KY) - K(N(KX,Y) + N(X,KY)) on basis pairs."""
-    m = k.mat_at(p)
-    n = nijenhuis_tensor(k, p)
-    m2 = m @ m
-    return (
-        np.einsum("...ab,...bij->...aij", m2, n)
-        + np.einsum("...abc,...bi,...cj->...aij", n, m, m)
-        - np.einsum("...ab,...bcj,...ci->...aij", m, n, m)
-        - np.einsum("...ab,...bic,...cj->...aij", m, n, m)
-    )
+    return _haantjes(k.mat_at(p), k.jac_at(p))
 
 
 def haantjes_residual(k: TensorField11, p) -> float:
-    return float(np.max(np.abs(haantjes_tensor(k, p))))
+    """Worst max|H_K| over the points p, each relative to max(1, |M|^3 |dM|).
+
+    H_K sums products of three entries of M and one of its Jacobian, so
+    rounding alone leaves about 1e-16 of |M|^3 |dM|; the scale keeps large
+    operators of a torsion-free complex from failing on rounding.
+    """
+    m, j = k.mat_at(p), k.jac_at(p)
+    size = np.max(np.abs(m), axis=(-2, -1)) ** 3 * np.max(np.abs(j), axis=(-3, -2, -1))
+    return float(np.max(np.max(np.abs(_haantjes(m, j)), axis=(-3, -2, -1))
+                        / np.maximum(1.0, size)))
 
 
 def wedge_matrix(a, b) -> np.ndarray:

@@ -152,8 +152,9 @@ def cmd_build_complex(args: argparse.Namespace) -> int:
 
 
 def _reproduce_example3(args: argparse.Namespace) -> int:
-    if args.segments <= 0:
-        raise ValueError("segment count must be positive")
+    segments = 10 if args.segments is None else args.segments
+    if segments <= 0:
+        raise ValueError(f"--segments must be positive, got {segments}")
     params, reference = eq.example3_fixture()
     cx = eq.assemble_complex(params)
     rng = default_rng(args.seed)
@@ -173,9 +174,9 @@ def _reproduce_example3(args: argparse.Namespace) -> int:
     report.add("chain_field_constants", len(pts), worst, 1e-12)
 
     h = params.quad.hessian()
-    x_preds = union_predicates(*(eq.square_form_in_x(cx.square, j, l).predicates
+    x_preds = union_predicates(*(eq.square_form_in_x(cx, j, l).predicates
                                  for j in range(3) for l in range(j, 3)))
-    segs = sample_segments(rng, args.segments, predicates=x_preds,
+    segs = sample_segments(rng, segments, predicates=x_preds,
                            to_ambient=lambda a: h @ a)
 
     def reconstruction_errors():
@@ -183,7 +184,7 @@ def _reproduce_example3(args: argparse.Namespace) -> int:
             dh = reference.hessian_at(x1) - reference.hessian_at(x0)
             for j in range(3):
                 for l in range(j, 3):
-                    yield abs(eq.reconstruct_potential_entry(cx.square, j, l, x0, x1) - dh[j, l])
+                    yield abs(eq.reconstruct_potential_entry(cx, j, l, x0, x1) - dh[j, l])
 
     worst = nan_max(reconstruction_errors())
     report.add("potential_reconstruction", len(segs), worst, 1e-6)
@@ -196,12 +197,14 @@ def _reproduce_example3(args: argparse.Namespace) -> int:
     report.add("reference_wdvv_agreement", len(head), agree, 1e-8)
 
     doc_params = {"alpha": 2.0, "beta": 1.0, "sigma2": params.sigma2,
-                  "points": args.points, "segments": args.segments, "seed": args.seed}
+                  "points": args.points, "segments": segments, "seed": args.seed}
     _emit(report.to_dict("reproduce example3", doc_params), args)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _reproduce_gd(args: argparse.Namespace) -> int:
+    if args.segments is not None:
+        raise ValueError("--segments does not apply to reproduce gd")
     rng = default_rng(args.seed)
     pts = sample_box(rng, args.points, 3, -2.0, 2.0)
     report = gd.verify_gd_complex(pts, tol=args.tol_analytic, tol_fd=args.tol_fd)
@@ -259,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="canned end-to-end pipelines")
     p.add_argument("target", choices=("example3", "gd"))
-    p.add_argument("--segments", type=int, default=10)
+    p.add_argument("--segments", type=int, default=None, help="example3 only (default 10)")
     common(p, points=50, tol_analytic=1e-9)
 
     return parser
@@ -293,6 +296,8 @@ def main(argv: list[str] | None = None) -> int:
         _check_finite(args)
         if args.points <= 0 or not (args.tol_analytic > 0 and args.tol_fd > 0):
             raise ValueError("point count and tolerances must be positive")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         if args.command == "verify-wdvv":
             return cmd_verify_wdvv(args)
         if args.command == "build-complex":

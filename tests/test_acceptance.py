@@ -153,7 +153,7 @@ def test_criterion_4_potential_reconstruction(reference_complex):
     params, reference, cx, _ = reference_complex
     h = params.quad.hessian()
     preds = [p for j in range(3) for l in range(j, 3)
-             for p in eq.square_form_in_x(cx.square, j, l).predicates]
+             for p in eq.square_form_in_x(cx, j, l).predicates]
     segs = sample_segments(default_rng(SEED + 30), 10, predicates=preds,
                            to_ambient=lambda a: h @ a)
     worst = 0.0
@@ -161,7 +161,7 @@ def test_criterion_4_potential_reconstruction(reference_complex):
         dh = reference.hessian_at(x1) - reference.hessian_at(x0)
         for j in range(3):
             for l in range(j, 3):
-                val = eq.reconstruct_potential_entry(cx.square, j, l, x0, x1)
+                val = eq.reconstruct_potential_entry(cx, j, l, x0, x1)
                 worst = max(worst, abs(val - dh[j, l]))
     assert _line("criterion 4 (potential reconstruction, 10 segments)", worst, 1e-6)
 

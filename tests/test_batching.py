@@ -131,6 +131,19 @@ def test_verifiers_check_regularity_once_per_batch_not_per_point(monkeypatch, ex
     assert count_regularity_checks(monkeypatch, run(30)) == few
 
 
+def test_assembly_evaluates_no_field_and_verification_fd_checks_one_form(monkeypatch,
+                                                                        example3):
+    # the square is checked once, in the report; its forms are the operators'
+    # rows, so the FD check covers dA, the operators and X
+    params, _, cx = example3
+    assert count_calls(monkeypatch, lambda: eq.assemble_complex(params),
+                       (cc.OneFormField, "coeff_at")) == 0
+    for n in (1, 3, 30):
+        pts = sample_gapped_box(default_rng(9), n, predicates=cx.sampling_predicates())
+        assert count_calls(monkeypatch, lambda: eq.verify_complex(cx, pts),
+                           (eq, "fd_check_one_form")) == 1
+
+
 CFG = argparse.Namespace(tol_analytic=1e-9, tol_fd=1e-6)
 
 

@@ -195,6 +195,17 @@ def test_constant_tensor_has_no_torsion(m, u):
     assert cc.haantjes_residual(k, u) == 0.0
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_haantjes_residual_of_a_generic_affine_tensor_is_of_order_one(seed):
+    # M(u) = A + sum_d u_d B_d: the residual is relative to |M|^3 |dM|, and a
+    # field with torsion still reads above 1
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-1.0, 1.0, (3, 3)), rng.uniform(-1.0, 1.0, (3, 3, 3))
+    k = cc.TensorField11(CH3, lambda u: a + np.einsum("...d,dij->...ij", u, b),
+                         cc.constant_map(np.moveaxis(b, 0, -1)))
+    assert cc.haantjes_residual(k, rng.uniform(-1.0, 1.0, (10, 3))) > 1.0
+
+
 def test_union_keeps_one_row_per_direction():
     c = np.array([1.0, -2.0, 0.5])
     assert np.array_equal(cc.union_predicates(np.array([2 * c, c, -c])), [c])

@@ -184,6 +184,27 @@ def test_invalid_point_count(capsys):
                 assert "finite" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("reproduce", "gd", "--segments", "0"), "--segments does not apply"),
+    (("reproduce", "gd", "--segments", "7"), "--segments does not apply"),
+    (("reproduce", "example3", "--segments", "-2"), "--segments must be positive"),
+    (("reproduce", "gd", "--seed", "-1"), "--seed must be non-negative"),
+    (("build-complex", "--alpha", "2", "--beta", "1", "--root", "1", "--seed", "-1"),
+     "--seed must be non-negative"),
+])
+def test_inapplicable_or_negative_option_exits_2_naming_the_flag(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--points", "3")
+    assert code == 2
+    assert out == ""
+    assert message in err, err
+
+
+def test_example3_segments_default_is_reported(capsys):
+    code, doc, _ = run_json(capsys, "reproduce", "example3", "--points", "3", "--seed", "1")
+    assert code == 0
+    assert doc["params"]["segments"] == 10
+
+
 @pytest.mark.parametrize("flag, argv", [
     ("--alpha", ("build-complex", "--beta", "1", "--root", "1")),
     ("--beta", ("build-complex", "--alpha", "2", "--root", "1")),
