@@ -9,9 +9,13 @@ two canned reproductions.  Exit status is nonzero if any pipeline fails.
 import pathlib
 import sys
 
-from lenardlab.cli import main
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# run from a checkout without an install: the package lives in src/
+sys.path.insert(0, str(ROOT / "src"))
 
-REPORTS = pathlib.Path(__file__).resolve().parent.parent / "reports"
+from lenardlab.cli import main  # noqa: E402
+
+REPORTS = ROOT / "reports"
 
 RUNS = [
     ("wdvv_m1", ["verify-wdvv", "--potential", "veselov", "--n", "3", "--m", "1",

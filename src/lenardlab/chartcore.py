@@ -153,9 +153,6 @@ class ScalarField(_Field):
     grad: Callable[[np.ndarray], np.ndarray]
     predicates: np.ndarray = ()
 
-    def value_at(self, p) -> np.ndarray:
-        return np.asarray(self.value(self._regular(p)), dtype=float)
-
     def grad_at(self, p) -> np.ndarray:
         return np.asarray(self.grad(self._regular(p)), dtype=float)
 
@@ -360,14 +357,15 @@ def commutator_residual(k: TensorField11, l: TensorField11, p) -> float:
     return float(np.max(np.abs(a @ b - b @ a)))
 
 
-def lie_bracket(x: VectorFieldSpec, y: VectorFieldSpec, p) -> np.ndarray:
-    """[X, Y] = (DY) X - (DX) Y from the analytic Jacobians."""
-    _same_chart(x, y)
-    return apply(y.jac_at(p), x.comp_at(p)) - apply(x.jac_at(p), y.comp_at(p))
+def _bracket(x: np.ndarray, dx: np.ndarray, y: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """[X, Y] = (DY) X - (DX) Y from components and Jacobians at every point."""
+    return apply(dy, x) - apply(dx, y)
 
 
 def lie_bracket_residual(x: VectorFieldSpec, y: VectorFieldSpec, p) -> float:
-    return float(np.max(np.abs(lie_bracket(x, y, p))))
+    """Worst |[X, Y]| over the points p, from the analytic Jacobians."""
+    _same_chart(x, y)
+    return float(np.max(np.abs(_bracket(x.comp_at(p), x.jac_at(p), y.comp_at(p), y.jac_at(p)))))
 
 
 def covector_image(k: TensorField11, omega: OneFormField) -> OneFormField:
@@ -386,23 +384,6 @@ def covector_image(k: TensorField11, omega: OneFormField) -> OneFormField:
         return np.einsum("...id,...im->...md", jth, m) + np.einsum("...i,...imd->...md", th, jm)
 
     return OneFormField(chart, coeff, jac, union_predicates(k.predicates, omega.predicates))
-
-
-def vector_image(k: TensorField11, x: VectorFieldSpec) -> VectorFieldSpec:
-    """The vector field K(X), with analytic Jacobian."""
-    chart = _same_chart(k, x)
-
-    def comp(u: np.ndarray) -> np.ndarray:
-        return apply(np.asarray(k.mat(u), dtype=float), np.asarray(x.comp(u), dtype=float))
-
-    def jac(u: np.ndarray) -> np.ndarray:
-        m = np.asarray(k.mat(u), dtype=float)
-        jm = np.asarray(k.jac(u), dtype=float)
-        xc = np.asarray(x.comp(u), dtype=float)
-        jx = np.asarray(x.jac(u), dtype=float)
-        return np.einsum("...ibd,...b->...id", jm, xc) + m @ jx
-
-    return VectorFieldSpec(chart, comp, jac, union_predicates(k.predicates, x.predicates))
 
 
 def tensor_compose(k: TensorField11, l: TensorField11) -> TensorField11:
@@ -482,7 +463,11 @@ def haantjes_residual(k: TensorField11, p) -> float:
     rounding alone leaves about 1e-16 of |M|^3 |dM|; the scale keeps large
     operators of a torsion-free complex from failing on rounding.
     """
-    m, j = k.mat_at(p), k.jac_at(p)
+    return _scaled_haantjes(k.mat_at(p), k.jac_at(p))
+
+
+def _scaled_haantjes(m: np.ndarray, j: np.ndarray) -> float:
+    """:func:`haantjes_residual` from the matrices m and Jacobians j."""
     size = np.max(np.abs(m), axis=(-2, -1)) ** 3 * np.max(np.abs(j), axis=(-3, -2, -1))
     return float(np.max(np.max(np.abs(_haantjes(m, j)), axis=(-3, -2, -1))
                         / np.maximum(1.0, size)))
@@ -500,7 +485,7 @@ def wedge_matrix(a, b) -> np.ndarray:
 
 def lenard_residuals(operators: Sequence[TensorField11], X: VectorFieldSpec,
                      forms: Sequence[OneFormField], points: np.ndarray,
-                     extras: Callable[[np.ndarray, list[np.ndarray]],
+                     extras: Callable[[np.ndarray, list[np.ndarray], list[np.ndarray]],
                                       Iterable[tuple[str, float]]]) -> dict[str, float]:
     """Worst residual over ``points`` of each condition of a Lenard complex.
 
@@ -508,27 +493,31 @@ def lenard_residuals(operators: Sequence[TensorField11], X: VectorFieldSpec,
     [K_j X, K_l X] = 0 (``vector_field_commutators``), commuting operators
     (``operator_commutators``), vanishing Haantjes torsion
     (``haantjes_torsion``) and closed ``forms`` (``square_closure``).
-    ``extras(points, mats)`` yields (condition name, residual) pairs for a
-    family's own conditions, given the operator matrices at every point.
+    ``extras(points, mats, jacs)`` yields (condition name, residual) pairs
+    for a family's own conditions from the operator matrices and Jacobians.
     Each field is evaluated once over the whole (N, dim) batch, and every
     condition is a NaN-propagating maximum, whatever the point order.
     """
-    chain_fields = [vector_image(k, X) for k in operators]
     mats = [k.mat_at(points) for k in operators]
+    jacs = [k.jac_at(points) for k in operators]
+    x, dx = X.comp_at(points), X.jac_at(points)
+    # the chain fields K_j X and their Jacobians, by the product rule
+    kx = [apply(m, x) for m in mats]
+    dkx = [np.einsum("...ibd,...b->...id", jm, x) + m @ dx for m, jm in zip(mats, jacs)]
 
     def shared() -> Iterator[tuple[str, float]]:
         for j, l in pairwise_indices(len(operators)):
             a, b = mats[j], mats[l]
             yield ("vector_field_commutators",
-                   lie_bracket_residual(chain_fields[j], chain_fields[l], points))
+                   float(np.max(np.abs(_bracket(kx[j], dkx[j], kx[l], dkx[l])))))
             yield "operator_commutators", float(np.max(np.abs(a @ b - b @ a)))
-        for k in operators:
-            yield "haantjes_torsion", haantjes_residual(k, points)
+        for m, jm in zip(mats, jacs):
+            yield "haantjes_torsion", _scaled_haantjes(m, jm)
         for f in forms:
             yield "square_closure", closure_residual(f, points)
 
     worst: dict[str, float] = {}
-    for name, value in itertools.chain(shared(), extras(points, mats)):
+    for name, value in itertools.chain(shared(), extras(points, mats, jacs)):
         worst[name] = _nan_max2(worst.get(name, value), value)
     return worst
 

@@ -113,18 +113,6 @@ def cmd_verify_wdvv(args: argparse.Namespace) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _complex_report(cx: eq.LenardComplex, pts, args: argparse.Namespace) -> VerificationReport:
-    report = eq.verify_complex(cx, pts, tol_analytic=args.tol_analytic, tol_fd=args.tol_fd)
-    # symmetry of the square coefficients is reported by its own condition;
-    # a refused pivot leaves no residual, and fails the condition as 1.0
-    residuals, refused = eq.square_wdvv_residuals(cx, pts, require_symmetric=False)
-    report.add("wdvv_commutation_from_square", len(pts),
-               float(np.max(np.where(refused, 1.0, residuals))), 1e-8)
-    split = eq.split_form_residual(cx, pts)
-    report.add("split_form_identity", len(pts), split, args.tol_analytic)
-    return report
-
-
 def cmd_build_complex(args: argparse.Namespace) -> int:
     if args.sigma2 is not None:
         sigma2 = args.sigma2
@@ -138,7 +126,7 @@ def cmd_build_complex(args: argparse.Namespace) -> int:
 
     rng = default_rng(args.seed)
     pts = sample_gapped_box(rng, args.points, predicates=cx.sampling_predicates())
-    report = _complex_report(cx, pts, args)
+    report = eq.verify_complex(cx, pts, tol_analytic=args.tol_analytic, tol_fd=args.tol_fd)
 
     doc_params = {
         "alpha": args.alpha, "beta": args.beta, "root": root,
@@ -159,7 +147,7 @@ def _reproduce_example3(args: argparse.Namespace) -> int:
     cx = eq.assemble_complex(params)
     rng = default_rng(args.seed)
     pts = sample_gapped_box(rng, args.points, predicates=cx.sampling_predicates())
-    report = _complex_report(cx, pts, args)
+    report = eq.verify_complex(cx, pts, tol_analytic=args.tol_analytic, tol_fd=args.tol_fd)
 
     displays = eq.example3_display_forms()
     built = dict(cx.square.named_forms())
@@ -190,7 +178,7 @@ def _reproduce_example3(args: argparse.Namespace) -> int:
     report.add("potential_reconstruction", len(segs), worst, 1e-6)
 
     head = pts[:20]
-    from_square, _ = eq.square_wdvv_residuals(cx, head, require_symmetric=True)
+    from_square, _ = eq.square_wdvv_residuals(cx, head)
     c = reference.third_at(head @ h.T)
     from_reference, _ = commutation_residuals(c, c[..., 0, :, :])
     agree = float(np.max(np.abs(from_square - from_reference)))

@@ -35,7 +35,6 @@ with lambda = x is the inverse Hessian of A, [[3/4,-1/4,-1/4],...].
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -53,7 +52,6 @@ from .chartcore import (
     constant_map,
     coords_of,
     covector_apply,
-    covector_image,
     difference_rows,
     fd_check_one_form,
     fd_check_tensor,
@@ -62,7 +60,6 @@ from .chartcore import (
     lenard_residuals,
     point_batch,
     pullback,
-    transform_tensor,
     union_predicates,
 )
 from .report import VerificationReport
@@ -175,7 +172,8 @@ class FamilyParams:
         rhs_d = (a + b) / ((a - b) * (2 * b + a))
         lhs_c = 2 * sum(self.sigmas)
         lhs_d = self.sigma0 + 2 * sum(s / e + s * e for s, e in zip(self.sigmas, self.etas))
-        if abs(lhs_c - rhs_c) > 1e-10 or abs(lhs_d - rhs_d) > 1e-10:
+        tol = 1e-10 * max(1.0, abs(self.sigma0), *map(abs, self.sigmas))
+        if abs(lhs_c - rhs_c) > tol or abs(lhs_d - rhs_d) > tol:
             raise ValueError(
                 f"parameters violate the sum rules: "
                 f"{lhs_c:.12g} vs {rhs_c:.12g}, {lhs_d:.12g} vs {rhs_d:.12g}"
@@ -195,12 +193,17 @@ class FamilyParams:
         return self.sigmas[1]
 
 
+def _phi_factor_terms(alpha: float, beta: float, sigma2: float) -> tuple[tuple[float, ...], ...]:
+    """The terms of the two factors of phi's numerator, each linear in sigma2."""
+    return ((2 * alpha * beta * sigma2, 2 * alpha**2 * sigma2, -4 * beta**2 * sigma2, beta),
+            (8 * alpha * beta * sigma2, 8 * alpha**2 * sigma2, -16 * beta**2 * sigma2,
+             alpha, 3 * beta))
+
+
 def phi(alpha: float, beta: float, sigma2: float) -> float:
     """Obstruction scalar of the symmetry condition sigma23*(K3 dQ) = K3 dQ."""
     QuadraticInvariant(alpha, beta)  # validate
-    f1 = 2 * alpha * beta * sigma2 + 2 * alpha**2 * sigma2 - 4 * beta**2 * sigma2 + beta
-    f2 = 8 * alpha * beta * sigma2 + 8 * alpha**2 * sigma2 - 16 * beta**2 * sigma2 \
-        + alpha + 3 * beta
+    f1, f2 = (sum(terms) for terms in _phi_factor_terms(alpha, beta, sigma2))
     return 2 * beta * f1 * f2 / ((alpha - beta) ** 2 * (2 * beta + alpha) ** 2)
 
 
@@ -222,7 +225,9 @@ def solve_phi_roots(alpha: float, beta: float) -> PhiRoots:
     """Both sigma2 roots of phi(alpha, beta, .); each factor is linear in sigma2.
 
     beta = 0 makes phi vanish identically (every sigma2 admissible) and is
-    reported as degenerate rather than solved.
+    reported as degenerate rather than solved.  Root k zeroes factor k to
+    rounding relative to the factor's largest term (phi divides the factors
+    by (alpha - beta)^2 (2 beta + alpha)^2, so it is large near those lines).
     """
     QuadraticInvariant(alpha, beta)  # validate
     if beta == 0:
@@ -232,9 +237,10 @@ def solve_phi_roots(alpha: float, beta: float) -> PhiRoots:
         )
     den = (alpha - beta) * (alpha + 2 * beta)
     roots = PhiRoots(-beta / (2 * den), -(alpha + 3 * beta) / (8 * den))
-    for r in roots:
-        if abs(phi(alpha, beta, r)) > 1e-12:
-            raise ArithmeticError(f"root postcondition failed: phi = {phi(alpha, beta, r):g}")
+    for k, r in enumerate(roots):
+        terms = _phi_factor_terms(alpha, beta, r)[k]
+        if abs(sum(terms)) > 1e-12 * max(map(abs, terms)):
+            raise ArithmeticError(f"root postcondition failed: factor {k + 1} = {sum(terms):g}")
     return roots
 
 
@@ -298,27 +304,13 @@ class EquivariantSquare:
     dV: OneFormField
 
     def form(self, j: int, l: int) -> OneFormField:
-        """Square entry theta_{jl} = K_j K_l dA (0-based, symmetric)."""
-        table = {
-            (0, 0): self.dP, (0, 1): self.dQ, (0, 2): self.dR,
-            (1, 1): self.dS, (1, 2): self.dT, (2, 2): self.dV,
-        }
-        return table[(min(j, l), max(j, l))]
+        """Square entry theta_{jl} = K_j K_l dA (0-based, symmetric): row l of K_j."""
+        return ((self.dP, self.dQ, self.dR), (self.dQ, self.dS, self.dT),
+                (self.dR, self.dT, self.dV))[j][l]
 
     def named_forms(self) -> dict[str, OneFormField]:
         return {"dA": self.dA, "dP": self.dP, "dQ": self.dQ, "dR": self.dR,
                 "dT": self.dT, "dS": self.dS, "dV": self.dV}
-
-
-def _exchange_table(square: EquivariantSquare):
-    """The exchange table: sigma_{jl} sends theta_{pq} to theta_{pi(p) pi(q)}.
-
-    Yields (sigma_{jl}* theta_{pq}, theta_{pi(p) pi(q)}) for every
-    transposition and every entry of the square.
-    """
-    for sig, _, _ in TRANSPOSITIONS:
-        for p, q in itertools.combinations_with_replacement(range(3), 2):
-            yield pullback(sig, square.form(p, q)), square.form(sig.mapping[p], sig.mapping[q])
 
 
 def complete_square(dA: OneFormField, dP: OneFormField, dQ: OneFormField) -> EquivariantSquare:
@@ -372,19 +364,28 @@ class LenardComplex:
 def assemble_complex(params: FamilyParams) -> LenardComplex:
     dA = params.quad.gradient_form()
     square = complete_square(dA, build_dP(params), build_dQ(params))
-    k1 = _tensor_from_rows([square.dP, square.dQ, square.dR])
-    k2 = _tensor_from_rows([square.dQ, square.dS, square.dT])
-    k3 = _tensor_from_rows([square.dR, square.dT, square.dV])
+    operators = tuple(_tensor_from_rows([square.form(j, l) for l in range(3)]) for j in range(3))
     x = VectorFieldSpec(A_CHART, lambda a: np.asarray(a, dtype=float), constant_map(np.eye(3)))
-    return LenardComplex(params, square, (k1, k2, k3), dA, x)
+    return LenardComplex(params, square, operators, dA, x)
 
 
 # ---------------------------------------------------------------------------
 # symmetry constraint and its split form
 
 
-def k3_dq_form(cx: LenardComplex) -> OneFormField:
-    return covector_image(cx.operators[2], cx.square.dQ)
+def _symmetry_constraint(params: FamilyParams, a: np.ndarray, mats: Sequence[np.ndarray],
+                         mats_23: Sequence[np.ndarray]) -> tuple[float, float]:
+    """Worst |sigma23*(K3 dQ) - K3 dQ| over the points a, and its worst gap
+    to the factorized form, from the operators at a and at sigma23(a) (dQ is
+    row 1 of K1; sigma23 is its own inverse, so its index permutes the pullback)."""
+    theta, theta_23 = (covector_apply(m[0][..., 1, :], m[2]) for m in (mats, mats_23))
+    defect = theta_23.take(SIGMA_23.index, axis=-1) - theta
+    big_a = params.quad.a_to_A(a)
+    scalar = phi(params.quad.alpha, params.quad.beta, params.sigma2) * psi(big_a)
+    a_chart = np.stack([np.zeros_like(big_a[..., 0]), -1.0 / big_a[..., 1],
+                        1.0 / big_a[..., 2]], axis=-1)
+    rhs = np.asarray(scalar)[..., None] * (a_chart @ params.quad.hessian())
+    return float(np.max(np.abs(defect))), float(np.max(np.abs(defect - rhs)))
 
 
 def split_form_residual(cx: LenardComplex, p) -> float:
@@ -393,39 +394,27 @@ def split_form_residual(cx: LenardComplex, p) -> float:
         sigma23*(K3 dQ) - K3 dQ = Phi(alpha, beta, sigma2) Psi(A)
                                     (dA3/A3 - dA2/A2).
     """
-    params = cx.params
-    theta = k3_dq_form(cx)
-    lhs = pullback(SIGMA_23, theta).coeff_at(p) - theta.coeff_at(p)
-    big_a = params.quad.a_to_A(p)
-    scalar = phi(params.quad.alpha, params.quad.beta, params.sigma2) * psi(big_a)
-    a_chart = np.stack([np.zeros_like(big_a[..., 0]), -1.0 / big_a[..., 1],
-                        1.0 / big_a[..., 2]], axis=-1)
-    rhs = np.asarray(scalar)[..., None] * (a_chart @ params.quad.hessian())
-    return float(np.max(np.abs(lhs - rhs)))
+    a = coords_of(p, 3)
+    mats, mats_23 = ([k.mat_at(b) for k in cx.operators] for b in (a, SIGMA_23(a)))
+    return _symmetry_constraint(cx.params, a, mats, mats_23)[1]
 
 
 # ---------------------------------------------------------------------------
 # verification
 
 
-def third_tensor_from_square(cx: LenardComplex, p) -> np.ndarray:
-    """c[..., j, l, m] = m-th x-chart coefficient of theta_{jl} at p (p in the a-chart).
-
-    Row l of K_j is theta_{jl}, so c stacks the operator matrices.
-    """
-    a = coords_of(p, 3)
-    return np.stack([k.mat_at(a) for k in cx.operators], axis=-3) @ cx.quad.hessian_inverse()
+def third_tensor_from_square(ops: np.ndarray, hinv: np.ndarray) -> np.ndarray:
+    """c[..., j, l, m] = m-th x-chart coefficient of theta_{jl}, row l of K_j:
+    the operator stack ops[..., j, row, col] times H^-1."""
+    return ops @ hinv
 
 
-def third_tensor_from_chain(cx: LenardComplex, p) -> np.ndarray:
-    """c[..., j, l, m] = dA(K_j K_l K_m X) at p; totally symmetric for a genuine complex."""
-    a = coords_of(p, 3)
-    mats = np.stack([k.mat_at(a) for k in cx.operators], axis=-3)  # [..., j, row, col]
-    big_a = cx.dA.coeff_at(a)
-    x = cx.X.comp_at(a)
-    kx = np.einsum("...mcd,...d->...mc", mats, x)          # K_m X
-    kkx = np.einsum("...lbc,...mc->...lmb", mats, kx)      # K_l K_m X
-    kkkx = np.einsum("...jab,...lmb->...jlma", mats, kkx)  # K_j K_l K_m X
+def third_tensor_from_chain(ops: np.ndarray, big_a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """c[..., j, l, m] = dA(K_j K_l K_m X) from the operator stack, dA and X at
+    the same points; totally symmetric for a genuine complex."""
+    kx = np.einsum("...mcd,...d->...mc", ops, x)          # K_m X
+    kkx = np.einsum("...lbc,...mc->...lmb", ops, kx)      # K_l K_m X
+    kkkx = np.einsum("...jab,...lmb->...jlma", ops, kkx)  # K_j K_l K_m X
     return np.einsum("...a,...jlma->...jlm", big_a, kkkx)
 
 
@@ -434,6 +423,12 @@ def _symmetry_defect(c: np.ndarray) -> np.ndarray:
     return functools.reduce(np.maximum, (
         np.max(np.abs(c - np.einsum(f"...jlm->...{perm}", c)), axis=(-3, -2, -1))
         for perm in ("jml", "ljm", "lmj", "mjl", "mlj")))
+
+
+def _chain_defect(mats: Sequence[np.ndarray], x: np.ndarray, hinv: np.ndarray) -> np.ndarray:
+    """Largest |K_j X - d/dA_j| at every point; the x-chart needs it zero."""
+    return functools.reduce(np.maximum, (np.max(np.abs(apply(m, x) - hinv[j]), axis=-1)
+                                         for j, m in enumerate(mats)))
 
 
 def _require_within(defect: np.ndarray, tol: float, a: np.ndarray, what: str) -> None:
@@ -445,39 +440,29 @@ def _require_within(defect: np.ndarray, tol: float, a: np.ndarray, what: str) ->
         raise ValueError(f"{what} at {a.reshape(-1, 3)[k]} (defect {np.ravel(defect)[k]:.3e})")
 
 
-def square_wdvv_residuals(cx: LenardComplex, p,
-                          require_symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    """WDVV commutation residuals of the square written in the x-chart, at
-    every point of p (shape (..., 3), a-chart), and the mask of the points
-    whose pivot c[0] is refused (their residual is NaN).
+def square_wdvv_residuals(cx: LenardComplex, p) -> tuple[np.ndarray, np.ndarray]:
+    """WDVV commutation residuals of the square in the x-chart at every point
+    of p (a-chart, shape (..., 3)), and the mask of refused pivots c[0] (NaN).
 
-    The identification x-chart = A-chart is only valid when the vector chain
-    condition K_j X = d/dA_j holds, so that is asserted first, to TOL_ANALYTIC.
-    With ``require_symmetric`` the total symmetry of the coefficients is
-    asserted too; callers that report the symmetry defect separately may
-    disable it.  Either assertion raises ValueError naming the first point
-    that fails it.
+    The x-chart = A-chart needs the vector chain condition K_j X = d/dA_j,
+    asserted first to TOL_ANALYTIC, then total symmetry of the coefficients
+    to 1e-6; either raises ValueError naming the first point that fails it.
     """
     a = coords_of(p, 3)
     hinv = cx.quad.hessian_inverse()
-    x = cx.X.comp_at(a)
-    chain_defect = functools.reduce(np.maximum, (
-        np.max(np.abs(apply(k.mat_at(a), x) - hinv[j]), axis=-1)
-        for j, k in enumerate(cx.operators)))
-    _require_within(chain_defect, TOL_ANALYTIC, a,
+    mats = [k.mat_at(a) for k in cx.operators]
+    _require_within(_chain_defect(mats, cx.X.comp_at(a), hinv), TOL_ANALYTIC, a,
                     "no x-chart, hence no WDVV residual: the vector chain condition fails")
-    c = third_tensor_from_square(cx, a)
-    if require_symmetric:
-        _require_within(_symmetry_defect(c), 1e-6, a,
-                        "the square coefficients are not totally symmetric")
+    c = third_tensor_from_square(np.stack(mats, axis=-3), hinv)
+    _require_within(_symmetry_defect(c), 1e-6, a,
+                    "the square coefficients are not totally symmetric")
     return commutation_residuals(c, c[..., 0, :, :])
 
 
-def wdvv_residual_of_complex(cx: LenardComplex, p, require_symmetric: bool = True) -> float:
+def wdvv_residual_of_complex(cx: LenardComplex, p) -> float:
     """The worst of :func:`square_wdvv_residuals` over the points p; raises
     SingularSliceError naming the first point whose pivot c[0] is refused."""
-    return worst_residual(*square_wdvv_residuals(cx, p, require_symmetric),
-                          "pivot slice c[0]", p)
+    return worst_residual(*square_wdvv_residuals(cx, p), "pivot slice c[0]", p)
 
 
 # verify_complex's conditions in report order
@@ -486,7 +471,7 @@ _CONDITIONS = (
     "square_closure", "operator_commutators", "third_tensor_symmetry",
     "haantjes_torsion", "symmetry_constraint", "partition_of_identity",
     "k2dR_equals_k3dQ", "operator_exchange", "square_equivariance",
-    "jacobian_fd_agreement",
+    "jacobian_fd_agreement", "wdvv_commutation_from_square", "split_form_identity",
 )
 
 
@@ -494,55 +479,69 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
                    tol_fd: float = TOL_FD) -> VerificationReport:
     """Check every defining identity of the complex at the given points.
 
-    This is the only check of the square's symmetries: the exchange table
-    sigma_{jl}* theta_{pq} = theta_{pi(p) pi(q)} (``square_equivariance``)
-    and sigma23*(K3 dQ) = K3 dQ (``symmetry_constraint``).  Every field is
-    evaluated once over the whole (N, 3) batch of points; residuals are
-    NaN-propagating maxima over points (order-independent), one report
-    condition per identity family.  The square forms are the operators'
-    rows, so the FD check covers dA, the three operators and X.
+    Every condition reads the operator matrices at the (N, 3) batch a and at
+    sigma(a) for the three transpositions, and the Jacobians of the operators
+    and square forms, dA and X at a, each evaluated once; the FD check makes
+    its own calls.  Row l of K_j is theta_{jl}, so this is the only check of
+    the square's symmetries (``square_equivariance``, ``symmetry_constraint``).
+    The WDVV residual of the square reads 1.0 at a point with no x-chart
+    (``chain_of_vector_fields`` above TOL_ANALYTIC) or a refused pivot.
+    Residuals are NaN-propagating maxima over points, in any order.
     """
     pts = point_batch(points, 3)
     hinv = cx.quad.hessian_inverse()
     forms = list(cx.square.named_forms().values())
-    theta = k3_dq_form(cx)
-    theta_pulled = pullback(SIGMA_23, theta)
-    exchanged = [(transform_tensor(sig, cx.operators[j]), cx.operators[l])
-                 for sig, j, l in TRANSPOSITIONS]
-    table = list(_exchange_table(cx.square))
     eye = np.eye(3)
 
     def gap(x: np.ndarray, y: np.ndarray) -> float:
         return float(np.max(np.abs(x - y)))
 
-    def extras(a: np.ndarray, mats: list[np.ndarray]) -> Iterator[tuple[str, float]]:
+    def extras(a: np.ndarray, mats: list[np.ndarray],
+               jacs: list[np.ndarray]) -> Iterator[tuple[str, float]]:
+        moved = {sig: [k.mat_at(sig(a)) for k in cx.operators] for sig, _, _ in TRANSPOSITIONS}
+        ops = np.stack(mats, axis=-3)  # [..., j, row, col]
         big_a = cx.dA.coeff_at(a)
+        x = cx.X.comp_at(a)
+        chain_defect = _chain_defect(mats, x, hinv)
         for j in range(3):
             yield "chain_of_forms", gap(covector_apply(big_a, mats[j]), eye[j])
-            yield "chain_of_vector_fields", gap(apply(mats[j], a), hinv[j])
-        c = third_tensor_from_chain(cx, a)
+        yield "chain_of_vector_fields", float(np.max(chain_defect))
+        c = third_tensor_from_chain(ops, big_a, x)
         yield "third_tensor_symmetry", float(np.max(
             _symmetry_defect(c) / np.maximum(1.0, np.max(np.abs(c), axis=(-3, -2, -1)))))
-        yield "symmetry_constraint", gap(theta_pulled.coeff_at(a), theta.coeff_at(a))
+        constraint, split = _symmetry_constraint(cx.params, a, mats, moved[SIGMA_23])
+        yield "symmetry_constraint", constraint
+        yield "split_form_identity", split
         yield "partition_of_identity", gap(
             sum(big_a[..., i, None, None] * mats[i] for i in range(3)), eye)
         # dQ and dR are rows 1 and 2 of K1
         yield "k2dR_equals_k3dQ", gap(covector_apply(mats[0][..., 2, :], mats[1]),
                                       covector_apply(mats[0][..., 1, :], mats[2]))
-        for moved, target in exchanged:
-            yield "operator_exchange", gap(moved.mat_at(a), target.mat_at(a))
-        for moved, target in table:
-            yield "square_equivariance", gap(moved.coeff_at(a), target.coeff_at(a))
+        # sigma* theta_pq = theta_{sigma(p) sigma(q)} for the rows theta_pq of
+        # K_p; sigma permutes the point and both axes by one index (it is its
+        # own inverse), and p = j is the operator exchange sigma_jl K_j = K_l
+        for sig, j, _ in TRANSPOSITIONS:
+            idx = sig.index
+            for p in range(3):
+                residual = gap(moved[sig][p].take(idx, -1), mats[idx[p]].take(idx, -2))
+                yield "square_equivariance", residual
+                if p == j:
+                    yield "operator_exchange", residual
+        c = third_tensor_from_square(ops, hinv)
+        residuals, refused = commutation_residuals(c, c[..., 0, :, :])
+        # no x-chart or a refused pivot leaves no residual and reads 1.0; NaN stays NaN
+        unread = (refused | (chain_defect > TOL_ANALYTIC)) & ~np.isnan(chain_defect)
+        yield "wdvv_commutation_from_square", float(np.max(np.where(unread, 1.0, residuals)))
         yield "jacobian_fd_agreement", fd_check_one_form(cx.dA, a)
         for k in cx.operators:
             yield "jacobian_fd_agreement", fd_check_tensor(k, a)
         yield "jacobian_fd_agreement", fd_check_vector_field(cx.X, a)
 
     worst = lenard_residuals(cx.operators, cx.X, forms, pts, extras)
+    tols = {"jacobian_fd_agreement": tol_fd, "wdvv_commutation_from_square": 1e-8}
     report = VerificationReport()
     for name in _CONDITIONS:
-        tol = tol_fd if name == "jacobian_fd_agreement" else tol_analytic
-        report.add(name, len(pts), worst[name], tol)
+        report.add(name, len(pts), worst[name], tols.get(name, tol_analytic))
     return report
 
 

@@ -1,7 +1,9 @@
 """Seeded point and segment samplers with singular-locus rejection.
 
 All randomness flows through numpy's default Generator (PCG64) seeded
-explicitly, so runs are reproducible bit-for-bit for a fixed seed.
+explicitly, so runs are reproducible bit-for-bit for a fixed seed.  The
+draw budget ``max_tries`` defaults to 200 draws per requested point or
+segment, and at least 10 000.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def sample_gapped_box(rng: np.random.Generator, count: int, dim: int = 3,
                       gap: float = DEFAULT_GAP,
                       predicates: np.ndarray = (),
                       margin: float = REGULARITY_MARGIN,
-                      max_tries: int = 10_000) -> np.ndarray:
+                      max_tries: int | None = None) -> np.ndarray:
     """Uniform points in [low, high]^dim with pairwise coordinate gaps >= gap,
     rejecting points u where |u . c| < margin for a predicate row c.
 
@@ -51,6 +53,7 @@ def sample_gapped_box(rng: np.random.Generator, count: int, dim: int = 3,
     made by :func:`default_rng`, has it).
     """
     rows = predicate_rows(predicates, dim)
+    max_tries = max(10_000, 200 * count) if max_tries is None else max_tries
     i, j = np.triu_indices(dim, 1)
     parts: list[np.ndarray] = []
     found = tries = 0
@@ -79,7 +82,7 @@ def sample_segments(rng: np.random.Generator, count: int,
                     to_ambient: Callable[[np.ndarray], np.ndarray] | None = None,
                     dim: int = 3, low: float = DEFAULT_BOX[0], high: float = DEFAULT_BOX[1],
                     gap: float = DEFAULT_GAP,
-                    max_tries: int = 10_000) -> list[tuple[np.ndarray, np.ndarray]]:
+                    max_tries: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Straight segments avoiding the singular loci.
 
     Both endpoints are drawn with the same descending coordinate order, which
@@ -88,6 +91,7 @@ def sample_segments(rng: np.random.Generator, count: int,
     ``to_ambient`` optionally maps draws into the chart the predicates live on.
     """
     rows = predicate_rows(predicates, dim)
+    max_tries = max(10_000, 200 * count) if max_tries is None else max_tries
     segments: list[tuple[np.ndarray, np.ndarray]] = []
     tries = 0
     while len(segments) < count:

@@ -187,10 +187,12 @@ def QUARTER_X(x: np.ndarray) -> np.ndarray:
 
 def _guarded_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a stack (..., n, n) of pivots, and the mask of the pivots
-    refused as singular or worse conditioned than MAX_PIVOT_COND.  A refused
-    pivot is inverted as the identity, so one bad point spoils no other."""
-    rejected = ~(np.linalg.cond(mat) <= MAX_PIVOT_COND)
+    refused as non-finite, singular or worse conditioned than MAX_PIVOT_COND;
+    a refused pivot is inverted as the identity, so it spoils no other."""
     eye = np.eye(mat.shape[-1])
+    finite = np.isfinite(mat).all(axis=(-2, -1))
+    rejected = ~finite | ~(np.linalg.cond(np.where(finite[..., None, None], mat, eye))
+                           <= MAX_PIVOT_COND)
     return np.linalg.inv(np.where(rejected[..., None, None], eye, mat)), rejected
 
 

@@ -269,6 +269,8 @@ def test_criterion_8_cross_validation(reference_complex):
 
     partition = report.condition("partition_of_identity").max_residual
     ok &= _line("criterion 8 (partition of identity)", partition, 1e-10)
-    symmetry = max(eq._symmetry_defect(eq.third_tensor_from_chain(cx, a)) for a in pts)
+    ops = np.stack([k.mat_at(pts) for k in cx.operators], axis=-3)
+    symmetry = float(np.max(eq._symmetry_defect(
+        eq.third_tensor_from_chain(ops, cx.dA.coeff_at(pts), cx.X.comp_at(pts)))))
     ok &= _line("criterion 8 (third tensor symmetry)", symmetry, 1e-10)
     assert ok

@@ -2,7 +2,6 @@
 N single-point evaluations, and the verifiers cost the same number of
 passes whatever N is."""
 
-import argparse
 import re
 
 import numpy as np
@@ -67,7 +66,7 @@ def lenard_complexes(draw):
 @given(cx=lenard_complexes(), seed=SEEDS, n=BATCH_SIZES)
 def test_equivariant_fields_and_verifier_batch(cx, seed, n):
     pts = sample_gapped_box(default_rng(seed), n, predicates=cx.sampling_predicates())
-    theta = eq.k3_dq_form(cx)
+    theta = cc.covector_image(cx.operators[2], cx.square.dQ)
     forms = [*cx.square.named_forms().values(), theta, cc.pullback(eq.SIGMA_23, theta)]
     operators = [*cx.operators, *(cc.transform_tensor(sig, cx.operators[j])
                                   for sig, j, _ in eq.TRANSPOSITIONS)]
@@ -144,9 +143,6 @@ def test_assembly_evaluates_no_field_and_verification_fd_checks_one_form(monkeyp
                            (eq, "fd_check_one_form")) == 1
 
 
-CFG = argparse.Namespace(tol_analytic=1e-9, tol_fd=1e-6)
-
-
 def test_wdvv_pipelines_cost_the_same_calls_for_50_and_200_points(monkeypatch, example3,
                                                                   tmp_path):
     _, _, cx = example3
@@ -160,7 +156,7 @@ def test_wdvv_pipelines_cost_the_same_calls_for_50_and_200_points(monkeypatch, e
 
     def complex_report(n):
         pts = sample_gapped_box(default_rng(9), n, predicates=cx.sampling_predicates())
-        return lambda: cli._complex_report(cx, pts, CFG)
+        return lambda: eq.verify_complex(cx, pts)
 
     for run in (verify_wdvv, complex_report):
         checks = count_regularity_checks(monkeypatch, run(50))
@@ -170,21 +166,66 @@ def test_wdvv_pipelines_cost_the_same_calls_for_50_and_200_points(monkeypatch, e
         assert count_calls(monkeypatch, run(200), *entry_points) == calls
 
 
+def test_build_complex_evaluates_the_operators_on_four_batches_for_any_n(monkeypatch,
+                                                                        tmp_path):
+    # M_j at a and at sigma(a) for the three transpositions, J_j at a: 9 log
+    # forms (the operators' rows) times 4 coefficient batches, and their 9
+    # Jacobians plus the 6 of the closure check; the FD check is excluded
+    build = eq._log_form
+    evals = {"coeff": 0, "jac": 0}
+
+    def counted_log_form(quad, terms):
+        form = build(quad, terms)
+
+        def counted(name):
+            def fn(a):
+                evals[name] += 1
+                return getattr(form, name)(a)
+            return fn
+
+        return cc.OneFormField(form.chart, counted("coeff"), counted("jac"), form.predicates)
+
+    batches = {"mat_at": [], "jac_at": []}
+    for method in batches:
+        def record(self, p, method=method, original=getattr(cc.TensorField11, method)):
+            batches[method].append(self)
+            return original(self, p)
+        monkeypatch.setattr(cc.TensorField11, method, record)
+    monkeypatch.setattr(eq, "_log_form", counted_log_form)
+    for fd in ("fd_check_one_form", "fd_check_tensor", "fd_check_vector_field"):
+        monkeypatch.setattr(eq, fd, lambda *_: 0.0)
+
+    seen = []
+    for n in (3, 300):
+        evals.update(coeff=0, jac=0)
+        for calls in batches.values():
+            calls.clear()
+        assert cli.main(["build-complex", "--alpha", "2", "--beta", "1", "--root", "1",
+                         "--points", str(n), "--out", str(tmp_path / "r.txt")]) == 0
+        ops = set(batches["mat_at"])
+        assert len(ops) == 3
+        assert all(batches["mat_at"].count(k) == 4 for k in ops)
+        assert sorted(map(id, batches["jac_at"])) == sorted(map(id, ops))
+        seen.append(dict(evals))
+    assert seen[0] == seen[1]
+    assert seen[0]["coeff"] <= 36 and seen[0]["jac"] <= 15
+
+
 def test_complex_report_masks_a_refused_pivot_as_one(monkeypatch, example3):
     _, _, cx = example3
     pts = sample_gapped_box(default_rng(21), 6, predicates=cx.sampling_predicates())
     name = "wdvv_commutation_from_square"
-    assert cli._complex_report(cx, pts, CFG).condition(name).max_residual < 1e-8
+    assert eq.verify_complex(cx, pts).condition(name).max_residual < 1e-8
 
     square = eq.third_tensor_from_square
 
-    def singular_at_point_2(cx_, p):
-        c = square(cx_, p).copy()
+    def singular_at_point_2(ops, hinv):
+        c = square(ops, hinv).copy()
         c[2] = 0.0
         return c
 
     monkeypatch.setattr(eq, "third_tensor_from_square", singular_at_point_2)
-    cond = cli._complex_report(cx, pts, CFG).condition(name)
+    cond = eq.verify_complex(cx, pts).condition(name)
     assert cond.max_residual == 1.0 and not cond.passed
     with pytest.raises(wdvv.SingularSliceError, match=re.escape(str(pts[2]))):
         eq.wdvv_residual_of_complex(cx, pts)

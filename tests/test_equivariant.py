@@ -181,6 +181,24 @@ def test_asymmetric_square_fails_its_report(example3, sample_a):
     for name in ("square_equivariance", "symmetry_constraint"):
         assert report.condition(name).max_residual > 0.1, name
         assert not report.condition(name).passed, name
+    # no x-chart: the report names the cause and reads the WDVV residual as
+    # 1.0 instead of raising
+    assert not report.condition("chain_of_vector_fields").passed
+    assert report.condition("wdvv_commutation_from_square").max_residual == 1.0
+
+
+def test_wrong_scaling_field_has_no_x_chart(example3, sample_a):
+    # with X = 2a the chain K_j X misses d/dA_j: the pivots are fine, but the
+    # WDVV residual of the square has no chart to live on
+    _, _, cx = example3
+    x2 = cc.VectorFieldSpec(eq.A_CHART, lambda a: 2.0 * a, cc.constant_map(2.0 * np.eye(3)))
+    wrong = eq.LenardComplex(cx.params, cx.square, cx.operators, cx.dA, x2)
+    report = eq.verify_complex(wrong, sample_a)
+    assert report.condition("chain_of_vector_fields").max_residual > 0.1
+    assert report.condition("wdvv_commutation_from_square").max_residual == 1.0
+    assert report.condition("operator_commutators").passed
+    with pytest.raises(ValueError, match="no x-chart"):
+        eq.square_wdvv_residuals(wrong, sample_a)
 
 
 def test_square_frozen_coefficients_at_reference_point(example3):
@@ -379,18 +397,26 @@ def test_wdvv_residual_of_complex_small(example3, sample_a):
     assert max(eq.wdvv_residual_of_complex(cx, a) for a in sample_a) < 1e-9
 
 
+def operator_stack(cx, a):
+    return np.stack([k.mat_at(a) for k in cx.operators], axis=-3)
+
+
+def chain_tensor(cx, a):
+    return eq.third_tensor_from_chain(operator_stack(cx, a), cx.dA.coeff_at(a), cx.X.comp_at(a))
+
+
 def test_third_tensor_routes_agree(example3, sample_a):
     _, _, cx = example3
     for a in sample_a[:10]:
-        c_forms = eq.third_tensor_from_square(cx, a)
-        c_chain = eq.third_tensor_from_chain(cx, a)
+        c_forms = eq.third_tensor_from_square(operator_stack(cx, a), cx.quad.hessian_inverse())
+        c_chain = chain_tensor(cx, a)
         assert np.max(np.abs(c_forms - c_chain)) < 1e-10
 
 
 def test_third_tensor_totally_symmetric(example3, sample_a):
     _, _, cx = example3
     for a in sample_a[:10]:
-        c = eq.third_tensor_from_chain(cx, a)
+        c = chain_tensor(cx, a)
         assert eq._symmetry_defect(c) < 1e-10
 
 

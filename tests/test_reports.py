@@ -8,7 +8,10 @@ tolerance, never byte for byte, so another numpy/BLAS build still passes.
 
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -53,3 +56,21 @@ def test_report_matches_committed_golden(tmp_path, name, argv):
         [{k: c[k] for k in exact} for c in want["conditions"]]
     for c, w in zip(got["conditions"], want["conditions"]):
         assert abs(c["max_residual"] - w["max_residual"]) <= 0.05 * w["tol"], c["name"]
+
+
+def test_script_runs_from_a_checkout_without_an_install(tmp_path):
+    # a fresh interpreter, no PYTHONPATH, outside the checkout: importing the
+    # script finds this checkout's src/ (and writes nothing under reports/)
+    script = ROOT / "scripts" / "reproduce_all.py"
+    code = ("import importlib.util\n"
+            f"spec = importlib.util.spec_from_file_location('reproduce_all', {str(script)!r})\n"
+            "module = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(module)\n"
+            "print(module.main.__code__.co_filename, len(module.RUNS))\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    path, runs = run.stdout.split()
+    assert pathlib.Path(path) == ROOT / "src" / "lenardlab" / "cli.py"
+    assert int(runs) == len(RUNS)

@@ -240,3 +240,9 @@ def test_refused_pivot_in_a_batch_raises_naming_its_point():
     residuals, rejected = wdvv.commutation_residuals(third(pts), third(pts)[:, 0])
     assert rejected.tolist() == [False, False, False, True, False, False]
     assert math.isnan(residuals[3]) and np.all(residuals[~rejected] < 1e-10)
+    # a non-finite pivot is refused the same way, and fails no other point
+    c = wdvv.veselov_third(POT3, pts)
+    c[3, 0, 1, 2] = np.nan
+    residuals, rejected = wdvv.commutation_residuals(c, c[:, 0])
+    assert rejected.tolist() == [False, False, False, True, False, False]
+    assert math.isnan(residuals[3]) and np.all(residuals[~rejected] < 1e-10)
