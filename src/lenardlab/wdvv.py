@@ -1,8 +1,16 @@
-"""Prepotentials, the logarithmic Veselov family, and WDVV commutation residuals.
+"""Prepotentials of ∨-systems and WDVV commutation residuals.
 
-A prepotential is handled through its value, Hessian h and third-derivative
-tensor c (c[j, l, m] = d^3 F / dx_j dx_l dx_m, totally symmetric).  The WDVV
-residual measures failure of
+A prepotential is handled through its value, Hessian and third-derivative
+tensor c (c[j, l, m] = d^3 F / dx_j dx_l dx_m, totally symmetric).  Veselov's
+logarithmic solutions all have one form, the ∨-system prepotential
+
+    F(x) = sum_c h_c (c.x)^2 log (c.x)^2
+
+over a set of covector rows c with multiplicities h_c
+(:func:`vee_prepotential`).  The Veselov family is the case of the rows
+e_i with h = 1/m and e_i - e_j with h = 1 (:func:`veselov_prepotential`).
+
+The WDVV residual measures failure of
 
     c_j h1^{-1} c_l  =  c_l h1^{-1} c_j,         h1 = c[0],
 
@@ -11,14 +19,15 @@ Euler weights are a map x -> lambda(x) on points (..., n).  Both are
 normalized by the product of operand norms so thresholds are scale-free.
 
 Everything works on the point axis of :mod:`lenardlab.chartcore`: the
-closed forms, the prepotential maps and the residuals take points of shape
-(..., n), so a batch of N points is one call and a single point is the ()
-case.  The residuals are computed per point, with pivots refused per point,
-and reported as the NaN-propagating worst over the batch.
+prepotential maps and the residuals take points of shape (..., n), so a
+batch of N points is one call and a single point is the () case.  The
+residuals are computed per point, with pivots refused per point, and
+reported as the NaN-propagating worst over the batch.
 
 All logarithms appear as log u^2 = 2 log |u|; u = 0 is excluded by the
-regularity predicates, the rows e_i and e_i - e_j, which every closed form
-of the Veselov family checks once per batch.
+regularity predicates, which for a ∨-system are its rows c.  A
+prepotential's ``*_at`` methods check them once per call; its raw maps do
+not, so finite-difference stencils call those.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import numpy as np
 
 from .chartcore import (
     Chart,
-    check_regular,
+    _Field,
     coords_of,
     difference_rows,
     pairwise_indices,
@@ -51,35 +60,65 @@ class SingularSliceError(np.linalg.LinAlgError):
 
 
 @dataclass(frozen=True, eq=False)
-class Prepotential:
+class Prepotential(_Field):
     """A scalar potential with analytic Hessian and third derivatives.
 
-    The maps take points of shape (..., n) and reject points outside their
-    own domain, so each ``*_at`` call checks regularity once per batch,
-    inside the map.
+    Like the fields of :mod:`lenardlab.chartcore`, it stores its regularity
+    ``predicates`` as (P, n) rows: the ``*_at`` methods check the points
+    against them once per call, and the raw maps take points of shape
+    (..., n) unchecked.
     """
 
     chart: Chart
     value: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     third: Callable[[np.ndarray], np.ndarray]
+    predicates: np.ndarray = ()
 
     def value_at(self, p) -> np.ndarray:
-        return np.asarray(self.value(coords_of(p, self.chart.dim)), dtype=float)
+        return np.asarray(self.value(self._regular(p)), dtype=float)
 
     def hessian_at(self, p) -> np.ndarray:
-        return np.asarray(self.hessian(coords_of(p, self.chart.dim)), dtype=float)
+        return np.asarray(self.hessian(self._regular(p)), dtype=float)
 
     def third_at(self, p) -> np.ndarray:
-        return np.asarray(self.third(coords_of(p, self.chart.dim)), dtype=float)
+        return np.asarray(self.third(self._regular(p)), dtype=float)
 
-    def scaled(self, s: float) -> "Prepotential":
-        return Prepotential(
-            self.chart,
-            lambda u: s * self.value(u),
-            lambda u: s * np.asarray(self.hessian(u), dtype=float),
-            lambda u: s * np.asarray(self.third(u), dtype=float),
-        )
+
+def vee_prepotential(rows, h) -> Prepotential:
+    """The ∨-system prepotential F = sum_p h_p s_p^2 log s_p^2, s = x C^T, of
+    the covector rows C (P, n) and the multiplicities h (P,).
+
+    With f(t) = t^2 log t^2, f'' = 2 log t^2 + 6 and f''' = 4/t, so
+
+        Hessian  sum_p h_p (2 log s_p^2 + 6) c_p (x) c_p,
+        third    sum_p (4 h_p / s_p) c_p (x) c_p (x) c_p.
+
+    The products of rows are formed once, here, and each map is one einsum
+    over p: unlike a BLAS product, it gives a batch exactly the stack of its
+    single points.  The rows are the regularity predicates.
+    """
+    rows = np.asarray(rows, dtype=float)
+    h = np.asarray(h, dtype=float)
+    cc = np.einsum("pi,pj->pij", rows, rows)
+    ccc = np.einsum("pij,pk->pijk", cc, rows)
+
+    def s(x: np.ndarray) -> np.ndarray:
+        return np.einsum("...i,pi->...p", x, rows)
+
+    def value(x: np.ndarray) -> np.ndarray:
+        sx = s(x)
+        s2 = sx * sx
+        return np.einsum("...p,p->...", s2 * np.log(s2), h)
+
+    def hessian(x: np.ndarray) -> np.ndarray:
+        sx = s(x)
+        return np.einsum("...p,pij->...ij", h * (2.0 * np.log(sx * sx) + 6.0), cc)
+
+    def third(x: np.ndarray) -> np.ndarray:
+        return np.einsum("...p,pijk->...ijk", 4.0 * h / s(x), ccc)
+
+    return Prepotential(Chart("x", rows.shape[-1]), value, hessian, third, rows)
 
 
 @dataclass(frozen=True)
@@ -94,85 +133,14 @@ class VeselovPotential:
             raise ValueError("need n >= 2")
         if self.m == 0:
             raise ValueError("parameter m must be nonzero")
-        object.__setattr__(self, "_rows", np.concatenate([np.eye(self.n), difference_rows(self.n)]))
-
-    def predicates(self) -> np.ndarray:
-        """The rows e_i and e_i - e_j: the hyperplanes x_i = 0 and x_i = x_j."""
-        return self._rows
-
-
-def veselov_value(pot: VeselovPotential, x) -> np.ndarray:
-    x = coords_of(x, pot.n)
-    check_regular(pot.predicates(), x)
-    total = 0.0
-    for i, j in pairwise_indices(pot.n):
-        u = x[..., i] - x[..., j]
-        total = total + u * u * np.log(u * u)
-    for i in range(pot.n):
-        total = total + (1.0 / pot.m) * x[..., i] ** 2 * np.log(x[..., i] ** 2)
-    return total
-
-
-def veselov_gradient(pot: VeselovPotential, x) -> np.ndarray:
-    """First derivatives; phi'(u) = 2u log u^2 + 2u for each logarithmic block."""
-    x = coords_of(x, pot.n)
-    check_regular(pot.predicates(), x)
-
-    def dphi(u: np.ndarray) -> np.ndarray:
-        return 2.0 * u * np.log(u * u) + 2.0 * u
-
-    g = np.zeros(x.shape)
-    for i, j in pairwise_indices(pot.n):
-        v = dphi(x[..., i] - x[..., j])
-        g[..., i] += v
-        g[..., j] -= v
-    for i in range(pot.n):
-        g[..., i] += (1.0 / pot.m) * dphi(x[..., i])
-    return g
-
-
-def veselov_hessian(pot: VeselovPotential, x) -> np.ndarray:
-    """Closed form: off-diagonal -(2 log(x_i-x_j)^2 + 6); diagonal carries the
-    row sums plus the (1/m)(2 log x_i^2 + 6) contribution."""
-    x = coords_of(x, pot.n)
-    check_regular(pot.predicates(), x)
-    n = pot.n
-    h = np.zeros(x.shape[:-1] + (n, n))
-    for i, j in pairwise_indices(n):
-        v = -(2.0 * np.log((x[..., i] - x[..., j]) ** 2) + 6.0)
-        h[..., i, j] = h[..., j, i] = v
-    for i in range(n):
-        h[..., i, i] = -sum(h[..., i, j] for j in range(n) if j != i) \
-            + (1.0 / pot.m) * (2.0 * np.log(x[..., i] ** 2) + 6.0)
-    return h
-
-
-def veselov_third(pot: VeselovPotential, x) -> np.ndarray:
-    """F_iij = -4/(x_i - x_j); F_iii closes the sum rule; mixed F_ijk = 0."""
-    x = coords_of(x, pot.n)
-    check_regular(pot.predicates(), x)
-    n = pot.n
-    c = np.zeros(x.shape[:-1] + (n, n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                v = -4.0 / (x[..., i] - x[..., j])
-                c[..., i, i, j] = c[..., i, j, i] = c[..., j, i, i] = v
-    for i in range(n):
-        c[..., i, i, i] = sum(4.0 / (x[..., i] - x[..., j]) for j in range(n) if j != i) \
-            + (1.0 / pot.m) * 4.0 / x[..., i]
-    return c
 
 
 def veselov_prepotential(pot: VeselovPotential, scale: float = 1.0) -> Prepotential:
-    chart = Chart("x", pot.n)
-    base = Prepotential(
-        chart,
-        lambda u: veselov_value(pot, u),
-        lambda u: veselov_hessian(pot, u),
-        lambda u: veselov_third(pot, u),
-    )
-    return base if scale == 1.0 else base.scaled(scale)
+    """``pot`` times ``scale`` as a ∨-system: the rows e_i with h = scale/m,
+    then e_i - e_j (i < j) with h = scale."""
+    rows = np.concatenate([np.eye(pot.n), difference_rows(pot.n)])
+    h = np.where(np.arange(len(rows)) < pot.n, 1.0 / pot.m, 1.0)
+    return vee_prepotential(rows, scale * h)
 
 
 #: Euler weights: the map from points (..., n) to the x-components (..., n) of
@@ -243,14 +211,16 @@ def wdvv_residual(pre: Prepotential, x) -> float:
 def g_matrix(pre: Prepotential, weights: EulerWeights, x) -> np.ndarray:
     """g = sum_k lambda_k c_k at the points x; symmetric by total symmetry of c.
 
-    For the Veselov family scaled by s and lambda = c x this is the constant
+    For a ∨-system (rows c, multiplicities h) the third derivative is
+    sum_c (4 h_c / c.x) c (x) c (x) c, so lambda = x/4 contracts it to the
+    constant
 
-        g = 4 c s [ sum_{i<j} (e_i - e_j)(e_i - e_j)^T + (1/m) I ],
+        g = sum_c h_c c (x) c.
 
-    because f'''(t) = 4/t for f(t) = t^2 log t^2, so each block w f(alpha.x)
-    (w = 1 or 1/m) contracts to 4 c s w alpha alpha^T.  Thus m = 2 with
-    lambda = x/4 gives [[5/2,-1,-1],...], and m = 1 scaled by 1/16 with
-    lambda = x gives [[3/4,-1/4,-1/4],...].
+    The Veselov family scaled by s has h = s/m on e_i and s on e_i - e_j,
+    so g = s [ sum_{i<j} (e_i - e_j)(e_i - e_j)^T + (1/m) I ]: m = 2 gives
+    [[5/2,-1,-1],...], and m = 1 scaled by 1/16 with lambda = x (four times
+    x/4) gives [[3/4,-1/4,-1/4],...].
     """
     c = pre.third_at(x)
     return np.einsum("...k,...kjl->...jl", weights(coords_of(x, pre.chart.dim)), c)

@@ -5,6 +5,9 @@ check (visible with ``pytest -s``).  Tolerances are fixed here and are not
 read from configuration.  All sampling is seeded, so reruns are identical.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -24,9 +27,9 @@ def _line(tag: str, value: float, tol: float, ok: bool | None = None) -> bool:
     return ok
 
 
-def _veselov_points(pot: wdvv.VeselovPotential, count: int, seed: int) -> np.ndarray:
-    return sample_gapped_box(default_rng(seed), count, dim=pot.n,
-                             predicates=pot.predicates())
+def _veselov_points(pre: wdvv.Prepotential, count: int, seed: int) -> np.ndarray:
+    return sample_gapped_box(default_rng(seed), count, dim=pre.chart.dim,
+                             predicates=pre.predicates)
 
 
 def test_criterion_1_veselov_wdvv_family():
@@ -34,9 +37,8 @@ def test_criterion_1_veselov_wdvv_family():
     points for m in {1, 2, 3, 7}, reported per m."""
     ok = True
     for k, m in enumerate((1.0, 2.0, 3.0, 7.0)):
-        pot = wdvv.VeselovPotential(3, m)
-        pre = wdvv.veselov_prepotential(pot)
-        pts = _veselov_points(pot, 100, SEED + k)
+        pre = wdvv.veselov_prepotential(wdvv.VeselovPotential(3, m))
+        pts = _veselov_points(pre, 100, SEED + k)
         worst = max(wdvv.wdvv_residual(pre, x) for x in pts)
         ok &= _line(f"criterion 1 (wdvv, m={m:g})", worst, 1e-8)
     assert ok
@@ -44,9 +46,8 @@ def test_criterion_1_veselov_wdvv_family():
 
 def test_criterion_2_generalized_wdvv_residual():
     """generalized residual with lambda = x/4, n=3, m=2 < 1e-8 at 100 points."""
-    pot = wdvv.VeselovPotential(3, 2.0)
-    pre = wdvv.veselov_prepotential(pot)
-    pts = _veselov_points(pot, 100, SEED + 10)
+    pre = wdvv.veselov_prepotential(wdvv.VeselovPotential(3, 2.0))
+    pts = _veselov_points(pre, 100, SEED + 10)
     worst = max(wdvv.generalized_wdvv_residual(pre, wdvv.QUARTER_X, x) for x in pts)
     drift = max(float(np.max(np.abs(
         wdvv.g_matrix(pre, wdvv.QUARTER_X, x)
@@ -79,7 +80,8 @@ def test_criterion_2_euler_contraction_printed_constant():
     """
     n, m = 3, 2.0
     # the regularity predicates do not depend on m: one point set serves both
-    pts = _veselov_points(wdvv.VeselovPotential(n, m), 100, SEED + 10)
+    pre2 = wdvv.veselov_prepotential(wdvv.VeselovPotential(n, m))
+    pts = _veselov_points(pre2, 100, SEED + 10)
     printed = np.array([[0.75, -0.25, -0.25], [-0.25, 0.75, -0.25], [-0.25, -0.25, 0.75]])
 
     # printed constant: sixteenth-scaled m=1 potential, lambda = x
@@ -97,7 +99,6 @@ def test_criterion_2_euler_contraction_printed_constant():
     gram = sum(np.outer(eye[i] - eye[j], eye[i] - eye[j])
                for i in range(n) for j in range(i + 1, n))
     closed = 4.0 * c * s * (gram + eye / m)
-    pre2 = wdvv.veselov_prepotential(wdvv.VeselovPotential(n, m))
     worst_closed = max(float(np.max(np.abs(wdvv.g_matrix(pre2, wdvv.QUARTER_X, x) - closed)))
                        for x in pts)
     ok_closed = _line("criterion 2 (euler contraction closed form, m=2, lambda=x/4)",
@@ -255,15 +256,18 @@ def test_criterion_8_cross_validation(reference_complex):
         "jacobian_fd_agreement").max_residual
     ok &= _line("criterion 8 (fd agreement, hydrodynamic operator)", fd_gd, 1e-6)
 
-    pot = wdvv.VeselovPotential(3, 2.0)
-    xpts = _veselov_points(pot, 100, SEED + 71)
+    pre = wdvv.veselov_prepotential(wdvv.VeselovPotential(3, 2.0))
+    xpts = _veselov_points(pre, 100, SEED + 71)
+
+    def direct_value(x):
+        # the m = 2 potential summed term by term, independent of wdvv
+        return (sum((x[i] - x[j]) ** 2 * math.log((x[i] - x[j]) ** 2)
+                    for i, j in itertools.combinations(range(3), 2))
+                + 0.5 * sum(x[i] ** 2 * math.log(x[i] ** 2) for i in range(3)))
+
     fd_pot = max(
-        max(float(np.max(np.abs(cc.fd_jacobian(lambda u: wdvv.veselov_value(pot, u), x)
-                                - wdvv.veselov_gradient(pot, x)))),
-            float(np.max(np.abs(cc.fd_jacobian(lambda u: wdvv.veselov_gradient(pot, u), x)
-                                - wdvv.veselov_hessian(pot, x)))),
-            float(np.max(np.abs(cc.fd_jacobian(lambda u: wdvv.veselov_hessian(pot, u), x)
-                                - wdvv.veselov_third(pot, x)))))
+        max(float(np.max(np.abs(cc.fd_hessian(direct_value, x) - pre.hessian_at(x)))),
+            float(np.max(np.abs(cc.fd_jacobian(pre.hessian, x) - pre.third_at(x)))))
         for x in xpts)
     ok &= _line("criterion 8 (fd agreement, potential chain)", fd_pot, 1e-6)
 

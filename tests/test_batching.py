@@ -110,7 +110,7 @@ def count_calls(monkeypatch, run, *targets) -> int:
 
 
 def count_regularity_checks(monkeypatch, run) -> int:
-    return count_calls(monkeypatch, run, (cc, "check_regular"), (wdvv, "check_regular"))
+    return count_calls(monkeypatch, run, (cc, "check_regular"))
 
 
 @pytest.mark.parametrize("verify", ["equivariant", "gelfand_dikii"])

@@ -35,6 +35,17 @@ def test_verify_wdvv_rejects_zero_m(capsys):
     assert "nonzero" in err
 
 
+@pytest.mark.parametrize("m", ["1e6", "1e-20"])
+def test_refused_wdvv_pivot_exits_1_not_2(capsys, m):
+    # admissible m whose pivot c[0] is refused: near m = infinity the family
+    # approaches A_2, where c[0] is singular; m = 0 is bad input
+    code, out, err = run(capsys, "verify-wdvv", "--m", m, "--points", "20")
+    assert code == 1
+    assert out == ""
+    assert "pivot slice c[0]" in err and "condition number" in err
+    assert run(capsys, "verify-wdvv", "--m", "0")[0] == 2
+
+
 def test_verify_wdvv_euler_reports_g_matrix(capsys):
     code, doc, _ = run_json(capsys, "verify-wdvv", "--m", "2", "--points", "25",
                             "--seed", "3", "--euler", "quarter-x")

@@ -13,6 +13,7 @@ from lenardlab.sampling import (
     sample_gapped_box,
     sample_segments,
 )
+from lenardlab import wdvv
 from lenardlab.wdvv import wdvv_residual
 
 
@@ -426,6 +427,58 @@ def test_complex_residual_matches_reference_potential(example3, sample_a):
     for a in sample_a[:10]:
         assert abs(eq.wdvv_residual_of_complex(cx, a)
                    - wdvv_residual(reference, h @ a)) < 1e-8
+
+
+def b3_vee_system(params):
+    """The ∨-system of the family in x = A coordinates: rows e_i - e_j,
+    e_i + e_j and e_i with h = (-sigma2/2, sigma1/2, sigma0/4); rows whose h
+    is zero to rounding are dropped, so their planes are no predicates."""
+    d = cc.difference_rows(3)
+    rows = np.concatenate([d, np.abs(d), np.eye(3)])
+    h = np.repeat([-params.sigma2 / 2, params.sigma1 / 2, params.sigma0 / 4], 3)
+    keep = np.abs(h) > 1e-12 * np.max(np.abs(h))
+    return wdvv.vee_prepotential(rows[keep], h[keep])
+
+
+def square_against_b3(alpha, beta, sigma2):
+    """The worst relative gap between the square's third tensor and the B3
+    ∨-system's, over 20 points, with that system and the points x = H a."""
+    params = eq.FamilyParams.solve(alpha, beta, sigma2)
+    cx = eq.assemble_complex(params)
+    a = sample_gapped_box(default_rng(17), 20, predicates=cx.sampling_predicates())
+    c = eq.third_tensor_from_square(operator_stack(cx, a), cx.quad.hessian_inverse())
+    vee, x = b3_vee_system(params), a @ cx.quad.hessian()
+    gap = np.max(np.abs(c - vee.third_at(x)), axis=(-3, -2, -1))
+    return float(np.max(gap / np.max(np.abs(c), axis=(-3, -2, -1)))), vee, x
+
+
+B3_CELLS = [(2.0, 1.0), (5.0, 2.0), (-3.0, 1.0), (4.0, -1.0), (1.5, 1.125)]
+
+
+@pytest.mark.parametrize("root", [1, 2])
+@pytest.mark.parametrize("alpha,beta", B3_CELLS)
+def test_square_is_the_b3_vee_system_and_satisfies_wdvv(alpha, beta, root):
+    roots = eq.solve_phi_roots(alpha, beta)
+    rel, vee, x = square_against_b3(alpha, beta, roots.root1 if root == 1 else roots.root2)
+    assert rel <= 1e-12
+    euler = wdvv.generalized_wdvv_residual(vee, wdvv.QUARTER_X, x)
+    assert euler <= 1e-12
+    if (alpha, beta, root) == (-3.0, 1.0, 2):
+        # sigma2 = sigma0 = 0 leaves the rows e_i + e_j alone, and e_2 + e_3
+        # adds nothing to the pivot c[0]: only the Euler pivot is invertible
+        with pytest.raises(wdvv.SingularSliceError):
+            wdvv.wdvv_residual(vee, x)
+    else:
+        assert wdvv.wdvv_residual(vee, x) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha,beta,sigma2", [(2.0, 1.0, 0.0), (2.0, 1.0, 0.3),
+                                               (5.0, 2.0, 0.0)])
+def test_off_root_square_is_a_b3_vee_system_that_fails_wdvv(alpha, beta, sigma2):
+    rel, vee, x = square_against_b3(alpha, beta, sigma2)
+    assert rel <= 1e-12
+    assert wdvv.wdvv_residual(vee, x) > 1e-4
+    assert wdvv.generalized_wdvv_residual(vee, wdvv.QUARTER_X, x) > 1e-4
 
 
 def test_square_in_x_equals_reference_third_slice(example3, sample_a):

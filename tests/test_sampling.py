@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lenardlab.sampling import SamplingExhaustedError, default_rng, sample_gapped_box
-from lenardlab.wdvv import VeselovPotential
+from lenardlab.wdvv import VeselovPotential, veselov_prepotential
 
 
 def one_draw_at_a_time(rng, count, dim, low, high, gap, predicates, margin, max_tries):
@@ -86,7 +86,8 @@ def test_default_budget_grows_with_the_count():
     # about 88 % of these draws are regular, so 20 000 points take about
     # 22 700 draws; a fixed budget of 10 000 draws stopped at 8844 points
     args = {"count": 20_000, "dim": 3, "low": 0.5, "high": 3.0, "gap": 0.05,
-            "predicates": VeselovPotential(3, 2.0).predicates(), "margin": 1e-3}
+            "predicates": veselov_prepotential(VeselovPotential(3, 2.0)).predicates,
+            "margin": 1e-3}
     points, state = outcome(sample_gapped_box, 42, **args)
     expected, expected_state = outcome(one_draw_at_a_time, 42, **args, max_tries=10**6)
     np.testing.assert_array_equal(points, expected)

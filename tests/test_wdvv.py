@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -12,6 +13,7 @@ from lenardlab import wdvv
 from lenardlab.sampling import default_rng, sample_gapped_box
 
 POT3 = wdvv.VeselovPotential(3, 2.0)
+PRE3 = wdvv.veselov_prepotential(POT3)
 X0 = np.array([1.0, 2.0, 4.0])
 
 
@@ -28,8 +30,8 @@ def brute_value(x, m):
 
 
 def sample_points(count=20, n=3, seed=99):
-    pot = wdvv.VeselovPotential(n, 1.0)
-    return sample_gapped_box(default_rng(seed), count, dim=n, predicates=pot.predicates())
+    pre = wdvv.veselov_prepotential(wdvv.VeselovPotential(n, 1.0))
+    return sample_gapped_box(default_rng(seed), count, dim=n, predicates=pre.predicates)
 
 
 def test_parameter_validation():
@@ -40,7 +42,7 @@ def test_parameter_validation():
 
 
 def test_hessian_frozen_values_against_fd_oracle():
-    h = wdvv.veselov_hessian(POT3, X0)
+    h = PRE3.hessian_at(X0)
     oracle = cc.fd_hessian(lambda u: brute_value(u, 2.0), X0)
     assert np.max(np.abs(h - oracle)) < 1e-6
     # log 1 = 0 makes the (1,2) entry exactly -6
@@ -50,80 +52,76 @@ def test_hessian_frozen_values_against_fd_oracle():
 
 def test_hessian_rejects_singular_input():
     with pytest.raises(cc.SingularPointError):
-        wdvv.veselov_hessian(POT3, np.array([1.0, 1.0, 2.0]))
+        PRE3.hessian_at(np.array([1.0, 1.0, 2.0]))
     with pytest.raises(cc.SingularPointError):
-        wdvv.veselov_hessian(POT3, np.array([0.0, 1.0, 2.0]))
+        PRE3.hessian_at(np.array([0.0, 1.0, 2.0]))
 
 
 def test_hessian_row_sums_leave_single_particle_part():
     # translation-invariant pair terms cancel in row sums
     for x in sample_points(10):
-        h = wdvv.veselov_hessian(POT3, x)
+        h = PRE3.hessian_at(x)
         expected = (1.0 / POT3.m) * (2.0 * np.log(x**2) + 6.0)
         assert np.allclose(h.sum(axis=1), expected, atol=1e-10)
 
 
 def test_third_frozen_value_and_sparsity():
-    c = wdvv.veselov_third(POT3, X0)
+    c = PRE3.third_at(X0)
     assert c[0, 0, 1] == pytest.approx(4.0)  # -4/(1-2)
     assert c[0, 1, 2] == 0.0
-    oracle = cc.fd_jacobian(lambda u: wdvv.veselov_hessian(POT3, u), X0)
+    oracle = cc.fd_jacobian(PRE3.hessian, X0)
     assert np.max(np.abs(c - oracle)) < 1e-6
 
 
 def test_third_total_symmetry():
     for x in sample_points(10):
-        c = wdvv.veselov_third(POT3, x)
+        c = PRE3.third_at(x)
         for perm in itertools.permutations(range(3)):
             assert np.allclose(c, np.transpose(c, perm), atol=0.0)
 
 
-def test_derivative_chain_value_gradient_hessian():
+def test_derivative_chain_value_hessian_third():
     for x in sample_points(8, seed=3):
-        g = wdvv.veselov_gradient(POT3, x)
-        assert np.max(np.abs(cc.fd_jacobian(lambda u: brute_value(u, 2.0), x) - g)) < 1e-6
-        h = wdvv.veselov_hessian(POT3, x)
-        assert np.max(np.abs(cc.fd_jacobian(lambda u: wdvv.veselov_gradient(POT3, u), x) - h)) < 1e-6
+        h = PRE3.hessian_at(x)
+        assert np.max(np.abs(cc.fd_hessian(lambda u: brute_value(u, 2.0), x) - h)) < 1e-6
+        c = PRE3.third_at(x)
+        assert np.max(np.abs(cc.fd_jacobian(PRE3.hessian, x) - c)) < 1e-6
 
 
 def test_wdvv_residual_at_reference_point():
-    pre = wdvv.veselov_prepotential(POT3)
-    assert wdvv.wdvv_residual(pre, X0) < 1e-10
+    assert wdvv.wdvv_residual(PRE3, X0) < 1e-10
 
 
 @settings(max_examples=25, deadline=None)
 @given(perm=st.permutations(range(3)))
 def test_wdvv_residual_is_permutation_equivariant(perm):
     # F is symmetric under coordinate permutations
-    pre = wdvv.veselov_prepotential(POT3)
     x = np.array([0.9, 1.7, 2.6])
-    assert wdvv.wdvv_residual(pre, x[list(perm)]) == pytest.approx(
-        wdvv.wdvv_residual(pre, x), abs=1e-10)
+    assert wdvv.wdvv_residual(PRE3, x[list(perm)]) == pytest.approx(
+        wdvv.wdvv_residual(PRE3, x), abs=1e-10)
 
 
 def test_wdvv_residual_small_for_family_members():
-    for m in (1.0, 2.0, 3.0, 7.0):
-        pre = wdvv.veselov_prepotential(wdvv.VeselovPotential(3, m))
-        worst = max(wdvv.wdvv_residual(pre, x) for x in sample_points(25, seed=int(m)))
-        assert worst < 1e-8
+    for n, m in itertools.product((3, 4, 5, 6), (1.0, 2.0, 3.0, 7.0)):
+        pre = wdvv.veselov_prepotential(wdvv.VeselovPotential(n, m))
+        worst = max(wdvv.wdvv_residual(pre, x) for x in sample_points(25, n=n, seed=int(m)))
+        assert worst < 1e-8, (n, m, worst)
 
 
 # --- Euler-weighted contraction ----------------------------------------------
 
 
 def test_g_matrix_zero_weights():
-    pre = wdvv.veselov_prepotential(POT3)
-    g = wdvv.g_matrix(pre, cc.constant_map([0.0, 0.0, 0.0]), X0)
+    g = wdvv.g_matrix(PRE3, cc.constant_map([0.0, 0.0, 0.0]), X0)
     assert np.all(g == 0.0)
 
 
 def test_g_matrix_linear_in_weights():
-    pre = wdvv.veselov_prepotential(POT3)
     lam = cc.constant_map([1.0, 2.0, -1.0])
     mu = cc.constant_map([0.5, 0.0, 3.0])
     both = cc.constant_map([1.5, 2.0, 2.0])
-    total = wdvv.g_matrix(pre, lam, X0) + wdvv.g_matrix(pre, mu, X0)
-    assert np.allclose(total, wdvv.g_matrix(pre, both, X0), atol=1e-12)
+    total = wdvv.g_matrix(PRE3, lam, X0) + wdvv.g_matrix(PRE3, mu, X0)
+    assert np.allclose(total, wdvv.g_matrix(PRE3, both, X0), atol=1e-12)
 
 
 def test_quarter_euler_contraction_is_constant_gram_matrix():
@@ -131,15 +129,14 @@ def test_quarter_euler_contraction_is_constant_gram_matrix():
     constant matrix with diagonal (n-1) + 1/m = 5/2 and off-diagonal -1: each
     covector block of the potential contributes 4 alpha (x) alpha under the
     Euler contraction.  Cross-checked against a finite-difference oracle."""
-    pre = wdvv.veselov_prepotential(POT3)
     expected = np.array([[2.5, -1.0, -1.0], [-1.0, 2.5, -1.0], [-1.0, -1.0, 2.5]])
     pts = sample_points(10, seed=21)
     for x in pts:
-        g = wdvv.g_matrix(pre, wdvv.QUARTER_X, x)
+        g = wdvv.g_matrix(PRE3, wdvv.QUARTER_X, x)
         assert np.allclose(g, expected, atol=1e-10)
     # oracle at one point: contract an FD third-derivative tensor
     x = pts[0]
-    c_fd = cc.fd_jacobian(lambda u: wdvv.veselov_hessian(POT3, u), x)
+    c_fd = cc.fd_jacobian(PRE3.hessian, x)
     g_fd = np.einsum("jlk,k->jl", c_fd, x / 4.0)
     assert np.max(np.abs(g_fd - expected)) < 1e-6
 
@@ -155,24 +152,22 @@ def test_printed_target_matrix_belongs_to_scaled_m1_family():
 
 
 def test_generalized_residual_quarter_euler():
-    pre = wdvv.veselov_prepotential(POT3)
-    worst = max(wdvv.generalized_wdvv_residual(pre, wdvv.QUARTER_X, x)
+    worst = max(wdvv.generalized_wdvv_residual(PRE3, wdvv.QUARTER_X, x)
                 for x in sample_points(25, seed=31))
     assert worst < 1e-10
 
 
 def test_generalized_with_first_basis_weight_matches_ordinary():
-    pre = wdvv.veselov_prepotential(POT3)
     e1 = cc.constant_map([1.0, 0.0, 0.0])
     for x in sample_points(5, seed=41):
-        assert wdvv.generalized_wdvv_residual(pre, e1, x) == pytest.approx(
-            wdvv.wdvv_residual(pre, x), abs=1e-14)
+        assert wdvv.generalized_wdvv_residual(PRE3, e1, x) == pytest.approx(
+            wdvv.wdvv_residual(PRE3, x), abs=1e-14)
 
 
 def test_commutation_residual_propagates_nan():
     # slice 1 spoils the first pair (0, 1), slice 2 only the later ones; Python's
     # max would drop the NaN in both cases
-    c = wdvv.veselov_prepotential(POT3).third_at(X0)
+    c = PRE3.third_at(X0)
     pivot_inv = np.linalg.inv(c[0])
     for slot in (1, 2):
         spoiled = c.copy()
@@ -186,9 +181,8 @@ def test_singular_pivot_raises_named_error():
                              lambda u: np.zeros((3, 3)), lambda u: np.zeros((3, 3, 3)))
     with pytest.raises(wdvv.SingularSliceError, match="linearly independent"):
         wdvv.wdvv_residual(flat, X0)
-    pre = wdvv.veselov_prepotential(POT3)
     with pytest.raises(wdvv.SingularSliceError):
-        wdvv.generalized_wdvv_residual(pre, cc.constant_map([0.0, 0, 0]), X0)
+        wdvv.generalized_wdvv_residual(PRE3, cc.constant_map([0.0, 0, 0]), X0)
 
 
 def test_scaled_prepotential_scales_derivatives():
@@ -213,13 +207,10 @@ def test_batched_residuals_agree_with_per_point_calls(m):
 
 def test_batched_closed_forms_are_stacks_of_points():
     pts = sample_points(7, seed=12)
-    for closed_form in (wdvv.veselov_value, wdvv.veselov_gradient,
-                        wdvv.veselov_hessian, wdvv.veselov_third):
-        np.testing.assert_array_equal(closed_form(POT3, pts),
-                                      np.stack([closed_form(POT3, x) for x in pts]))
-    pre = wdvv.veselov_prepotential(POT3)
-    np.testing.assert_allclose(wdvv.g_matrix(pre, wdvv.QUARTER_X, pts),
-                               np.stack([wdvv.g_matrix(pre, wdvv.QUARTER_X, x) for x in pts]),
+    for closed_form in (PRE3.value_at, PRE3.hessian_at, PRE3.third_at):
+        np.testing.assert_array_equal(closed_form(pts), np.stack([closed_form(x) for x in pts]))
+    np.testing.assert_allclose(wdvv.g_matrix(PRE3, wdvv.QUARTER_X, pts),
+                               np.stack([wdvv.g_matrix(PRE3, wdvv.QUARTER_X, x) for x in pts]),
                                rtol=1e-15, atol=0.0)
 
 
@@ -229,11 +220,10 @@ def test_refused_pivot_in_a_batch_raises_naming_its_point():
 
     def third(u):
         # the whole tensor vanishes at one point, so its pivot c[0] is singular
-        c = wdvv.veselov_third(POT3, u)
+        c = PRE3.third(u)
         return np.where(np.all(u == bad, axis=-1)[..., None, None, None], 0.0, c)
 
-    pre = wdvv.Prepotential(cc.Chart("x", 3), lambda u: wdvv.veselov_value(POT3, u),
-                            lambda u: wdvv.veselov_hessian(POT3, u), third)
+    pre = dataclasses.replace(PRE3, third=third)
     assert wdvv.wdvv_residual(pre, np.delete(pts, 3, axis=0)) < 1e-10
     with pytest.raises(wdvv.SingularSliceError, match=re.escape(str(bad))):
         wdvv.wdvv_residual(pre, pts)
@@ -241,8 +231,28 @@ def test_refused_pivot_in_a_batch_raises_naming_its_point():
     assert rejected.tolist() == [False, False, False, True, False, False]
     assert math.isnan(residuals[3]) and np.all(residuals[~rejected] < 1e-10)
     # a non-finite pivot is refused the same way, and fails no other point
-    c = wdvv.veselov_third(POT3, pts)
+    c = PRE3.third_at(pts)
     c[3, 0, 1, 2] = np.nan
     residuals, rejected = wdvv.commutation_residuals(c, c[:, 0])
     assert rejected.tolist() == [False, False, False, True, False, False]
     assert math.isnan(residuals[3]) and np.all(residuals[~rejected] < 1e-10)
+
+
+def test_vee_prepotential_of_general_rows_against_direct_summation():
+    rows = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0], [-2.0, 0.25, 1.0], [1.0, 1.0, 1.0]])
+    h = np.array([0.7, -1.3, 0.4, 2.0])
+    pre = wdvv.vee_prepotential(rows, h)
+    np.testing.assert_array_equal(pre.predicates, rows)
+
+    def direct(x):
+        return sum(hp * (c @ x) ** 2 * math.log((c @ x) ** 2) for c, hp in zip(rows, h))
+
+    # |F| reaches a few hundred here, so the FD gaps are relative to the
+    # largest entry: second differences carry a roundoff of eps |F| / h^2
+    for x in sample_gapped_box(default_rng(5), 6, dim=3, predicates=rows, gap=0.2):
+        assert pre.value_at(x) == pytest.approx(direct(x), rel=1e-13)
+        hess, c = pre.hessian_at(x), pre.third_at(x)
+        assert np.max(np.abs(cc.fd_hessian(direct, x) - hess)) < 1e-7 * np.max(np.abs(hess))
+        assert np.max(np.abs(cc.fd_jacobian(pre.hessian, x) - c)) < 1e-7 * np.max(np.abs(c))
+    with pytest.raises(cc.SingularPointError):
+        pre.third_at([2.0, -1.0, 0.0])  # on the plane of the first row
