@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -626,63 +625,107 @@ def fd_check_tensor(k: TensorField11, p) -> float:
 # line integrals
 
 
-def assert_segment_regular(predicates: np.ndarray, u0, u1,
-                           margin: float = REGULARITY_MARGIN) -> None:
-    """Reject straight segments on which any predicate row changes sign or
-    enters the singular margin.
+def singular_segments(predicates: np.ndarray, u0, u1,
+                      margin: float = REGULARITY_MARGIN) -> np.ndarray:
+    """The (..., P) mask of predicate rows that change sign on, or enter the
+    singular margin along, the straight segments from ``u0`` to ``u1`` of
+    shape (..., dim).
 
     The test is exact: a linear form is smallest in absolute value at an
     endpoint of a segment unless it changes sign on it.
     """
-    u0 = np.asarray(u0, dtype=float)
-    u1 = np.asarray(u1, dtype=float)
-    v0, v1 = predicates @ u0, predicates @ u1
-    bad = (np.minimum(np.abs(v0), np.abs(v1)) < margin) | (v0 * v1 < 0.0)
+    v0, v1 = u0 @ predicates.T, u1 @ predicates.T
+    return (np.minimum(np.abs(v0), np.abs(v1)) < margin) | (v0 * v1 < 0.0)
+
+
+def assert_segment_regular(predicates: np.ndarray, u0, u1,
+                           margin: float = REGULARITY_MARGIN) -> None:
+    """Raise SingularSegmentError if a predicate row changes sign on, or
+    enters the singular margin along, any of the straight segments from
+    ``u0`` to ``u1`` of shape (..., dim); the message names the first
+    offending segment and row (:func:`singular_segments`)."""
+    u0, u1 = np.broadcast_arrays(np.asarray(u0, dtype=float), np.asarray(u1, dtype=float))
+    bad = singular_segments(predicates, u0, u1, margin)
     if bad.any():
+        i, k = divmod(int(np.argmax(bad.ravel())), len(predicates))
+        dim = u0.shape[-1]
         raise SingularSegmentError(
-            f"segment {u0} -> {u1} crosses the zero set of predicate #{int(np.argmax(bad))}"
+            f"segment #{i}, {u0.reshape(-1, dim)[i]} -> {u1.reshape(-1, dim)[i]}, "
+            f"crosses the zero set of predicate #{k}"
         )
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _gl_panel(f: Callable[[float], float], a: float, b: float) -> float:
+def _gl_estimates(omega: OneFormField, u0: np.ndarray, step: np.ndarray,
+                  a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """12-node Gauss-Legendre estimates of the integral of omega(u0 + t step)
+    (step) dt over the panels [a, b] of shape (P, k), where u0 and step are
+    the (P, dim) segments the panels lie on; one ``omega.coeff`` call."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(sum(w * f(mid + half * t) for t, w in zip(_GL_NODES, _GL_WEIGHTS)))
+    t = mid[..., None] + half[..., None] * _GL_NODES
+    points = u0[:, None, None, :] + t[..., None] * step[:, None, None, :]
+    f = np.einsum("...i,...i->...", np.asarray(omega.coeff(points), dtype=float),
+                  step[:, None, None, :])
+    # the nodes summed in sequence, so each panel is the same sum at any batch size
+    total = 0.0
+    for k, w in enumerate(_GL_WEIGHTS):
+        total = total + w * f[..., k]
+    return half * total
 
 
 def integrate_one_form(omega: OneFormField, u_from, u_to,
-                       tol: float = 1e-10, max_depth: int = 24) -> float:
-    """Line integral of omega along the straight segment, adaptive Gauss-Legendre.
+                       tol: float = 1e-10, max_depth: int = 24):
+    """Line integrals of omega along the straight segments from ``u_from`` to
+    ``u_to`` of shape (..., dim), by adaptive Gauss-Legendre: an array of
+    shape (...), one integral per segment (a float for one segment).
 
     Panels are bisected until the two-half refinement agrees with the single
     panel estimate to ``tol``.  A panel that has not converged at
-    ``max_depth`` (or whose estimate is NaN) makes the integral NaN, so an
-    unconverged integral cannot pass a tolerance check.
+    ``max_depth`` (or whose estimate is NaN) makes its segment's integral
+    NaN, so an unconverged integral cannot pass a tolerance check.  The
+    refinement runs breadth-first: each level evaluates both halves of every
+    open panel of every segment in one ``omega.coeff`` call (the first level
+    also the whole segment), and the accepted halves are summed bottom-up as
+    left + right, so a segment's integral does not depend on the others.
+    Every segment is checked first with :func:`assert_segment_regular`.
     """
-    u0 = np.asarray(u_from, dtype=float)
-    u1 = np.asarray(u_to, dtype=float)
-    if u0.shape != (omega.chart.dim,) or u1.shape != (omega.chart.dim,):
-        raise ChartMismatchError("segment endpoints do not match the chart dimension")
+    dim = omega.chart.dim
+    u0, u1 = np.broadcast_arrays(coords_of(u_from, dim), coords_of(u_to, dim))
+    shape = u0.shape[:-1]
+    u0, u1 = u0.reshape(-1, dim), u1.reshape(-1, dim)
     assert_segment_regular(omega.predicates, u0, u1)
-    direction = u1 - u0
-
-    def f(t: float) -> float:
-        return float(np.asarray(omega.coeff(u0 + t * direction), dtype=float) @ direction)
-
-    def adapt(a: float, b: float, whole: float, depth: int) -> float:
-        mid = 0.5 * (a + b)
-        left = _gl_panel(f, a, mid)
-        right = _gl_panel(f, mid, b)
-        err = abs(left + right - whole)
-        if err <= tol:
-            return left + right
-        if depth >= max_depth or err != err:
-            return math.nan
-        return adapt(a, mid, left, depth + 1) + adapt(mid, b, right, depth + 1)
-
-    return adapt(0.0, 1.0, _gl_panel(f, 0.0, 1.0), 0)
+    step = u1 - u0
+    seg = np.arange(len(u0))  # the segment of every open panel
+    lo, hi = np.zeros(len(u0)), np.ones(len(u0))
+    levels: list[tuple[np.ndarray, np.ndarray]] = []  # (value, split) of each depth's panels
+    for depth in itertools.count():
+        mid = 0.5 * (lo + hi)
+        if depth == 0:
+            est = _gl_estimates(omega, u0, step, np.stack([lo, lo, mid], -1),
+                                np.stack([hi, mid, hi], -1))
+            whole, halves = est[:, 0], est[:, 1:]
+        else:
+            halves = _gl_estimates(omega, u0[seg], step[seg], np.stack([lo, mid], -1),
+                                   np.stack([mid, hi], -1))
+        value = halves[:, 0] + halves[:, 1]
+        err = np.abs(value - whole)
+        accepted = err <= tol
+        split = ~accepted & ~np.isnan(err) & (depth < max_depth)
+        value[~accepted & ~split] = np.nan
+        levels.append((value, split))
+        if not split.any():
+            break
+        # the halves of every split panel become the open panels, left then right
+        seg = np.repeat(seg[split], 2)
+        lo, hi = (np.stack([lo[split], mid[split]], -1).ravel(),
+                  np.stack([mid[split], hi[split]], -1).ravel())
+        whole = halves[split].ravel()
+    # a split panel is the sum of its halves' values, deepest level first
+    for (value, split), (halves_value, _) in reversed(list(zip(levels, levels[1:]))):
+        value[split] = halves_value[0::2] + halves_value[1::2]
+    return levels[0][0].reshape(shape)[()]
 
 
 def pairwise_indices(dim: int):

@@ -563,11 +563,13 @@ def square_form_in_x(cx: LenardComplex, j: int, l: int) -> OneFormField:
     return OneFormField(X_CHART, coeff, jac, form.predicates @ hinv)
 
 
-def reconstruct_potential_entry(cx: LenardComplex, j: int, l: int, x_from, x_to) -> float:
-    """A_{jl}(x_to) - A_{jl}(x_from) by line integration of theta_{jl} in x.
+def reconstruct_potential_entry(cx: LenardComplex, j: int, l: int, x_from, x_to):
+    """A_{jl}(x_to) - A_{jl}(x_from) by line integration of theta_{jl} in x,
+    one value per straight segment of the (..., 3) endpoints, all segments in
+    one :func:`integrate_one_form` call.
 
-    The straight segment must stay clear of every singular locus; a sign
-    change of any regularity predicate along the path raises.
+    Every segment must stay clear of every singular locus; a sign change of
+    any regularity predicate along a path raises.
     """
     return integrate_one_form(square_form_in_x(cx, j, l), x_from, x_to)
 

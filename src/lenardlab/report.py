@@ -72,10 +72,23 @@ def render_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=2) + "\n"
 
 
+def _shape(value: list) -> str:
+    """The shape of a nested list, as ``[50 x 3]``."""
+    dims = []
+    while isinstance(value, list):
+        dims.append(len(value))
+        value = value[0] if value else None
+    return "[" + " x ".join(map(str, dims)) + "]"
+
+
 def render_text(doc: dict) -> str:
+    """The report for a reader: list-valued params appear as their shape,
+    the full values only in the JSON."""
     lines = [f"command: {doc['command']}"]
     for key in sorted(doc.get("params", {})):
-        lines.append(f"  {key} = {doc['params'][key]}")
+        value = doc["params"][key]
+        shown = f"{_shape(value)}, see --format json" if isinstance(value, list) else value
+        lines.append(f"  {key} = {shown}")
     width = max((len(c["name"]) for c in doc["conditions"]), default=0)
     for c in doc["conditions"]:
         status = "PASS" if c["pass"] else "FAIL"

@@ -12,12 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chartcore import (
-    REGULARITY_MARGIN,
-    SingularSegmentError,
-    assert_segment_regular,
-    predicate_rows,
-)
+from .chartcore import REGULARITY_MARGIN, predicate_rows, singular_segments
 
 DEFAULT_BOX = (0.5, 3.0)
 DEFAULT_GAP = 0.05
@@ -82,37 +77,45 @@ def sample_segments(rng: np.random.Generator, count: int,
                     to_ambient: Callable[[np.ndarray], np.ndarray] | None = None,
                     dim: int = 3, low: float = DEFAULT_BOX[0], high: float = DEFAULT_BOX[1],
                     gap: float = DEFAULT_GAP,
-                    max_tries: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Straight segments avoiding the singular loci.
+                    max_tries: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Straight segments avoiding the singular loci, as the (count, dim)
+    arrays of their start and end points.
 
     Both endpoints are drawn with the same descending coordinate order, which
     keeps every pairwise difference one-signed along the segment; the
-    predicate rows are then checked exactly along the whole path.
-    ``to_ambient`` optionally maps draws into the chart the predicates live on.
+    predicate rows are then checked exactly along the whole path
+    (:func:`~lenardlab.chartcore.singular_segments`).  ``to_ambient``
+    optionally maps draws of shape (..., dim) into the chart the predicates
+    live on.
+
+    Segments are drawn and rejected in blocks, as in
+    :func:`sample_gapped_box`, and the block that completes the count is
+    rewound, so the result and the generator's end state are those of
+    drawing one segment at a time.
     """
     rows = predicate_rows(predicates, dim)
     max_tries = max(10_000, 200 * count) if max_tries is None else max_tries
-    segments: list[tuple[np.ndarray, np.ndarray]] = []
-    tries = 0
-    while len(segments) < count:
-        tries += 1
-        if tries > max_tries:
-            raise SamplingExhaustedError(
-                f"found {len(segments)}/{count} regular segments after {max_tries} draws"
-            )
-        u0 = np.sort(rng.uniform(low, high, size=dim))[::-1]
-        u1 = np.sort(rng.uniform(low, high, size=dim))[::-1]
-        diffs0 = np.abs(np.diff(u0))
-        diffs1 = np.abs(np.diff(u1))
-        if np.min(diffs0) < gap or np.min(diffs1) < gap:
-            continue
-        if np.max(np.abs(u1 - u0)) < gap:  # avoid degenerate near-zero paths
-            continue
-        if to_ambient is not None:
-            u0, u1 = to_ambient(u0), to_ambient(u1)
-        try:
-            assert_segment_regular(rows, u0, u1)
-        except SingularSegmentError:
-            continue
-        segments.append((u0, u1))
-    return segments
+    parts: list[np.ndarray] = []
+    found = tries = 0
+    while found < count and tries < max_tries:
+        size = min(2 * (count - found), max_tries - tries)
+        state = rng.bit_generator.state
+        block = np.sort(rng.uniform(low, high, size=(size, 2, dim)), axis=-1)[..., ::-1]
+        ends = block if to_ambient is None else to_ambient(block)
+        regular = ((np.abs(np.diff(block, axis=-1)) >= gap).all(axis=(-2, -1))
+                   # avoid degenerate near-zero paths
+                   & (np.max(np.abs(block[:, 1] - block[:, 0]), axis=-1) >= gap)
+                   & ~singular_segments(rows, ends[:, 0], ends[:, 1]).any(axis=-1))
+        kept = np.flatnonzero(regular)[:count - found]
+        parts.append(ends[kept])
+        found += len(kept)
+        tries += size
+        if found == count:
+            rng.bit_generator.state = state
+            rng.bit_generator.advance(int(kept[-1] + 1) * 2 * dim)
+    if found < count:
+        raise SamplingExhaustedError(
+            f"found {found}/{count} regular segments after {max_tries} draws"
+        )
+    segments = np.concatenate([np.empty((0, 2, dim)), *parts])
+    return segments[:, 0], segments[:, 1]

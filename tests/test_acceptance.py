@@ -156,9 +156,9 @@ def test_criterion_4_potential_reconstruction(reference_complex):
     preds = [p for j in range(3) for l in range(j, 3)
              for p in eq.square_form_in_x(cx, j, l).predicates]
     segs = sample_segments(default_rng(SEED + 30), 10, predicates=preds,
-                           to_ambient=lambda a: h @ a)
+                           to_ambient=lambda a: a @ h)
     worst = 0.0
-    for x0, x1 in segs:
+    for x0, x1 in zip(*segs):
         dh = reference.hessian_at(x1) - reference.hessian_at(x0)
         for j in range(3):
             for l in range(j, 3):

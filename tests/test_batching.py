@@ -240,3 +240,16 @@ def test_check_regular_names_the_first_offending_point():
     cc.check_regular(rows, pts[:1])
     with pytest.raises(cc.SingularPointError, match=r"\[1\.5 1\.5 0\. ?\]"):
         cc.check_regular(rows, pts)
+
+
+# --- line integrals over a segment axis ------------------------------------------
+
+
+@pytest.mark.parametrize("segments,calls", [(1, 6), (40, 6), (300, 12)])
+def test_example3_integrates_each_square_entry_once_per_block_of_segments(
+        monkeypatch, tmp_path, segments, calls):
+    def run():
+        cli.main(["reproduce", "example3", "--points", "5", "--segments", str(segments),
+                  "--format", "json", "--out", str(tmp_path / "r.json")])
+
+    assert count_calls(monkeypatch, run, (eq, "integrate_one_form")) == calls

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lenardlab import chartcore as cc
+from lenardlab.sampling import default_rng, sample_segments
 
 CH3 = cc.Chart("u", 3)
 
@@ -290,13 +292,86 @@ def test_fd_checks_catch_wrong_jacobian():
 # --- line integrals ----------------------------------------------------------
 
 
+def components(*comps):
+    """Components stacked on a trailing axis, broadcast over the point axes."""
+    return np.stack(np.broadcast_arrays(*comps), axis=-1)
+
+
 def exact_form():
     # d(u0^2 u1): closed by construction
-    return cc.OneFormField(
-        CH3,
-        lambda u: np.array([2 * u[0] * u[1], u[0] ** 2, 0.0]),
-        lambda u: np.array([[2 * u[1], 2 * u[0], 0], [2 * u[0], 0, 0], [0, 0, 0.0]]),
-    )
+    def coeff(u):
+        u0, u1 = u[..., 0], u[..., 1]
+        return components(2 * u0 * u1, u0**2, 0.0)
+
+    def jac(u):
+        u0, u1, zero = u[..., 0], u[..., 1], 0.0 * u[..., 0]
+        return np.stack([components(2 * u1, 2 * u0, zero), components(2 * u0, zero, zero),
+                         components(zero, zero, zero)], axis=-2)
+
+    return cc.OneFormField(CH3, coeff, jac)
+
+
+def jump_form():
+    # a jump at u0 = 1/3 never lands on a bisection point of [0, 1]
+    return cc.OneFormField(CH3, lambda u: components(np.where(u[..., 0] > 1.0 / 3.0, 1.0, 0.0),
+                                                     0.0, 0.0),
+                           cc.constant_map(np.zeros((3, 3))))
+
+
+def guard_form():
+    # du0 / u0, singular on u0 = 0
+    def jac(u):
+        j = np.zeros(u.shape[:-1] + (3, 3))
+        j[..., 0, 0] = -1.0 / u[..., 0] ** 2
+        return j
+
+    return cc.OneFormField(CH3, lambda u: components(1.0 / u[..., 0], 0.0, 0.0), jac,
+                           [[1.0, 0.0, 0.0]])
+
+
+def log_potential(u):
+    return np.log(u[..., 0]) + 0.5 * np.log(u[..., 0] - u[..., 1]) + u[..., 1] * u[..., 2] ** 2
+
+
+def log_form():
+    """d(log_potential): poles on u0 = 0 and u0 = u1 make the rule refine near them."""
+    def coeff(u):
+        u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+        return components(1.0 / u0 + 0.5 / (u0 - u1), -0.5 / (u0 - u1) + u2**2, 2 * u1 * u2)
+
+    return cc.OneFormField(CH3, coeff, lambda u: cc.fd_jacobian(coeff, u),
+                           [[1.0, 0.0, 0.0], [1.0, -1.0, 0.0]])
+
+
+def log_segments(count=40, seed=5):
+    """Sampled segments clear of the poles of :func:`log_form`, some close to them."""
+    return sample_segments(default_rng(seed), count, predicates=log_form().predicates,
+                           low=0.05, high=3.0)
+
+
+def scalar_recursion(omega, u0, u1, tol=1e-10, max_depth=24):
+    """Independent oracle: the depth-first adaptive rule, one node per coeff call."""
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    direction = u1 - u0
+
+    def f(t):
+        return float(np.asarray(omega.coeff(u0 + t * direction), dtype=float) @ direction)
+
+    def panel(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return half * float(sum(w * f(mid + half * t) for t, w in zip(nodes, weights)))
+
+    def adapt(a, b, whole, depth):
+        mid = 0.5 * (a + b)
+        left, right = panel(a, mid), panel(mid, b)
+        err = abs(left + right - whole)
+        if err <= tol:
+            return left + right
+        if depth >= max_depth or err != err:
+            return math.nan
+        return adapt(a, mid, left, depth + 1) + adapt(mid, b, right, depth + 1)
+
+    return adapt(0.0, 1.0, panel(0.0, 1.0), 0)
 
 
 def test_integral_of_exact_form_is_potential_difference():
@@ -323,6 +398,50 @@ def test_path_independence_over_polygonal_paths():
     direct = cc.integrate_one_form(omega, a, b)
     detour = cc.integrate_one_form(omega, a, via) + cc.integrate_one_form(omega, via, b)
     assert direct == pytest.approx(detour, abs=1e-9)
+
+
+def test_batch_equals_each_segment_alone_in_either_order():
+    omega = log_form()
+    u0, u1 = log_segments()
+    batch = cc.integrate_one_form(omega, u0, u1)
+    assert batch.shape == (40,)
+    alone = [cc.integrate_one_form(omega, a, b) for a, b in zip(u0, u1)]
+    np.testing.assert_array_equal(batch, alone)
+    np.testing.assert_array_equal(cc.integrate_one_form(omega, u0[::-1], u1[::-1]), batch[::-1])
+    np.testing.assert_array_equal(
+        cc.integrate_one_form(omega, u0.reshape(5, 8, 3), u1.reshape(5, 8, 3)),
+        batch.reshape(5, 8))
+    assert np.max(np.abs(batch - (log_potential(u1) - log_potential(u0)))) < 1e-9
+    assert cc.integrate_one_form(omega, u0[:0], u1[:0]).shape == (0,)
+
+
+def test_batch_agrees_with_the_scalar_recursion():
+    omega = log_form()
+    u0, u1 = log_segments(seed=17)
+    batch = cc.integrate_one_form(omega, u0, u1)
+    oracle = np.array([scalar_recursion(omega, a, b) for a, b in zip(u0, u1)])
+    assert np.all(np.abs(batch - oracle) <= 2e-15 * np.abs(oracle))
+
+
+def test_one_coeff_call_per_refinement_level():
+    omega = log_form()
+    calls = []
+
+    def counted(u):
+        calls.append(1)
+        return omega.coeff(u)
+
+    counting = cc.OneFormField(CH3, counted, omega.jac, omega.predicates)
+    u0, u1 = log_segments()
+    cc.integrate_one_form(counting, u0, u1)
+    batch_calls = len(calls)
+    alone_calls = []
+    for a, b in zip(u0, u1):
+        calls.clear()
+        cc.integrate_one_form(counting, a, b)
+        alone_calls.append(len(calls))
+    # the first level evaluates the whole segment and both halves
+    assert batch_calls == max(alone_calls) > 1
 
 
 def dense_segment_verdict(rows, u0, u1, samples=1025) -> bool:
@@ -368,23 +487,34 @@ def test_segment_crossing_singular_locus_raises():
 
 
 def test_unconverged_integral_is_nan():
-    # a jump at u0 = 1/3 never lands on a bisection point, so refinement
-    # cannot meet the tolerance within four levels
-    omega = cc.OneFormField(
-        CH3, lambda u: np.array([1.0 if u[0] > 1.0 / 3.0 else 0.0, 0.0, 0.0]),
-        lambda u: np.zeros((3, 3)))
+    # the jump cannot meet the tolerance within four levels
     u0, u1 = np.zeros(3), np.array([1.0, 0.0, 0.0])
-    assert np.isnan(cc.integrate_one_form(omega, u0, u1, max_depth=4))
+    assert np.isnan(cc.integrate_one_form(jump_form(), u0, u1, max_depth=4))
     smooth = cc.integrate_one_form(exact_form(), u0 + 1.0, u1 + 1.0, max_depth=4)
     assert smooth == pytest.approx(2.0**2 - 1.0, abs=1e-10)
 
 
+def test_unconverged_segment_is_nan_only_in_its_own_slot():
+    # the jump at u0 = 1/3 lies inside the middle segment only
+    u0 = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [2.0, 1.0, 0.0]])
+    u1 = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.4, 1.0, 0.0]])
+    values = cc.integrate_one_form(jump_form(), u0, u1, max_depth=4)
+    assert np.isnan(values[1])
+    assert values[[0, 2]] == pytest.approx([0.5, -1.6], abs=1e-12)
+
+
 def test_integration_guard_rejects_singular_path():
-    omega = cc.OneFormField(
-        CH3, lambda u: np.array([1.0 / u[0], 0.0, 0.0]),
-        lambda u: np.diag([-1.0 / u[0] ** 2, 0, 0]), [[1.0, 0.0, 0.0]])
     with pytest.raises(cc.SingularSegmentError):
-        cc.integrate_one_form(omega, np.array([-1.0, 0, 0]), np.array([1.0, 0, 0]))
+        cc.integrate_one_form(guard_form(), np.array([-1.0, 0, 0]), np.array([1.0, 0, 0]))
+
+
+def test_integration_guard_names_the_crossing_segment_of_a_batch():
+    u0 = np.array([[1.0, 0, 0], [2.0, 0, 0], [-1.0, 0, 0], [0.5, 1, 0]])
+    u1 = np.array([[2.0, 0, 0], [3.0, 1, 0], [1.0, 0, 0], [-0.5, 0, 0]])
+    with pytest.raises(cc.SingularSegmentError, match=r"segment #2, \[-1\. +0\. +0\.\] ->"):
+        cc.integrate_one_form(guard_form(), u0, u1)
+    values = cc.integrate_one_form(guard_form(), u0[:2], u1[:2])
+    assert values == pytest.approx([np.log(2.0), np.log(1.5)], abs=1e-10)
 
 
 def test_pairwise_indices_covers_upper_triangle():

@@ -1,8 +1,11 @@
 import json
+import pathlib
 
 import pytest
 
 from lenardlab.cli import _FLOAT_OPTIONS, main
+
+REPORTS = pathlib.Path(__file__).resolve().parent.parent / "reports"
 
 
 def run(capsys, *argv):
@@ -273,3 +276,15 @@ def test_text_format_renders_status_lines(capsys):
     assert code == 0
     assert "overall: PASS" in out
     assert "torsion_identity" in out
+
+
+def test_text_format_summarizes_list_params_and_json_keeps_them(capsys):
+    argv = ("build-complex", "--alpha", "2", "--beta", "1", "--root", "1", "--points", "50",
+            "--seed", "7")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert max(len(line) for line in out.splitlines()) <= 200
+    assert "  sampled_points = [50 x 3], see --format json" in out.splitlines()
+    committed = (REPORTS / "complex_2_1_root1.json").read_text(encoding="utf-8")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and out == committed

@@ -499,7 +499,7 @@ def _segments(example3, count=5, seed=333):
     preds = [p for j in range(3) for l in range(j, 3)
              for p in eq.square_form_in_x(cx, j, l).predicates]
     return sample_segments(default_rng(seed), count, predicates=preds,
-                           to_ambient=lambda a: h @ a)
+                           to_ambient=lambda a: a @ h)
 
 
 def test_segment_sampler_propagates_predicate_errors():
@@ -510,7 +510,7 @@ def test_segment_sampler_propagates_predicate_errors():
 
 def test_reconstruction_matches_reference_hessian(example3):
     params, reference, cx = example3
-    for x0, x1 in _segments(example3):
+    for x0, x1 in zip(*_segments(example3)):
         dh = reference.hessian_at(x1) - reference.hessian_at(x0)
         for j in range(3):
             for l in range(j, 3):
@@ -518,9 +518,21 @@ def test_reconstruction_matches_reference_hessian(example3):
                 assert val == pytest.approx(dh[j, l], abs=1e-8)
 
 
+def test_reconstruction_batch_equals_each_segment_alone(example3):
+    _, _, cx = example3
+    x0, x1 = _segments(example3, count=40, seed=7)
+    for j in range(3):
+        for l in range(j, 3):
+            batch = eq.reconstruct_potential_entry(cx, j, l, x0, x1)
+            alone = [eq.reconstruct_potential_entry(cx, j, l, a, b) for a, b in zip(x0, x1)]
+            np.testing.assert_array_equal(batch, alone)
+            np.testing.assert_array_equal(
+                eq.reconstruct_potential_entry(cx, j, l, x0[::-1], x1[::-1]), batch[::-1])
+
+
 def test_reconstruction_loop_and_path_independence(example3):
     _, _, cx = example3
-    (x0, x1), (x2, _) = _segments(example3, count=2, seed=41)
+    (x0, x2), (x1, _) = _segments(example3, count=2, seed=41)
     loop = (eq.reconstruct_potential_entry(cx, 0, 1, x0, x1)
             + eq.reconstruct_potential_entry(cx, 0, 1, x1, x0))
     assert abs(loop) < 1e-9
