@@ -12,8 +12,9 @@ Conventions, fixed once for the whole package:
   points is one (N, dim) call and a single point is the () case of the same
   code.  Component shapes below are the trailing axes.
 * Regularity predicates are linear data: a field stores them as a (P, dim)
-  array C of covector rows, and u is regular iff |u . c| >= margin for every
-  row c.  Every singular locus in the package is such a hyperplane, so chart
+  array C of covector rows, and u is regular iff |u . c| >= REGULARITY_MARGIN
+  for every row c (:func:`singular_segments` is the one place that compares).
+  Every singular locus in the package is such a hyperplane, so chart
   changes act on the columns of C and unions of fields stack its rows.
 * A (1,1)-tensor field K is stored as a single matrix-valued map M(u).
   Row i of M is the covector image of the i-th coordinate differential,
@@ -98,8 +99,8 @@ def union_predicates(*row_sets: np.ndarray) -> np.ndarray:
     """The rows of every (P_i, dim) set, one row per direction up to sign.
 
     Of parallel rows the shortest is kept: it is the one that binds the
-    ``|u . c| >= margin`` test, so every verdict stays the same.  A zero row
-    is kept (once) and makes every point singular.
+    ``|u . c| >= REGULARITY_MARGIN`` test, so every verdict stays the same.
+    A zero row is kept (once) and makes every point singular.
     """
     rows = np.concatenate(row_sets)
     norms = np.linalg.norm(rows, axis=-1)
@@ -111,18 +112,30 @@ def union_predicates(*row_sets: np.ndarray) -> np.ndarray:
     return rows[~np.tril(apart <= 1e-12, -1).any(axis=-1)]
 
 
-def check_regular(predicates: np.ndarray, u: np.ndarray,
-                  margin: float = REGULARITY_MARGIN) -> None:
-    """Raise SingularPointError unless ``|u . c| >= margin`` for every row c
-    of the (P, dim) ``predicates`` at every point of ``u``; the message names
-    the first offending point."""
-    values = u @ predicates.T
-    bad = np.abs(values) < margin
+def singular_segments(predicates: np.ndarray, u0, u1) -> np.ndarray:
+    """The (..., P) mask of predicate rows c that change sign on, or reach
+    |u . c| < REGULARITY_MARGIN along, the straight segments from ``u0`` to
+    ``u1`` of shape (..., dim).
+
+    This is the package's one regularity rule: a point is the segment from
+    itself to itself.  The test is exact: a linear form is smallest in
+    absolute value at an endpoint of a segment unless it changes sign on it.
+    """
+    v0, v1 = u0 @ predicates.T, u1 @ predicates.T
+    return (np.minimum(np.abs(v0), np.abs(v1)) < REGULARITY_MARGIN) | (v0 * v1 < 0.0)
+
+
+def check_regular(predicates: np.ndarray, u: np.ndarray) -> None:
+    """Raise SingularPointError if a point of ``u`` is singular for a row of
+    the (P, dim) ``predicates``: :func:`singular_segments` of the point to
+    itself.  The message names the first offending point."""
+    bad = singular_segments(predicates, u, u)
     if bad.any():
         i, k = divmod(int(np.argmax(bad.ravel())), len(predicates))
+        values = (u @ predicates.T).reshape(-1, len(predicates))
         raise SingularPointError(
-            f"regularity predicate #{k} is {values.reshape(-1, len(predicates))[i, k]:.3e} "
-            f"at {u.reshape(-1, u.shape[-1])[i]} (margin {margin:g})"
+            f"regularity predicate #{k} is {values[i, k]:.3e} "
+            f"at {u.reshape(-1, u.shape[-1])[i]} (margin {REGULARITY_MARGIN:g})"
         )
 
 
@@ -604,8 +617,7 @@ def fd_hessian(fun: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
 def _fd_check(field, value: Callable[[np.ndarray], np.ndarray], p) -> float:
     """Worst gap between ``field.jac`` and the FD Jacobian of ``value`` over
     the points ``p``, from one ``fd_jacobian`` call."""
-    u = coords_of(p, field.chart.dim)
-    check_regular(field.predicates, u)
+    u = field._regular(p)
     return float(np.max(np.abs(fd_jacobian(value, u) - field.jac(u))))
 
 
@@ -625,27 +637,13 @@ def fd_check_tensor(k: TensorField11, p) -> float:
 # line integrals
 
 
-def singular_segments(predicates: np.ndarray, u0, u1,
-                      margin: float = REGULARITY_MARGIN) -> np.ndarray:
-    """The (..., P) mask of predicate rows that change sign on, or enter the
-    singular margin along, the straight segments from ``u0`` to ``u1`` of
-    shape (..., dim).
-
-    The test is exact: a linear form is smallest in absolute value at an
-    endpoint of a segment unless it changes sign on it.
-    """
-    v0, v1 = u0 @ predicates.T, u1 @ predicates.T
-    return (np.minimum(np.abs(v0), np.abs(v1)) < margin) | (v0 * v1 < 0.0)
-
-
-def assert_segment_regular(predicates: np.ndarray, u0, u1,
-                           margin: float = REGULARITY_MARGIN) -> None:
+def assert_segment_regular(predicates: np.ndarray, u0, u1) -> None:
     """Raise SingularSegmentError if a predicate row changes sign on, or
     enters the singular margin along, any of the straight segments from
     ``u0`` to ``u1`` of shape (..., dim); the message names the first
     offending segment and row (:func:`singular_segments`)."""
     u0, u1 = np.broadcast_arrays(np.asarray(u0, dtype=float), np.asarray(u1, dtype=float))
-    bad = singular_segments(predicates, u0, u1, margin)
+    bad = singular_segments(predicates, u0, u1)
     if bad.any():
         i, k = divmod(int(np.argmax(bad.ravel())), len(predicates))
         dim = u0.shape[-1]

@@ -7,11 +7,12 @@ S3-invariant quadratic A:
 
 with the one-form family defined in the A-chart,
 
-    dQ = sum_k sigma_k [ d(A1 + eta_k A2)/(A1 + eta_k A2)
-                         + d(A2 + eta_k A1)/(A2 + eta_k A1) ],
+    dQ = sigma1 [ 2 d(A1 + A2)/(A1 + A2) ]
+         + sigma2 [ d(A1 - A2)/(A1 - A2) + d(A2 - A1)/(A2 - A1) ],
     dP = sigma0 dA1/A1
-         + sum_k (sigma_k/eta_k) [ d(A1 + eta_k A2)/(...) + d(A1 + eta_k A3)/(...) ]
-         + sum_k (sigma_k eta_k) [ d(A2 + eta_k A1)/(...) + d(A3 + eta_k A1)/(...) ],
+         + 2 sigma1 [ d(A1 + A2)/(A1 + A2) + d(A1 + A3)/(A1 + A3) ]
+         - sigma2 [ d(A1 - A2)/(...) + d(A1 - A3)/(...)
+                    + d(A2 - A1)/(...) + d(A3 - A1)/(...) ],
 
 and everything converted to the a-chart, where the permutation action is the
 plain coordinate transposition (H commutes with it).  The recursion operators
@@ -21,22 +22,20 @@ are assembled row-wise from the completed square of forms
 
 and the scaling field X has a-components equal to the point itself.
 
-The free parameters obey two linear sum rules (fixing sigma1 and sigma0 from
-sigma2 for the m = 2 family with eta = (+1, -1)); the remaining nonlinear
-symmetry condition sigma23*(K3 dQ) = K3 dQ factors through the scalar
-Phi(alpha, beta, sigma2), whose roots give genuine complexes.
-
-Here m counts the one-form terms sigma_k; it is not the 1/m weight of the
-Veselov potential in ``wdvv``.  The (alpha, beta) = (2, 1) complex realizes
-the Veselov potential with 1/m = 1, scaled by 1/16: its Euler contraction
-with lambda = x is the inverse Hessian of A, [[3/4,-1/4,-1/4],...].
+The family is fixed by (alpha, beta, sigma2): two linear sum rules give
+sigma1 and sigma0, and the remaining nonlinear symmetry condition
+sigma23*(K3 dQ) = K3 dQ factors through the scalar Phi(alpha, beta, sigma2),
+whose roots give genuine complexes.  The (alpha, beta) = (2, 1) complex
+realizes the Veselov potential of ``wdvv`` with 1/m = 1, scaled by 1/16: its
+Euler contraction with lambda = x is the inverse Hessian of A,
+[[3/4,-1/4,-1/4],...].
 """
 
 from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -49,6 +48,7 @@ from .chartcore import (
     TensorField11,
     VectorFieldSpec,
     apply,
+    closure_residual,
     constant_map,
     coords_of,
     covector_apply,
@@ -141,7 +141,11 @@ class QuadraticInvariant:
 
 
 def solve_sigma_constraints(alpha: float, beta: float, sigma2: float) -> tuple[float, float]:
-    """Solve the two linear sum rules for (sigma1, sigma0), m = 2, eta = (+1, -1)."""
+    """Solve the two linear sum rules for (sigma1, sigma0):
+
+        2 (sigma1 + sigma2)            = beta / ((beta-alpha)(2 beta+alpha))
+        sigma0 + 4 sigma1 - 4 sigma2   = (alpha+beta) / ((alpha-beta)(2 beta+alpha))
+    """
     QuadraticInvariant(alpha, beta)  # validate
     sigma1 = beta / (2 * (beta - alpha) * (2 * beta + alpha)) - sigma2
     sigma0 = (alpha + beta) / ((alpha - beta) * (2 * beta + alpha)) - 4 * sigma1 + 4 * sigma2
@@ -150,47 +154,22 @@ def solve_sigma_constraints(alpha: float, beta: float, sigma2: float) -> tuple[f
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Parameters of the logarithmic family; the two sum rules are enforced.
-
-    Sum rules (for any m):
-        2 sum_k sigma_k                                = beta / ((beta-alpha)(2 beta+alpha))
-        sigma0 + 2 sum_k (sigma_k/eta_k + sigma_k eta_k) = (alpha+beta) / ((alpha-beta)(2 beta+alpha))
-    """
+    """The logarithmic family fixed by its quadratic invariant and sigma2;
+    sigma1 and sigma0 are derived by :func:`solve_sigma_constraints`."""
 
     quad: QuadraticInvariant
-    sigma0: float
-    sigmas: tuple[float, ...]
-    etas: tuple[float, ...]
+    sigma2: float
+    sigma1: float = field(init=False)
+    sigma0: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.sigmas) != len(self.etas):
-            raise ValueError("sigmas and etas must have equal length")
-        if any(e == 0 for e in self.etas):
-            raise DegenerateParametersError("every eta_k must be nonzero")
-        a, b = self.quad.alpha, self.quad.beta
-        rhs_c = b / ((b - a) * (2 * b + a))
-        rhs_d = (a + b) / ((a - b) * (2 * b + a))
-        lhs_c = 2 * sum(self.sigmas)
-        lhs_d = self.sigma0 + 2 * sum(s / e + s * e for s, e in zip(self.sigmas, self.etas))
-        tol = 1e-10 * max(1.0, abs(self.sigma0), *map(abs, self.sigmas))
-        if abs(lhs_c - rhs_c) > tol or abs(lhs_d - rhs_d) > tol:
-            raise ValueError(
-                f"parameters violate the sum rules: "
-                f"{lhs_c:.12g} vs {rhs_c:.12g}, {lhs_d:.12g} vs {rhs_d:.12g}"
-            )
+        sigma1, sigma0 = solve_sigma_constraints(self.quad.alpha, self.quad.beta, self.sigma2)
+        object.__setattr__(self, "sigma1", sigma1)
+        object.__setattr__(self, "sigma0", sigma0)
 
     @classmethod
     def solve(cls, alpha: float, beta: float, sigma2: float) -> "FamilyParams":
-        sigma1, sigma0 = solve_sigma_constraints(alpha, beta, sigma2)
-        return cls(QuadraticInvariant(alpha, beta), sigma0, (sigma1, sigma2), (1.0, -1.0))
-
-    @property
-    def sigma1(self) -> float:
-        return self.sigmas[0]
-
-    @property
-    def sigma2(self) -> float:
-        return self.sigmas[1]
+        return cls(QuadraticInvariant(alpha, beta), sigma2)
 
 
 def _phi_factor_terms(alpha: float, beta: float, sigma2: float) -> tuple[tuple[float, ...], ...]:
@@ -270,21 +249,20 @@ def _log_form(quad: QuadraticInvariant, terms: Sequence[tuple[float, np.ndarray]
 
 
 def build_dQ(params: FamilyParams) -> OneFormField:
-    terms = []
-    for s, e in zip(params.sigmas, params.etas):
-        terms.append((s, [1.0, e, 0.0]))
-        terms.append((s, [e, 1.0, 0.0]))
-    return _log_form(params.quad, terms)
+    s1, s2 = params.sigma1, params.sigma2
+    return _log_form(params.quad, [(s1, [1.0, 1.0, 0.0]), (s1, [1.0, 1.0, 0.0]),
+                                   (s2, [1.0, -1.0, 0.0]), (s2, [-1.0, 1.0, 0.0])])
 
 
 def build_dP(params: FamilyParams) -> OneFormField:
-    terms = [(params.sigma0, [1.0, 0.0, 0.0])]
-    for s, e in zip(params.sigmas, params.etas):
-        terms.append((s / e, [1.0, e, 0.0]))
-        terms.append((s / e, [1.0, 0.0, e]))
-        terms.append((s * e, [e, 1.0, 0.0]))
-        terms.append((s * e, [e, 0.0, 1.0]))
-    return _log_form(params.quad, terms)
+    s1, s2 = params.sigma1, params.sigma2
+    return _log_form(params.quad, [
+        (params.sigma0, [1.0, 0.0, 0.0]),
+        (s1, [1.0, 1.0, 0.0]), (s1, [1.0, 0.0, 1.0]),
+        (s1, [1.0, 1.0, 0.0]), (s1, [1.0, 0.0, 1.0]),
+        (-s2, [1.0, -1.0, 0.0]), (-s2, [1.0, 0.0, -1.0]),
+        (-s2, [-1.0, 1.0, 0.0]), (-s2, [-1.0, 0.0, 1.0]),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +458,10 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
     """Check every defining identity of the complex at the given points.
 
     Every condition reads the operator matrices at the (N, 3) batch a and at
-    sigma(a) for the three transpositions, and the Jacobians of the operators
-    and square forms, dA and X at a, each evaluated once; the FD check makes
-    its own calls.  Row l of K_j is theta_{jl}, so this is the only check of
+    sigma(a) for the three transpositions, and the Jacobians of the
+    operators, dA and X at a, each evaluated once; the FD check makes its own
+    calls.  Row l of K_j is theta_{jl}, so the operators' Jacobians are those
+    of the square forms (``square_closure``), and this is the only check of
     the square's symmetries (``square_equivariance``, ``symmetry_constraint``).
     The WDVV residual of the square reads 1.0 at a point with no x-chart
     (``chain_of_vector_fields`` above TOL_ANALYTIC) or a refused pivot.
@@ -490,7 +469,6 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
     """
     pts = point_batch(points, 3)
     hinv = cx.quad.hessian_inverse()
-    forms = list(cx.square.named_forms().values())
     eye = np.eye(3)
 
     def gap(x: np.ndarray, y: np.ndarray) -> float:
@@ -503,6 +481,9 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
         big_a = cx.dA.coeff_at(a)
         x = cx.X.comp_at(a)
         chain_defect = _chain_defect(mats, x, hinv)
+        yield "square_closure", closure_residual(cx.dA, a)
+        for jm in jacs:  # jm[..., l, :, :] is the Jacobian of theta_{jl}
+            yield "square_closure", gap(jm, np.swapaxes(jm, -1, -2))
         for j in range(3):
             yield "chain_of_forms", gap(covector_apply(big_a, mats[j]), eye[j])
         yield "chain_of_vector_fields", float(np.max(chain_defect))
@@ -537,7 +518,7 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
             yield "jacobian_fd_agreement", fd_check_tensor(k, a)
         yield "jacobian_fd_agreement", fd_check_vector_field(cx.X, a)
 
-    worst = lenard_residuals(cx.operators, cx.X, forms, pts, extras)
+    worst = lenard_residuals(cx.operators, cx.X, (), pts, extras)
     tols = {"jacobian_fd_agreement": tol_fd, "wdvv_commutation_from_square": 1e-8}
     report = VerificationReport()
     for name in _CONDITIONS:

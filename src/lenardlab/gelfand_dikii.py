@@ -28,7 +28,6 @@ import numpy as np
 
 from .chartcore import (
     Chart,
-    REGULARITY_MARGIN,
     OneFormField,
     ScalarField,
     TensorField11,
@@ -51,6 +50,10 @@ from .chartcore import (
 from .report import VerificationReport
 
 W_CHART = Chart("w", 3)
+
+# chain_independence reports the shortfall of |det| of the chain forms below this
+# floor; it is not the regularity margin, so the regularity rule cannot move it
+CHAIN_DET_FLOOR = 1e-3
 
 
 def gd_operator() -> TensorField11:
@@ -82,7 +85,6 @@ class GDComplex:
     operators: tuple[TensorField11, TensorField11, TensorField11]
     dA: OneFormField
     X: VectorFieldSpec
-    scalar: ScalarField
 
 
 def gd_complex() -> GDComplex:
@@ -92,7 +94,6 @@ def gd_complex() -> GDComplex:
         operators=(identity_tensor(W_CHART), k, k3),
         dA=constant_form(W_CHART, [0.0, 0.0, 1.0]),
         X=coordinate_vector_field(W_CHART, 0),
-        scalar=gd_scalar(),
     )
 
 
@@ -152,10 +153,10 @@ def verify_gd_complex(points: Sequence, tol: float = 1e-8,
             yield "jacobian_fd_agreement", fd_check_one_form(f, w)
         for k in cx.operators:
             yield "jacobian_fd_agreement", fd_check_tensor(k, w)
-        # chain independence is reported per point, not assumed: the shortfall of
-        # |det| below the regularity margin (here det = -8 identically)
+        # chain independence is reported per point, not assumed (here det = -8
+        # identically)
         det = np.abs(np.linalg.det(np.stack([f.coeff_at(w) for f in chain], axis=-2)))
-        yield "chain_independence", float(np.max(np.maximum(0.0, REGULARITY_MARGIN - det)))
+        yield "chain_independence", float(np.max(np.maximum(0.0, CHAIN_DET_FLOOR - det)))
 
     worst = lenard_residuals(cx.operators, cx.X, square, pts, extras)
     report = VerificationReport()

@@ -478,6 +478,36 @@ def test_exact_segment_check_agrees_with_dense_sampling(rows, u0, u1):
     assert regular == dense_segment_verdict(rows, u0, u1)
 
 
+AT_MARGIN = cc.REGULARITY_MARGIN
+INSIDE_MARGIN = np.nextafter(cc.REGULARITY_MARGIN, 0.0)
+
+
+@settings(max_examples=200)
+@given(rows=int_rows, u=st.lists(grid_points, min_size=1, max_size=4).map(np.array))
+@example(rows=np.array([[1.0, 0.0, 0.0]]), u=np.array([[AT_MARGIN, 1.0, 2.0]]))
+@example(rows=np.array([[1.0, 0.0, 0.0]]), u=np.array([[-INSIDE_MARGIN, 1.0, 2.0]]))
+def test_check_regular_raises_exactly_where_a_point_is_a_singular_segment(rows, u):
+    try:
+        cc.check_regular(rows, u)
+        regular = True
+    except cc.SingularPointError:
+        regular = False
+    assert regular == (not cc.singular_segments(rows, u, u).any())
+
+
+@pytest.mark.parametrize("value, singular", [(AT_MARGIN, False), (-AT_MARGIN, False),
+                                             (INSIDE_MARGIN, True), (-INSIDE_MARGIN, True)])
+def test_a_point_at_the_margin_is_regular_and_just_inside_it_singular(value, singular):
+    rows = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.0]])
+    u = np.array([value, 2.0, 1.0])
+    assert cc.singular_segments(rows, u, u).tolist() == [False, singular]
+    if singular:
+        with pytest.raises(cc.SingularPointError, match="predicate #1"):
+            cc.check_regular(rows, u)
+    else:
+        cc.check_regular(rows, u)
+
+
 def test_segment_crossing_singular_locus_raises():
     rows = np.array([[1.0, -1.0, 0.0]])  # u0 - u1
     with pytest.raises(cc.SingularSegmentError):

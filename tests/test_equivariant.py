@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lenardlab import chartcore as cc
@@ -77,12 +77,21 @@ def test_sigma_constraints_beta_zero():
     assert sigma1 == pytest.approx(-0.3)
 
 
-def test_family_params_reject_broken_sum_rules():
-    quad = eq.QuadraticInvariant(2.0, 1.0)
-    with pytest.raises(ValueError, match="sum rules"):
-        eq.FamilyParams(quad, 0.25, (0.1, -0.125), (1.0, -1.0))
-    with pytest.raises(eq.DegenerateParametersError):
-        eq.FamilyParams(quad, 0.25, (0.0, -0.125), (1.0, 0.0))
+@settings(max_examples=200)
+@given(alpha=st.floats(-10, 10), beta=st.floats(-10, 10), sigma2=st.floats(-10, 10))
+@example(alpha=-2.0000001, beta=1.0, sigma2=0.0)  # 2 beta + alpha = -1e-7
+@example(alpha=-2.0000001, beta=1.0, sigma2=-3.5)
+def test_family_params_derive_sigmas_that_satisfy_both_sum_rules(alpha, beta, sigma2):
+    try:
+        params = eq.FamilyParams.solve(alpha, beta, sigma2)
+    except eq.DegenerateParametersError:
+        assume(False)
+    s0, s1, s2 = params.sigma0, params.sigma1, params.sigma2
+    tol = 1e-12 * max(1.0, abs(s0), abs(s1), abs(s2))
+    # the sum rules of the family's two terms, eta = +1 (sigma1) and -1 (sigma2)
+    assert abs(2 * (s1 + s2) - beta / ((beta - alpha) * (2 * beta + alpha))) <= tol
+    assert abs(s0 + 4 * s1 - 4 * s2
+               - (alpha + beta) / ((alpha - beta) * (2 * beta + alpha))) <= tol
 
 
 def test_phi_and_psi_reference_values():
@@ -135,7 +144,8 @@ def test_dQ_reference_family_closed_form(example3, sample_a):
 
 
 def test_dQ_vanishes_for_zero_sigmas():
-    params = eq.FamilyParams(eq.QuadraticInvariant(1.0, 0.0), 1.0, (0.0, 0.0), (1.0, -1.0))
+    params = eq.FamilyParams.solve(1.0, 0.0, 0.0)
+    assert (params.sigma0, params.sigma1, params.sigma2) == (1.0, 0.0, 0.0)
     dQ = eq.build_dQ(params)
     assert np.allclose(dQ.coeff_at([0.5, 1.5, 2.5]), 0.0)
 

@@ -18,7 +18,7 @@ from lenardlab.sampling import (
 from lenardlab.wdvv import VeselovPotential, veselov_prepotential
 
 
-def one_draw_at_a_time(rng, count, dim, low, high, gap, predicates, margin, max_tries):
+def one_draw_at_a_time(rng, count, dim, low, high, gap, predicates, max_tries):
     """The reference: draw one point per try and test it on its own."""
     rows = np.asarray(predicates, dtype=float).reshape(-1, dim)
     out, tries = [], 0
@@ -31,7 +31,7 @@ def one_draw_at_a_time(rng, count, dim, low, high, gap, predicates, margin, max_
         diffs = np.abs(u[:, None] - u[None, :])[np.triu_indices(dim, 1)]
         if diffs.size and np.min(diffs) < gap:
             continue
-        if (np.abs(rows @ u) < margin).any():
+        if (np.abs(rows @ u) < REGULARITY_MARGIN).any():
             continue
         out.append(u)
     return np.array(out)
@@ -52,20 +52,22 @@ def sampler_args(draw):
     dim = draw(st.integers(2, 5))
     rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
                          max_size=4))
+    # |u . c| < m is |u . (c * 1e-3 / m)| < 1e-3: rows scaled so, the margin
+    # of 1e-3 rejects as a margin m would
+    margin = draw(st.sampled_from((1e-3, 0.05, 0.5)))
     return {
         "count": draw(st.integers(1, 60)),
         "dim": dim,
         "low": 0.5,
         "high": 3.0,
         "gap": draw(st.sampled_from((0.0, 0.05, 0.3, 0.7))),
-        "predicates": np.array(rows, dtype=float).reshape(-1, dim),
-        "margin": draw(st.sampled_from((1e-3, 0.05, 0.5))),
+        "predicates": np.array(rows, dtype=float).reshape(-1, dim) * (REGULARITY_MARGIN / margin),
         "max_tries": draw(st.integers(1, 400)),
     }
 
 
 ZERO_ROW = {"count": 5, "dim": 3, "low": 0.5, "high": 3.0, "gap": 0.05,
-            "predicates": np.zeros((1, 3)), "margin": 1e-3, "max_tries": 50}
+            "predicates": np.zeros((1, 3)), "max_tries": 50}
 
 
 @settings(max_examples=150, deadline=None)
@@ -93,8 +95,7 @@ def test_default_budget_grows_with_the_count():
     # about 88 % of these draws are regular, so 20 000 points take about
     # 22 700 draws; a fixed budget of 10 000 draws stopped at 8844 points
     args = {"count": 20_000, "dim": 3, "low": 0.5, "high": 3.0, "gap": 0.05,
-            "predicates": veselov_prepotential(VeselovPotential(3, 2.0)).predicates,
-            "margin": 1e-3}
+            "predicates": veselov_prepotential(VeselovPotential(3, 2.0)).predicates}
     points, state = outcome(sample_gapped_box, 42, **args)
     expected, expected_state = outcome(one_draw_at_a_time, 42, **args, max_tries=10**6)
     np.testing.assert_array_equal(points, expected)
