@@ -26,6 +26,12 @@ Conventions, fixed once for the whole package:
   d M[i, j] / d u_d.
 * Nijenhuis torsion: N_K(X, Y) = K^2 [X, Y] + [KX, KY] - K[KX, Y] - K[X, KY].
 * Wedge of one-forms on basis pairs: (a ^ b)[i, j] = a_i b_j - a_j b_i.
+* Contractions over the point axis: a product with a matrix or a Jacobian
+  cube on both sides (torsion, product-rule Jacobians) is a batched ``@``,
+  one gemm per point after :func:`matmul_first` or :func:`matmul_last`
+  flattens two axes of the cube; a matrix times a vector (:func:`apply`,
+  :func:`covector_apply`) is an ``einsum``, which is faster for it.  Either
+  way a batch equals the stack of its points bit for bit.
 
 The ``*_residual`` helpers return the worst value over all points given.
 With these conventions the contraction df(N_K) for the quadratic
@@ -345,6 +351,22 @@ def nan_max(values: Iterable[float]) -> float:
     return float(functools.reduce(_nan_max2, values))
 
 
+def matmul_first(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """out[..., a, i, j] = sum_b m[..., a, b] t[..., b, i, j] at every point,
+    (..., k, p) x (..., p, q, r) -> (..., k, q, r): one gemm per point, on t
+    with its last two axes flattened."""
+    out = m @ t.reshape(t.shape[:-2] + (-1,))
+    return out.reshape(out.shape[:-1] + t.shape[-2:])
+
+
+def matmul_last(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """out[..., a, i, j] = sum_c t[..., a, i, c] m[..., c, j] at every point,
+    (..., p, q, r) x (..., r, s) -> (..., p, q, s): one gemm per point, on t
+    with its first two axes flattened."""
+    out = t.reshape(t.shape[:-3] + (-1, t.shape[-1])) @ m
+    return out.reshape(out.shape[:-2] + t.shape[-3:-1] + m.shape[-1:])
+
+
 def apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix times vector at every point: (..., i, j) x (..., j) -> (..., i).
 
@@ -380,6 +402,24 @@ def lie_bracket_residual(x: VectorFieldSpec, y: VectorFieldSpec, p) -> float:
     return float(np.max(np.abs(_bracket(x.comp_at(p), x.jac_at(p), y.comp_at(p), y.jac_at(p)))))
 
 
+def _covector_image_jac(th: np.ndarray, jth: np.ndarray, m: np.ndarray,
+                        jm: np.ndarray) -> np.ndarray:
+    """d(theta M)[m, d] = sum_i dtheta[i, d] M[i, m] + theta[i] dM[i, m, d]."""
+    return np.swapaxes(m, -1, -2) @ jth + matmul_first(th[..., None, :], jm)[..., 0, :, :]
+
+
+def _vector_image_jac(m: np.ndarray, jm: np.ndarray, x: np.ndarray,
+                      dx: np.ndarray) -> np.ndarray:
+    """d(M X)[i, d] = sum_b dM[i, b, d] X[b] + M[i, b] dX[b, d]."""
+    return matmul_first(x[..., None, :], np.swapaxes(jm, -3, -2))[..., 0, :, :] + m @ dx
+
+
+def _compose_jac(mk: np.ndarray, ml: np.ndarray, jk: np.ndarray, jl: np.ndarray) -> np.ndarray:
+    """d(M_K M_L)[i, j, d] = sum_b dM_K[i, b, d] M_L[b, j] + M_K[i, b] dM_L[b, j, d];
+    the first sum is taken on dM_K's [i, d, b] layout."""
+    return np.swapaxes(matmul_last(np.swapaxes(jk, -1, -2), ml), -1, -2) + matmul_first(mk, jl)
+
+
 def covector_image(k: TensorField11, omega: OneFormField) -> OneFormField:
     """The one-form K(omega), with analytic Jacobian by the product rule."""
     chart = _same_chart(k, omega)
@@ -393,7 +433,7 @@ def covector_image(k: TensorField11, omega: OneFormField) -> OneFormField:
         jth = np.asarray(omega.jac(u), dtype=float)
         m = np.asarray(k.mat(u), dtype=float)
         jm = np.asarray(k.jac(u), dtype=float)
-        return np.einsum("...id,...im->...md", jth, m) + np.einsum("...i,...imd->...md", th, jm)
+        return _covector_image_jac(th, jth, m, jm)
 
     return OneFormField(chart, coeff, jac, union_predicates(k.predicates, omega.predicates))
 
@@ -408,7 +448,7 @@ def tensor_compose(k: TensorField11, l: TensorField11) -> TensorField11:
     def jac(u: np.ndarray) -> np.ndarray:
         mk, ml = np.asarray(k.mat(u), dtype=float), np.asarray(l.mat(u), dtype=float)
         jk, jl = np.asarray(k.jac(u), dtype=float), np.asarray(l.jac(u), dtype=float)
-        return np.einsum("...ibd,...bj->...ijd", jk, ml) + np.einsum("...ib,...bjd->...ijd", mk, jl)
+        return _compose_jac(mk, ml, jk, jl)
 
     return TensorField11(chart, mat, jac, union_predicates(k.predicates, l.predicates))
 
@@ -433,22 +473,21 @@ def tensor_add_scalar_identity(k: TensorField11, f: ScalarField) -> TensorField1
 
 
 def _nijenhuis(m: np.ndarray, j: np.ndarray) -> np.ndarray:
-    t1 = np.einsum("...bi,...ajb->...aij", m, j)
-    t2 = np.einsum("...bj,...aib->...aij", m, j)
-    t3 = np.einsum("...ab,...bji->...aij", m, j)
-    t4 = np.einsum("...ab,...bij->...aij", m, j)
-    return t1 - t2 - t3 + t4
+    """N[a, i, j] = r[a, i, j] - r[a, j, i] with r[a, i, j] = sum_b M[a, b] dM[b, i, j]
+    - dM[a, i, b] M[b, j]: two gemms per point."""
+    r = matmul_first(m, j) - matmul_last(j, m)
+    return r - np.swapaxes(r, -1, -2)
 
 
 def _haantjes(m: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """H[a, i, j] from N and the antisymmetry of N in (i, j): with
+    nm[a, i, j] = N(e_i, K e_j)^a, N(K e_i, e_j) + N(e_i, K e_j) = nm - nm^T, and
+    N(K e_i, K e_j) is sum_b nm[a, b, j] M[b, i]."""
     n = _nijenhuis(m, j)
-    m2 = m @ m
-    return (
-        np.einsum("...ab,...bij->...aij", m2, n)
-        + np.einsum("...abc,...bi,...cj->...aij", n, m, m)
-        - np.einsum("...ab,...bcj,...ci->...aij", m, n, m)
-        - np.einsum("...ab,...bic,...cj->...aij", m, n, m)
-    )
+    nm = matmul_last(n, m)
+    nt = np.swapaxes(nm, -1, -2)
+    return (matmul_first(m @ m, n) + np.swapaxes(matmul_last(nt, m), -1, -2)
+            - matmul_first(m, nm - nt))
 
 
 def nijenhuis_tensor(k: TensorField11, p) -> np.ndarray:
@@ -515,7 +554,7 @@ def lenard_residuals(operators: Sequence[TensorField11], X: VectorFieldSpec,
     x, dx = X.comp_at(points), X.jac_at(points)
     # the chain fields K_j X and their Jacobians, by the product rule
     kx = [apply(m, x) for m in mats]
-    dkx = [np.einsum("...ibd,...b->...id", jm, x) + m @ dx for m, jm in zip(mats, jacs)]
+    dkx = [_vector_image_jac(m, jm, x, dx) for m, jm in zip(mats, jacs)]
 
     def shared() -> Iterator[tuple[str, float]]:
         for j, l in pairwise_indices(len(operators)):

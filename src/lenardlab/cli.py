@@ -39,6 +39,7 @@ from .report import VerificationReport, render_json, render_text
 from .sampling import SamplingExhaustedError, default_rng, sample_box, sample_gapped_box, sample_segments
 from .wdvv import (
     QUARTER_X,
+    InvalidPotentialError,
     Prepotential,
     SingularSliceError,
     VeselovPotential,
@@ -54,6 +55,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+class UsageError(ValueError):
+    """A command line the CLI rejects: an option that is out of range or does
+    not apply, or an unwritable --out."""
+
+
 def _emit(doc: dict, args: argparse.Namespace) -> None:
     text = render_json(doc) if args.fmt == "json" else render_text(doc)
     if not args.out:
@@ -63,7 +69,7 @@ def _emit(doc: dict, args: argparse.Namespace) -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
+        raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from None
 
 
 def _potential(name: str, n: int | None, m: float | None) -> tuple[Prepotential, dict]:
@@ -72,7 +78,7 @@ def _potential(name: str, n: int | None, m: float | None) -> tuple[Prepotential,
         return veselov_prepotential(VeselovPotential(n, m)), {"potential": name, "n": n, "m": m}
     for flag, value in (("--n", n), ("--m", m)):
         if value is not None:
-            raise ValueError(f"{flag} does not apply to --potential {name}")
+            raise UsageError(f"{flag} does not apply to --potential {name}")
     return eq.example3_fixture()[1], {"potential": name, "n": 3, "m": 1.0, "scale": 1.0 / 16.0}
 
 
@@ -141,7 +147,7 @@ def cmd_build_complex(args: argparse.Namespace) -> int:
 def _reproduce_example3(args: argparse.Namespace) -> int:
     segments = 10 if args.segments is None else args.segments
     if segments <= 0:
-        raise ValueError(f"--segments must be positive, got {segments}")
+        raise UsageError(f"--segments must be positive, got {segments}")
     params, reference = eq.example3_fixture()
     cx = eq.assemble_complex(params)
     rng = default_rng(args.seed)
@@ -193,7 +199,7 @@ def _reproduce_example3(args: argparse.Namespace) -> int:
 
 def _reproduce_gd(args: argparse.Namespace) -> int:
     if args.segments is not None:
-        raise ValueError("--segments does not apply to reproduce gd")
+        raise UsageError("--segments does not apply to reproduce gd")
     rng = default_rng(args.seed)
     pts = sample_box(rng, args.points, 3, -2.0, 2.0)
     report = gd.verify_gd_complex(pts, tol=args.tol_analytic, tol_fd=args.tol_fd)
@@ -275,7 +281,7 @@ def _check_finite(args: argparse.Namespace) -> None:
     for flag in _FLOAT_OPTIONS:
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None and not math.isfinite(value):
-            raise ValueError(f"{flag} must be a finite number, got {value}")
+            raise UsageError(f"{flag} must be a finite number, got {value}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -284,9 +290,9 @@ def main(argv: list[str] | None = None) -> int:
             _attach_float_values(sys.argv[1:] if argv is None else argv))
         _check_finite(args)
         if args.points <= 0 or not (args.tol_analytic > 0 and args.tol_fd > 0):
-            raise ValueError("point count and tolerances must be positive")
+            raise UsageError("point count and tolerances must be positive")
         if args.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
+            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         if args.command == "verify-wdvv":
             return cmd_verify_wdvv(args)
         if args.command == "build-complex":
@@ -298,7 +304,8 @@ def main(argv: list[str] | None = None) -> int:
         # admissible input that the checker cannot verify: a failure, not bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:
+    except (UsageError, eq.DegenerateParametersError, InvalidPotentialError) as exc:
+        # bad input only: any other ValueError is a bug and keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

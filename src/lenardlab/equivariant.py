@@ -58,6 +58,8 @@ from .chartcore import (
     fd_check_vector_field,
     integrate_one_form,
     lenard_residuals,
+    matmul_first,
+    matmul_last,
     point_batch,
     pullback,
     union_predicates,
@@ -390,10 +392,10 @@ def third_tensor_from_square(ops: np.ndarray, hinv: np.ndarray) -> np.ndarray:
 def third_tensor_from_chain(ops: np.ndarray, big_a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """c[..., j, l, m] = dA(K_j K_l K_m X) from the operator stack, dA and X at
     the same points; totally symmetric for a genuine complex."""
-    kx = np.einsum("...mcd,...d->...mc", ops, x)          # K_m X
-    kkx = np.einsum("...lbc,...mc->...lmb", ops, kx)      # K_l K_m X
-    kkkx = np.einsum("...jab,...lmb->...jlma", ops, kkx)  # K_j K_l K_m X
-    return np.einsum("...a,...jlma->...jlm", big_a, kkkx)
+    kx = matmul_last(ops, x[..., :, None])[..., 0]   # [m, c]: K_m X
+    kkx = matmul_last(ops, np.swapaxes(kx, -1, -2))  # [l, b, m]: K_l K_m X
+    ka = covector_apply(big_a[..., None, :], ops)    # [j, b]: K_j dA
+    return matmul_first(ka, np.swapaxes(kkx, -3, -2))
 
 
 def _symmetry_defect(c: np.ndarray) -> np.ndarray:

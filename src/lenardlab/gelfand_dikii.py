@@ -21,6 +21,7 @@ Haantjes torsion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -56,6 +57,7 @@ W_CHART = Chart("w", 3)
 CHAIN_DET_FLOOR = 1e-3
 
 
+@functools.cache
 def gd_operator() -> TensorField11:
     """The recursion operator; row i is the covector image of dw_i."""
 
@@ -87,6 +89,7 @@ class GDComplex:
     X: VectorFieldSpec
 
 
+@functools.cache
 def gd_complex() -> GDComplex:
     k = gd_operator()
     k3 = tensor_add_scalar_identity(tensor_compose(k, k), gd_scalar())
@@ -116,6 +119,7 @@ def square_form(cx: GDComplex, j: int, l: int) -> OneFormField:
     return covector_image(cx.operators[j], chain_form(cx, l))
 
 
+@functools.cache
 def naive_power_form(k_power: int) -> OneFormField:
     """K^k dw2 for the uncorrected power chain; not closed from k = 3 on."""
     k = gd_operator()
@@ -123,6 +127,16 @@ def naive_power_form(k_power: int) -> OneFormField:
     for _ in range(k_power):
         form = covector_image(k, form)
     return form
+
+
+@functools.cache
+def _chain_and_square_forms() -> tuple[tuple[OneFormField, ...], tuple[OneFormField, ...]]:
+    """The chain forms theta_j and the square forms theta_jl (j <= l) of the
+    complex.  Like the operator, the complex and the power forms, they are
+    built once per process: they depend on no input."""
+    cx = gd_complex()
+    return (tuple(chain_form(cx, j) for j in range(3)),
+            tuple(square_form(cx, j, l) for j in range(3) for l in range(j, 3)))
 
 
 # verify_gd_complex's conditions in report order; chain independence follows
@@ -139,8 +153,7 @@ def verify_gd_complex(points: Sequence, tol: float = 1e-8,
     each field evaluated once over the whole (N, 3) batch of points."""
     pts = point_batch(points, 3)
     cx = gd_complex()
-    chain = [chain_form(cx, j) for j in range(3)]
-    square = [square_form(cx, j, l) for j in range(3) for l in range(j, 3)]
+    chain, square = _chain_and_square_forms()
 
     def extras(w: np.ndarray, mats: list[np.ndarray],
                jacs: list[np.ndarray]) -> Iterator[tuple[str, float]]:

@@ -121,6 +121,10 @@ def vee_prepotential(rows, h) -> Prepotential:
     return Prepotential(Chart("x", rows.shape[-1]), value, hessian, third, rows)
 
 
+class InvalidPotentialError(ValueError):
+    """Parameters that define no Veselov potential."""
+
+
 @dataclass(frozen=True)
 class VeselovPotential:
     """F(x) = sum_{i<j} (x_i-x_j)^2 log(x_i-x_j)^2 + (1/m) sum_i x_i^2 log x_i^2."""
@@ -130,9 +134,9 @@ class VeselovPotential:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError("need n >= 2")
+            raise InvalidPotentialError("need n >= 2")
         if self.m == 0:
-            raise ValueError("parameter m must be nonzero")
+            raise InvalidPotentialError("parameter m must be nonzero")
 
 
 def veselov_prepotential(pot: VeselovPotential, scale: float = 1.0) -> Prepotential:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lenardlab import chartcore as cc
+from lenardlab import equivariant as eq
 from lenardlab.sampling import default_rng, sample_segments
 
 CH3 = cc.Chart("u", 3)
@@ -228,6 +229,102 @@ def test_haantjes_residual_of_a_generic_affine_tensor_is_of_order_one(seed):
     k = cc.TensorField11(CH3, lambda u: a + np.einsum("...d,dij->...ij", u, b),
                          cc.constant_map(np.moveaxis(b, 0, -1)))
     assert cc.haantjes_residual(k, rng.uniform(-1.0, 1.0, (10, 3))) > 1.0
+
+
+# --- batched kernels against their einsum definitions ---------------------------
+#
+# The einsum strings below are the kernels' definitions; the kernels compute
+# the same contractions as gemm calls on reshaped operands.
+
+
+def nijenhuis_oracle(m, j):
+    t1 = np.einsum("...bi,...ajb->...aij", m, j)
+    t2 = np.einsum("...bj,...aib->...aij", m, j)
+    t3 = np.einsum("...ab,...bji->...aij", m, j)
+    t4 = np.einsum("...ab,...bij->...aij", m, j)
+    return t1 - t2 - t3 + t4
+
+
+def haantjes_oracle(m, j):
+    n = nijenhuis_oracle(m, j)
+    m2 = m @ m
+    return (np.einsum("...ab,...bij->...aij", m2, n)
+            + np.einsum("...abc,...bi,...cj->...aij", n, m, m)
+            - np.einsum("...ab,...bcj,...ci->...aij", m, n, m)
+            - np.einsum("...ab,...bic,...cj->...aij", m, n, m))
+
+
+def compose_jac_oracle(mk, ml, jk, jl):
+    return np.einsum("...ibd,...bj->...ijd", jk, ml) + np.einsum("...ib,...bjd->...ijd", mk, jl)
+
+
+def covector_image_jac_oracle(th, jth, m, jm):
+    return np.einsum("...id,...im->...md", jth, m) + np.einsum("...i,...imd->...md", th, jm)
+
+
+def vector_image_jac_oracle(m, jm, x, dx):
+    return np.einsum("...ibd,...b->...id", jm, x) + m @ dx
+
+
+def third_tensor_oracle(ops, big_a, x):
+    kx = np.einsum("...mcd,...d->...mc", ops, x)
+    kkx = np.einsum("...lbc,...mc->...lmb", ops, kx)
+    kkkx = np.einsum("...jab,...lmb->...jlma", ops, kkx)
+    return np.einsum("...a,...jlma->...jlm", big_a, kkkx)
+
+
+# operand kinds: v vector, m matrix, dm / dt the Jacobian of a vector / matrix
+# field (the kinds a constant_map may broadcast), t a stack of matrices
+RANK = {"v": 1, "m": 2, "dm": 2, "t": 3, "dt": 3}
+KERNELS = {
+    "nijenhuis": (cc._nijenhuis, nijenhuis_oracle, ("m", "dt")),
+    "haantjes": (cc._haantjes, haantjes_oracle, ("m", "dt")),
+    "compose_jac": (cc._compose_jac, compose_jac_oracle, ("m", "m", "dt", "dt")),
+    "covector_image_jac": (cc._covector_image_jac, covector_image_jac_oracle,
+                           ("v", "dm", "m", "dt")),
+    "vector_image_jac": (cc._vector_image_jac, vector_image_jac_oracle, ("m", "dt", "v", "dm")),
+    "third_tensor_from_chain": (eq.third_tensor_from_chain, third_tensor_oracle,
+                                ("t", "v", "v")),
+}
+
+
+def kernel_operands(kinds, d, n, constant, seed=0):
+    """Random non-symmetric operands at n points (a single point for n None);
+    with ``constant`` every Jacobian is one value broadcast by constant_map
+    over the points, with zero stride, as the GD operator's is."""
+    rng = np.random.default_rng(seed)
+    u = np.zeros((d,) if n is None else (n, d))
+    out = []
+    for kind in kinds:
+        shape = (d,) * RANK[kind]
+        if constant and kind.startswith("d"):
+            out.append(cc.constant_map(rng.standard_normal(shape))(u))
+        else:
+            out.append(rng.standard_normal(u.shape[:-1] + shape))
+    return out
+
+
+@pytest.mark.parametrize("constant", [False, True])
+@pytest.mark.parametrize("n", [None, 50])
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("name", KERNELS)
+def test_kernel_matches_its_einsum_definition(name, d, n, constant):
+    kernel, oracle, kinds = KERNELS[name]
+    args = kernel_operands(kinds, d, n, constant)
+    got, want = kernel(*args), oracle(*args)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("constant", [False, True])
+@pytest.mark.parametrize("n", [1, 3, 50, 500])
+@pytest.mark.parametrize("name", KERNELS)
+def test_kernel_batch_is_the_stack_of_its_points_bit_for_bit(name, n, constant):
+    kernel, _, kinds = KERNELS[name]
+    args = kernel_operands(kinds, 3, n, constant, seed=n)
+    batch = kernel(*args)
+    alone = [kernel(*(a[k] for a in args)) for k in range(n)]
+    assert np.array_equal(batch, np.stack(alone))
 
 
 def test_union_keeps_one_row_per_direction():

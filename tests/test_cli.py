@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from lenardlab import chartcore as cc
 from lenardlab.cli import _FLOAT_OPTIONS, main
 
 REPORTS = pathlib.Path(__file__).resolve().parent.parent / "reports"
@@ -200,6 +201,31 @@ def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, argv, where):
     assert out == ""
     assert f"--out {target}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("reproduce", "gd", "--points", "5"),
+    ("build-complex", "--alpha", "2", "--beta", "1", "--root", "1", "--points", "5"),
+])
+def test_a_value_error_inside_a_kernel_is_a_bug_not_bad_input(monkeypatch, argv):
+    # exit 2 is for bad input; a numpy shape error in a kernel keeps its traceback
+    def broken(m, j):
+        raise ValueError("matmul: Input operand 1 has a mismatch in its core dimension 0")
+
+    monkeypatch.setattr(cc, "_haantjes", broken)
+    with pytest.raises(ValueError, match="mismatch"):
+        main(list(argv))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify-wdvv", "--n", "1"), "n >= 2"),
+    (("build-complex", "--alpha", "1", "--beta", "-0.5", "--sigma2", "0"), "nonzero"),
+])
+def test_package_input_errors_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--points", "3")
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_tolerance_environment_variables_change_nothing(monkeypatch, capsys):

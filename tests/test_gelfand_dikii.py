@@ -5,6 +5,7 @@ import pytest
 
 from lenardlab import chartcore as cc
 from lenardlab import gelfand_dikii as gd
+from lenardlab.cli import main
 
 W0 = np.array([1.0, 2.0, 3.0])
 
@@ -154,3 +155,16 @@ def test_chain_covectors_have_constant_determinant(rng):
 def test_verify_gd_complex_needs_points():
     with pytest.raises(ValueError):
         gd.verify_gd_complex([])
+
+
+def test_reproduce_gd_builds_its_fields_once(monkeypatch, capsys):
+    # the operator, the complex and its chain, square and power forms depend on
+    # no input: a second run builds no field, so it takes no union of predicates
+    argv = ["reproduce", "gd", "--points", "5", "--seed", "1", "--format", "json"]
+    assert main(argv) == 0
+    calls = []
+    union = cc.union_predicates
+    monkeypatch.setattr(cc, "union_predicates", lambda *rows: calls.append(1) or union(*rows))
+    assert main(argv) == 0
+    assert calls == []
+    assert gd.gd_complex() is gd.gd_complex() and gd.gd_operator() is gd.gd_operator()
