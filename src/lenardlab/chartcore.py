@@ -379,10 +379,15 @@ def covector_apply(theta: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...im->...m", theta, m)
 
 
+def closure_defect(jac: np.ndarray) -> float:
+    """Max antisymmetric part of one-form Jacobians jac[..., i, j]; zero iff
+    the forms are closed there."""
+    return float(np.max(np.abs(jac - np.swapaxes(jac, -1, -2))))
+
+
 def closure_residual(omega: OneFormField, p) -> float:
     """Max antisymmetric part of the coefficient Jacobian; zero iff d(omega) = 0 at p."""
-    j = omega.jac_at(p)
-    return float(np.max(np.abs(j - np.swapaxes(j, -1, -2))))
+    return closure_defect(omega.jac_at(p))
 
 
 def commutator_residual(k: TensorField11, l: TensorField11, p) -> float:
@@ -402,7 +407,7 @@ def lie_bracket_residual(x: VectorFieldSpec, y: VectorFieldSpec, p) -> float:
     return float(np.max(np.abs(_bracket(x.comp_at(p), x.jac_at(p), y.comp_at(p), y.jac_at(p)))))
 
 
-def _covector_image_jac(th: np.ndarray, jth: np.ndarray, m: np.ndarray,
+def covector_image_jac(th: np.ndarray, jth: np.ndarray, m: np.ndarray,
                         jm: np.ndarray) -> np.ndarray:
     """d(theta M)[m, d] = sum_i dtheta[i, d] M[i, m] + theta[i] dM[i, m, d]."""
     return np.swapaxes(m, -1, -2) @ jth + matmul_first(th[..., None, :], jm)[..., 0, :, :]
@@ -433,22 +438,27 @@ def covector_image(k: TensorField11, omega: OneFormField) -> OneFormField:
         jth = np.asarray(omega.jac(u), dtype=float)
         m = np.asarray(k.mat(u), dtype=float)
         jm = np.asarray(k.jac(u), dtype=float)
-        return _covector_image_jac(th, jth, m, jm)
+        return covector_image_jac(th, jth, m, jm)
 
     return OneFormField(chart, coeff, jac, union_predicates(k.predicates, omega.predicates))
 
 
 def tensor_compose(k: TensorField11, l: TensorField11) -> TensorField11:
-    """K o L (apply L first): matrices multiply as M_K M_L in both actions."""
+    """K o L (apply L first): matrices multiply as M_K M_L in both actions.
+    A square K o K evaluates K once per call."""
     chart = _same_chart(k, l)
 
+    def mats(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mk = np.asarray(k.mat(u), dtype=float)
+        return mk, mk if l is k else np.asarray(l.mat(u), dtype=float)
+
     def mat(u: np.ndarray) -> np.ndarray:
-        return np.asarray(k.mat(u), dtype=float) @ np.asarray(l.mat(u), dtype=float)
+        mk, ml = mats(u)
+        return mk @ ml
 
     def jac(u: np.ndarray) -> np.ndarray:
-        mk, ml = np.asarray(k.mat(u), dtype=float), np.asarray(l.mat(u), dtype=float)
         jk, jl = np.asarray(k.jac(u), dtype=float), np.asarray(l.jac(u), dtype=float)
-        return _compose_jac(mk, ml, jk, jl)
+        return _compose_jac(*mats(u), jk, jl)
 
     return TensorField11(chart, mat, jac, union_predicates(k.predicates, l.predicates))
 
@@ -535,15 +545,15 @@ def wedge_matrix(a, b) -> np.ndarray:
 
 
 def lenard_residuals(operators: Sequence[TensorField11], X: VectorFieldSpec,
-                     forms: Sequence[OneFormField], points: np.ndarray,
+                     points: np.ndarray,
                      extras: Callable[[np.ndarray, list[np.ndarray], list[np.ndarray]],
                                       Iterable[tuple[str, float]]]) -> dict[str, float]:
     """Worst residual over ``points`` of each condition of a Lenard complex.
 
     The axioms every complex shares are checked here: commuting chain fields
     [K_j X, K_l X] = 0 (``vector_field_commutators``), commuting operators
-    (``operator_commutators``), vanishing Haantjes torsion
-    (``haantjes_torsion``) and closed ``forms`` (``square_closure``).
+    (``operator_commutators``) and vanishing Haantjes torsion
+    (``haantjes_torsion``).
     ``extras(points, mats, jacs)`` yields (condition name, residual) pairs
     for a family's own conditions from the operator matrices and Jacobians.
     Each field is evaluated once over the whole (N, dim) batch, and every
@@ -552,11 +562,12 @@ def lenard_residuals(operators: Sequence[TensorField11], X: VectorFieldSpec,
     mats = [k.mat_at(points) for k in operators]
     jacs = [k.jac_at(points) for k in operators]
     x, dx = X.comp_at(points), X.jac_at(points)
-    # the chain fields K_j X and their Jacobians, by the product rule
-    kx = [apply(m, x) for m in mats]
-    dkx = [_vector_image_jac(m, jm, x, dx) for m, jm in zip(mats, jacs)]
 
     def shared() -> Iterator[tuple[str, float]]:
+        # the chain fields K_j X and their Jacobians, by the product rule; they
+        # are freed when this generator ends, before ``extras`` runs
+        kx = [apply(m, x) for m in mats]
+        dkx = [_vector_image_jac(m, jm, x, dx) for m, jm in zip(mats, jacs)]
         for j, l in pairwise_indices(len(operators)):
             a, b = mats[j], mats[l]
             yield ("vector_field_commutators",
@@ -564,8 +575,6 @@ def lenard_residuals(operators: Sequence[TensorField11], X: VectorFieldSpec,
             yield "operator_commutators", float(np.max(np.abs(a @ b - b @ a)))
         for m, jm in zip(mats, jacs):
             yield "haantjes_torsion", _scaled_haantjes(m, jm)
-        for f in forms:
-            yield "square_closure", closure_residual(f, points)
 
     worst: dict[str, float] = {}
     for name, value in itertools.chain(shared(), extras(points, mats, jacs)):
@@ -611,11 +620,20 @@ def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
         v.T[d] += k * h_by_coord[d]
         return np.asarray(fun(v), dtype=float)
 
-    jac = np.stack([at(d, -2) - 8.0 * at(d, -1) + 8.0 * at(d, 1) - at(d, 2)
-                    for d in range(u.shape[-1])], axis=-1)
+    def column(d: int) -> np.ndarray:
+        return at(d, -2) - 8.0 * at(d, -1) + 8.0 * at(d, 1) - at(d, 2)
+
+    # filled column by column and divided in place: the Jacobian of a stacked
+    # map is the largest array a verifier holds, so it is held once
+    first = column(0)
+    jac = np.empty(first.shape + u.shape[-1:])
+    jac[..., 0] = first
+    del first
+    for d in range(1, u.shape[-1]):
+        jac[..., d] = column(d)
     # 12 h_d, aligned with the point axes and the appended derivative axis
-    step = (12.0 * h).reshape(h.shape[:-1] + (1,) * (jac.ndim - h.ndim) + h.shape[-1:])
-    return jac / step
+    jac /= (12.0 * h).reshape(h.shape[:-1] + (1,) * (jac.ndim - h.ndim) + h.shape[-1:])
+    return jac
 
 
 # Second differences sit on a roundoff floor of eps|f|/h^2, so they use a
@@ -653,23 +671,34 @@ def fd_hessian(fun: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
     return out
 
 
-def _fd_check(field, value: Callable[[np.ndarray], np.ndarray], p) -> float:
-    """Worst gap between ``field.jac`` and the FD Jacobian of ``value`` over
-    the points ``p``, from one ``fd_jacobian`` call."""
-    u = field._regular(p)
-    return float(np.max(np.abs(fd_jacobian(value, u) - field.jac(u))))
+def fd_check_tensor(value: Callable[[np.ndarray], np.ndarray], jacs: Sequence[np.ndarray],
+                    p) -> float:
+    """Worst relative gap over the points ``p`` between the analytic
+    Jacobians ``jacs`` of a stack of rows and the central-difference Jacobian
+    of the map ``value`` that evaluates them, from one :func:`fd_jacobian`
+    call.
 
-
-def fd_check_one_form(omega: OneFormField, p) -> float:
-    return _fd_check(omega, omega.coeff, p)
-
-
-def fd_check_vector_field(x: VectorFieldSpec, p) -> float:
-    return _fd_check(x, x.comp, p)
-
-
-def fd_check_tensor(k: TensorField11, p) -> float:
-    return _fd_check(k, k.mat, p)
+    ``value`` maps points (..., dim) to rows (..., R, dim): a (1,1)-tensor is
+    its dim rows, and a verifier stacks every field it checks into one map,
+    so each field is evaluated once per shifted batch.  ``jacs`` are the
+    rows' Jacobians at ``p`` in consecutive blocks (..., r, dim, dim) whose r
+    add up to R; a block may be a view of an array the caller holds, so no
+    stacked copy of them is made.  Each row's gap at each point is divided by
+    max(1, max|J|) of that row there, so a large field does not fail on
+    rounding, and a small one is not measured on a large one's scale.  A NaN
+    anywhere gives NaN.
+    """
+    gap = fd_jacobian(value, coords_of(p))
+    ends = np.cumsum([jac.shape[-3] for jac in jacs])
+    if ends[-1] != gap.shape[-3]:
+        raise ValueError(f"{ends[-1]} Jacobian rows for {gap.shape[-3]} value rows")
+    worst = []
+    for jac, end in zip(jacs, ends):
+        rows = gap[..., end - jac.shape[-3]:end, :, :]
+        rows -= jac
+        scale = np.maximum(1.0, np.max(np.abs(jac), axis=(-2, -1)))
+        worst.append(float(np.max(np.max(np.abs(rows, out=rows), axis=(-2, -1)) / scale)))
+    return nan_max(worst)
 
 
 # ---------------------------------------------------------------------------

@@ -48,14 +48,12 @@ from .chartcore import (
     TensorField11,
     VectorFieldSpec,
     apply,
-    closure_residual,
+    closure_defect,
     constant_map,
     coords_of,
     covector_apply,
     difference_rows,
-    fd_check_one_form,
     fd_check_tensor,
-    fd_check_vector_field,
     integrate_one_form,
     lenard_residuals,
     matmul_first,
@@ -461,13 +459,16 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
 
     Every condition reads the operator matrices at the (N, 3) batch a and at
     sigma(a) for the three transpositions, and the Jacobians of the
-    operators, dA and X at a, each evaluated once; the FD check makes its own
-    calls.  Row l of K_j is theta_{jl}, so the operators' Jacobians are those
-    of the square forms (``square_closure``), and this is the only check of
-    the square's symmetries (``square_equivariance``, ``symmetry_constraint``).
-    The WDVV residual of the square reads 1.0 at a point with no x-chart
-    (``chain_of_vector_fields`` above TOL_ANALYTIC) or a refused pivot.
-    Residuals are NaN-propagating maxima over points, in any order.
+    operators, dA and X at a, each evaluated once.  Row l of K_j is
+    theta_{jl}, so the operators' Jacobians are those of the square forms
+    (``square_closure``), and this is the only check of the square's
+    symmetries (``square_equivariance``, ``symmetry_constraint``).  One FD
+    check covers dA, the six distinct square forms (hence the operators) and
+    X, each evaluated once per shifted batch, against those Jacobians.  The
+    WDVV residual of the square is read against the constant Euler pivot
+    H^-1/4 (lambda = x/4); it reads 1.0 at a point with no x-chart
+    (``chain_of_vector_fields`` above TOL_ANALYTIC) or where the pivot is
+    refused.  Residuals are NaN-propagating maxima over points, in any order.
     """
     pts = point_batch(points, 3)
     hinv = cx.quad.hessian_inverse()
@@ -476,16 +477,26 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
     def gap(x: np.ndarray, y: np.ndarray) -> float:
         return float(np.max(np.abs(x - y)))
 
+    # dA, the distinct square forms theta_jl (j <= l) and X: row l of K_j is
+    # theta_jl, so the forms cover the operators' rows
+    forms = (cx.dA, *(cx.square.form(j, l) for j in range(3) for l in range(j, 3)))
+
+    def stacked_rows(a: np.ndarray) -> np.ndarray:
+        """The checked fields at the points a, as rows (..., 8, 3)."""
+        return np.stack([*(np.asarray(f.coeff(a), dtype=float) for f in forms),
+                         np.asarray(cx.X.comp(a), dtype=float)], axis=-2)
+
     def extras(a: np.ndarray, mats: list[np.ndarray],
                jacs: list[np.ndarray]) -> Iterator[tuple[str, float]]:
         moved = {sig: [k.mat_at(sig(a)) for k in cx.operators] for sig, _, _ in TRANSPOSITIONS}
         ops = np.stack(mats, axis=-3)  # [..., j, row, col]
         big_a = cx.dA.coeff_at(a)
         x = cx.X.comp_at(a)
+        jda = cx.dA.jac_at(a)
         chain_defect = _chain_defect(mats, x, hinv)
-        yield "square_closure", closure_residual(cx.dA, a)
+        yield "square_closure", closure_defect(jda)
         for jm in jacs:  # jm[..., l, :, :] is the Jacobian of theta_{jl}
-            yield "square_closure", gap(jm, np.swapaxes(jm, -1, -2))
+            yield "square_closure", closure_defect(jm)
         for j in range(3):
             yield "chain_of_forms", gap(covector_apply(big_a, mats[j]), eye[j])
         yield "chain_of_vector_fields", float(np.max(chain_defect))
@@ -510,17 +521,18 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
                 yield "square_equivariance", residual
                 if p == j:
                     yield "operator_exchange", residual
-        c = third_tensor_from_square(ops, hinv)
-        residuals, refused = commutation_residuals(c, c[..., 0, :, :])
+        # the Euler pivot sum_k (x_k/4) c_k of the square's ∨-system is the
+        # constant H^-1/4, invertible wherever H is, unlike the slice c[0]
+        residuals, refused = commutation_residuals(third_tensor_from_square(ops, hinv), hinv / 4)
         # no x-chart or a refused pivot leaves no residual and reads 1.0; NaN stays NaN
         unread = (refused | (chain_defect > TOL_ANALYTIC)) & ~np.isnan(chain_defect)
         yield "wdvv_commutation_from_square", float(np.max(np.where(unread, 1.0, residuals)))
-        yield "jacobian_fd_agreement", fd_check_one_form(cx.dA, a)
-        for k in cx.operators:
-            yield "jacobian_fd_agreement", fd_check_tensor(k, a)
-        yield "jacobian_fd_agreement", fd_check_vector_field(cx.X, a)
+        # the Jacobians of stacked_rows' rows; rows l >= j of K_j are theta_jl
+        yield "jacobian_fd_agreement", fd_check_tensor(
+            stacked_rows, [jda[..., None, :, :], *(jm[..., j:, :, :] for j, jm in enumerate(jacs)),
+                           cx.X.jac_at(a)[..., None, :, :]], a)
 
-    worst = lenard_residuals(cx.operators, cx.X, (), pts, extras)
+    worst = lenard_residuals(cx.operators, cx.X, pts, extras)
     tols = {"jacobian_fd_agreement": tol_fd, "wdvv_commutation_from_square": 1e-8}
     report = VerificationReport()
     for name in _CONDITIONS:

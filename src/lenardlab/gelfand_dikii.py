@@ -22,6 +22,7 @@ Haantjes torsion.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -33,12 +34,13 @@ from .chartcore import (
     ScalarField,
     TensorField11,
     VectorFieldSpec,
-    closure_residual,
+    closure_defect,
     constant_form,
     constant_map,
     coordinate_vector_field,
+    covector_apply,
     covector_image,
-    fd_check_one_form,
+    covector_image_jac,
     fd_check_tensor,
     identity_tensor,
     lenard_residuals,
@@ -129,14 +131,27 @@ def naive_power_form(k_power: int) -> OneFormField:
     return form
 
 
-@functools.cache
-def _chain_and_square_forms() -> tuple[tuple[OneFormField, ...], tuple[OneFormField, ...]]:
-    """The chain forms theta_j and the square forms theta_jl (j <= l) of the
-    complex.  Like the operator, the complex and the power forms, they are
-    built once per process: they depend on no input."""
-    cx = gd_complex()
-    return (tuple(chain_form(cx, j) for j in range(3)),
-            tuple(square_form(cx, j, l) for j in range(3) for l in range(j, 3)))
+# the square's (j, l) with j <= l: theta_jl = theta_lj for a commuting complex
+_SQUARE = tuple(itertools.combinations_with_replacement(range(3), 2))
+
+
+def _chain_and_square(da: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The chain forms theta_j = K_j dA and the square forms theta_jl = K_j
+    theta_l (``_SQUARE`` order) as rows (..., 9, 3), from dA and the operator
+    matrices at the same points: what :func:`chain_form` and
+    :func:`square_form` evaluate."""
+    chain = [covector_apply(da, m) for m in mats]
+    return np.stack(chain + [covector_apply(chain[l], mats[j]) for j, l in _SQUARE], axis=-2)
+
+
+def _chain_and_square_jacs(da: np.ndarray, jda: np.ndarray, mats: Sequence[np.ndarray],
+                           jacs: Sequence[np.ndarray], forms: np.ndarray) -> np.ndarray:
+    """The Jacobians (..., 9, 3, 3) of :func:`_chain_and_square`'s rows
+    ``forms`` by the product rule, from dA and the operators at the same
+    points."""
+    jchain = [covector_image_jac(da, jda, m, jm) for m, jm in zip(mats, jacs)]
+    return np.stack(jchain + [covector_image_jac(forms[..., l, :], jchain[l], mats[j], jacs[j])
+                              for j, l in _SQUARE], axis=-3)
 
 
 # verify_gd_complex's conditions in report order; chain independence follows
@@ -150,28 +165,42 @@ _CONDITIONS = (
 def verify_gd_complex(points: Sequence, tol: float = 1e-8,
                       tol_fd: float = 1e-6) -> VerificationReport:
     """Check the complex conditions for (Id, K, K^2 + w2 Id, dw2, d/dw0),
-    each field evaluated once over the whole (N, 3) batch of points."""
+    each field evaluated once over the whole (N, 3) batch of points.
+
+    The chain forms theta_j = K_j dA and the square forms theta_jl = K_j K_l
+    dA (j <= l) and their Jacobians are derived from the operator matrices
+    and Jacobians by the product rule; :func:`chain_form` and
+    :func:`square_form` build the same forms as fields.  One FD check covers
+    the six square forms and the operators' rows: its value map evaluates
+    the three operators once per shifted batch.
+    """
     pts = point_batch(points, 3)
     cx = gd_complex()
-    chain, square = _chain_and_square_forms()
+
+    def square_and_operator_rows(w: np.ndarray) -> np.ndarray:
+        """The square forms and the operators' rows at w, as rows (..., 15, 3)."""
+        mats = [np.asarray(k.mat(w), dtype=float) for k in cx.operators]
+        forms = _chain_and_square(np.asarray(cx.dA.coeff(w), dtype=float), mats)
+        return np.concatenate([forms[..., 3:, :], *mats], axis=-2)
 
     def extras(w: np.ndarray, mats: list[np.ndarray],
                jacs: list[np.ndarray]) -> Iterator[tuple[str, float]]:
-        for f in chain:
-            yield "chain_closure", closure_residual(f, w)
+        da = cx.dA.coeff_at(w)
+        forms = _chain_and_square(da, mats)
+        jforms = _chain_and_square_jacs(da, cx.dA.jac_at(w), mats, jacs, forms)
+        yield "chain_closure", closure_defect(jforms[..., :3, :, :])
+        yield "square_closure", closure_defect(jforms[..., 3:, :, :])
         for jm in jacs:
             # Lie_X(K) = 0 for X = d/dw0: no matrix entry depends on w0.
             yield "operator_symmetry_along_X", float(np.max(np.abs(jm[..., 0])))
-        for f in square:
-            yield "jacobian_fd_agreement", fd_check_one_form(f, w)
-        for k in cx.operators:
-            yield "jacobian_fd_agreement", fd_check_tensor(k, w)
+        yield "jacobian_fd_agreement", fd_check_tensor(square_and_operator_rows,
+                                                       [jforms[..., 3:, :, :], *jacs], w)
         # chain independence is reported per point, not assumed (here det = -8
         # identically)
-        det = np.abs(np.linalg.det(np.stack([f.coeff_at(w) for f in chain], axis=-2)))
+        det = np.abs(np.linalg.det(forms[..., :3, :]))
         yield "chain_independence", float(np.max(np.maximum(0.0, CHAIN_DET_FLOOR - det)))
 
-    worst = lenard_residuals(cx.operators, cx.X, square, pts, extras)
+    worst = lenard_residuals(cx.operators, cx.X, pts, extras)
     report = VerificationReport()
     for name in _CONDITIONS:
         report.add(name, len(pts), worst[name], tol_fd if name == "jacobian_fd_agreement" else tol)

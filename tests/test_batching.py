@@ -2,6 +2,7 @@
 N single-point evaluations, and the verifiers cost the same number of
 passes whatever N is."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -130,17 +131,138 @@ def test_verifiers_check_regularity_once_per_batch_not_per_point(monkeypatch, ex
     assert count_regularity_checks(monkeypatch, run(30)) == few
 
 
-def test_assembly_evaluates_no_field_and_verification_fd_checks_one_form(monkeypatch,
+def test_assembly_evaluates_no_field_and_verification_makes_one_fd_check(monkeypatch,
                                                                         example3):
     # the square is checked once, in the report; its forms are the operators'
-    # rows, so the FD check covers dA, the operators and X
+    # rows, so one FD check covers dA, the operators and X
     params, _, cx = example3
     assert count_calls(monkeypatch, lambda: eq.assemble_complex(params),
                        (cc.OneFormField, "coeff_at")) == 0
     for n in (1, 3, 30):
         pts = sample_gapped_box(default_rng(9), n, predicates=cx.sampling_predicates())
         assert count_calls(monkeypatch, lambda: eq.verify_complex(cx, pts),
-                           (eq, "fd_check_one_form")) == 1
+                           (eq, "fd_check_tensor")) == 1
+        assert count_calls(monkeypatch, lambda: eq.verify_complex(cx, pts),
+                           (cc, "fd_jacobian")) == 1
+
+
+@pytest.mark.parametrize("n", [1, 30, 500])
+def test_gd_verification_makes_one_fd_call_and_few_operator_evaluations(monkeypatch, n):
+    # the FD value map evaluates the three operators once per shifted batch
+    # and derives the six square forms from them
+    pts = default_rng(9).uniform(-2.0, 2.0, (n, 3))
+    assert count_calls(monkeypatch, lambda: gd.verify_gd_complex(pts),
+                       (cc, "fd_jacobian")) == 1
+    k = gd.gd_operator()
+    mat, calls = k.mat, []
+
+    def counted(w):
+        calls.append(1)
+        return mat(w)
+
+    object.__setattr__(k, "mat", counted)
+    try:
+        gd.verify_gd_complex(pts)
+    finally:
+        object.__setattr__(k, "mat", mat)
+    assert 0 < len(calls) <= 40
+
+
+def test_complex_fd_check_evaluates_each_field_once_per_shifted_batch(monkeypatch, example3):
+    _, _, cx = example3
+    inside_fd = [False]
+    evals = dict.fromkeys([*cx.square.named_forms(), "X"], 0)
+
+    def counted(name, fn):
+        def wrapper(a):
+            evals[name] += inside_fd[0]
+            return fn(a)
+        return wrapper
+
+    square = eq.EquivariantSquare(**{
+        name: dataclasses.replace(f, coeff=counted(name, f.coeff))
+        for name, f in cx.square.named_forms().items()})
+    counting = dataclasses.replace(cx, square=square, dA=square.dA,
+                                   X=dataclasses.replace(cx.X, comp=counted("X", cx.X.comp)))
+    fd_jacobian = cc.fd_jacobian
+
+    def flagged(fun, u):
+        inside_fd[0] = True
+        try:
+            return fd_jacobian(fun, u)
+        finally:
+            inside_fd[0] = False
+
+    monkeypatch.setattr(cc, "fd_jacobian", flagged)
+    pts = sample_gapped_box(default_rng(9), 30, predicates=cx.sampling_predicates())
+    assert count_calls(monkeypatch, lambda: eq.verify_complex(counting, pts),
+                       (cc, "fd_jacobian")) == 1
+    assert evals == dict.fromkeys(evals, 4 * 3)
+    assert eq.verify_complex(cx, pts).passed
+
+
+# --- one FD check over stacked rows: no row hides another -----------------------
+
+
+def spoil_fd_check(monkeypatch, module, values=None, jac=None):
+    """Pass the stacked FD check of ``module`` its value map's rows (N, R, 3)
+    through ``values`` and its Jacobians, stacked to (N, R, 3, 3), through
+    ``jac``."""
+    check = module.fd_check_tensor
+
+    def spoiled(value, blocks, p):
+        v = value if values is None else (lambda u: values(np.array(value(u))))
+        return check(v, blocks if jac is None else [jac(np.concatenate(blocks, axis=-3))], p)
+
+    monkeypatch.setattr(module, "fd_check_tensor", spoiled)
+
+
+def gd_report():
+    pts = default_rng(9).uniform(-2.0, 2.0, (30, 3))
+    return gd.verify_gd_complex(pts)
+
+
+# the complex stacks dA, dP, dQ, dR, dS, dT, dV, X; GD the square forms
+# theta_jl in gd._SQUARE order, then the operators' rows
+STACKED_ROWS = (pytest.param(eq, 4, id="complex-dS"),
+                pytest.param(gd, gd._SQUARE.index((2, 2)), id="gd-theta22"))
+
+
+@pytest.mark.parametrize("module, row", STACKED_ROWS)
+def test_one_percent_error_in_one_stacked_row_fails_the_fd_check(monkeypatch, example3,
+                                                                 module, row):
+    _, _, cx = example3
+    pts = sample_gapped_box(default_rng(9), 30, predicates=cx.sampling_predicates())
+
+    def report():
+        return (eq.verify_complex(cx, pts) if module is eq else gd_report()).condition(
+            "jacobian_fd_agreement")
+
+    def one_percent_off(j):
+        # the row's largest entry at each point, at least a tenth of the row's scale
+        block = j[:, row].reshape(len(j), -1)
+        block[np.arange(len(j)), np.argmax(np.abs(block), axis=-1)] *= 1.01
+        j[:, row] = block.reshape(j[:, row].shape)
+        return j
+
+    assert report().passed
+    spoil_fd_check(monkeypatch, module, jac=one_percent_off)
+    assert not report().passed
+
+
+@pytest.mark.parametrize("module, row", STACKED_ROWS)
+def test_nan_in_one_stacked_row_fails_the_fd_check(monkeypatch, example3, module, row):
+    _, _, cx = example3
+    pts = sample_gapped_box(default_rng(9), 30, predicates=cx.sampling_predicates())
+
+    def nan_at_point_3(values):
+        values[3, row, 0] = np.nan
+        return values
+
+    spoil_fd_check(monkeypatch, module, values=nan_at_point_3)
+    report = eq.verify_complex(cx, pts) if module is eq else gd_report()
+    cond = report.condition("jacobian_fd_agreement")
+    assert np.isnan(cond.max_residual) and not cond.passed and not report.passed
 
 
 def test_wdvv_pipelines_cost_the_same_calls_for_50_and_200_points(monkeypatch, example3,
@@ -192,8 +314,7 @@ def test_build_complex_evaluates_the_operators_on_four_batches_for_any_n(monkeyp
             return original(self, p)
         monkeypatch.setattr(cc.TensorField11, method, record)
     monkeypatch.setattr(eq, "_log_form", counted_log_form)
-    for fd in ("fd_check_one_form", "fd_check_tensor", "fd_check_vector_field"):
-        monkeypatch.setattr(eq, fd, lambda *_: 0.0)
+    monkeypatch.setattr(eq, "fd_check_tensor", lambda *_: 0.0)
 
     seen = []
     for n in (3, 300):
@@ -217,14 +338,14 @@ def test_complex_report_masks_a_refused_pivot_as_one(monkeypatch, example3):
     name = "wdvv_commutation_from_square"
     assert eq.verify_complex(cx, pts).condition(name).max_residual < 1e-8
 
-    square = eq.third_tensor_from_square
+    residuals_of = eq.commutation_residuals
 
-    def singular_at_point_2(ops, hinv):
-        c = square(ops, hinv).copy()
-        c[2] = 0.0
-        return c
+    def singular_at_point_2(c, pivot):
+        pivot = np.array(np.broadcast_to(pivot, c.shape[:-1]))
+        pivot[2] = 0.0
+        return residuals_of(c, pivot)
 
-    monkeypatch.setattr(eq, "third_tensor_from_square", singular_at_point_2)
+    monkeypatch.setattr(eq, "commutation_residuals", singular_at_point_2)
     cond = eq.verify_complex(cx, pts).condition(name)
     assert cond.max_residual == 1.0 and not cond.passed
     with pytest.raises(wdvv.SingularSliceError, match=re.escape(str(pts[2]))):

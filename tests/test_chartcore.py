@@ -61,8 +61,9 @@ def test_closure_of_exact_log_form():
         return np.outer(v, [-1.0, 1.0, 0.0])
 
     omega = cc.OneFormField(CH3, coeff, jac, [[1.0, -1.0, 0.0]])
-    assert cc.closure_residual(omega, np.array([2.0, 1.0, 3.0])) < 1e-12
-    assert cc.fd_check_one_form(omega, np.array([2.0, 1.0, 3.0])) < 1e-8
+    u = np.array([2.0, 1.0, 3.0])
+    assert cc.closure_residual(omega, u) < 1e-12
+    assert form_fd_gap(omega, u) < 1e-8
 
 
 # --- permutation action ----------------------------------------------------
@@ -154,7 +155,7 @@ def test_covector_image_product_rule():
     omega = affine_form([[0, 0, 0], [1, 0, 0], [0, 0, 0]])  # u1 du2
     image = cc.covector_image(k, omega)
     u = np.array([1.5, 2.0, -0.7])
-    assert cc.fd_check_one_form(image, u) < 1e-9
+    assert form_fd_gap(image, u) < 1e-9
 
 
 def test_chain_field_brackets_match_finite_differences():
@@ -171,7 +172,7 @@ def test_chain_field_brackets_match_finite_differences():
     m, c = rng.uniform(-1.0, 1.0, (3, 3)), rng.uniform(-1.0, 1.0, 3)
     x = cc.VectorFieldSpec(CH3, lambda u: u @ m.T + c, cc.constant_map(m))
     u = rng.uniform(-1.0, 1.0, (4, 3))
-    worst = cc.lenard_residuals(ks, x, [], u, lambda *_: ())
+    worst = cc.lenard_residuals(ks, x, u, lambda *_: ())
     kx = [lambda v, k=k: cc.apply(k.mat(v), x.comp(v)) for k in ks]
     fd = (cc.apply(cc.fd_jacobian(kx[1], u), kx[0](u))
           - cc.apply(cc.fd_jacobian(kx[0], u), kx[1](u)))
@@ -280,7 +281,7 @@ KERNELS = {
     "nijenhuis": (cc._nijenhuis, nijenhuis_oracle, ("m", "dt")),
     "haantjes": (cc._haantjes, haantjes_oracle, ("m", "dt")),
     "compose_jac": (cc._compose_jac, compose_jac_oracle, ("m", "m", "dt", "dt")),
-    "covector_image_jac": (cc._covector_image_jac, covector_image_jac_oracle,
+    "covector_image_jac": (cc.covector_image_jac, covector_image_jac_oracle,
                            ("v", "dm", "m", "dt")),
     "vector_image_jac": (cc._vector_image_jac, vector_image_jac_oracle, ("m", "dt", "v", "dm")),
     "third_tensor_from_chain": (eq.third_tensor_from_chain, third_tensor_oracle,
@@ -381,9 +382,36 @@ def test_fd_hessian_batch_is_stack_of_points_with_one_call_per_shift():
     assert len(calls) == shifts
 
 
+def form_fd_gap(omega, u):
+    """Worst absolute gap between a one-form's analytic and FD Jacobians."""
+    return float(np.max(np.abs(cc.fd_jacobian(omega.coeff, u) - omega.jac_at(u))))
+
+
 def test_fd_checks_catch_wrong_jacobian():
     omega = cc.OneFormField(CH3, lambda u: u**2, lambda u: np.zeros((3, 3)))
-    assert cc.fd_check_one_form(omega, np.array([1.0, 2.0, 3.0])) > 1.0
+    u = np.array([1.0, 2.0, 3.0])
+    assert form_fd_gap(omega, u) > 1.0
+
+
+def test_fd_check_measures_each_stacked_row_against_its_own_scale():
+    # row 0 is 1e6 u0^2 / 2, row 1 is u1^2 / 2 with a 1 % error in its Jacobian:
+    # against the stack's scale the error would read 1e-8, against its row's 1e-2
+    def rows(u):
+        return np.stack([np.array([1e6, 0.0, 0.0]) * u[..., 0, None] ** 2 / 2,
+                         np.array([0.0, 1.0, 0.0]) * u[..., 1, None] ** 2 / 2], axis=-2)
+
+    u = np.array([[1.0, 2.0, 3.0], [-1.5, 0.5, 2.0]])
+    jac = np.zeros((2, 2, 3, 3))
+    jac[:, 0, 0, 0] = 1e6 * u[:, 0]
+    jac[:, 1, 1, 1] = u[:, 1]
+    assert cc.fd_check_tensor(rows, [jac], u) < 1e-9
+    jac[:, 1, 1, 1] *= 1.01
+    assert cc.fd_check_tensor(rows, [jac], u) == pytest.approx(0.01 / 1.01, rel=1e-6)
+    # the same rows in two blocks, and blocks that miss a row
+    assert cc.fd_check_tensor(rows, [jac[:, :1], jac[:, 1:]], u) == cc.fd_check_tensor(
+        rows, [jac], u)
+    with pytest.raises(ValueError, match="1 Jacobian rows for 2 value rows"):
+        cc.fd_check_tensor(rows, [jac[:, 1:]], u)
 
 
 # --- line integrals ----------------------------------------------------------

@@ -136,16 +136,34 @@ def test_near_degenerate_parameters_give_a_verdict_not_a_traceback(capsys, alpha
         assert json.loads(out)["pass"] is (code == 0)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the FD oracle, not the complex: 2 of the 50 points fail jacobian_fd_agreement "
-    "(worst 1.06e-2 against 1e-6); a = [1.063, 1.250, 2.684] lies 4.35e-3 from the "
-    "predicate row [1, -3, 1] of norm 3.32, which the 1e-3 margin accepts, but the "
-    "5-point stencil at h = 1e-5 max(1, |u|) cannot resolve 1/(c.u) there"))
 def test_negative_alpha_complex_passes_its_fd_check(capsys):
     code, doc, _ = run_json(capsys, "build-complex", "--alpha=-3", "--beta", "1",
                             "--root", "1", "--seed", "7")
     assert [c["name"] for c in doc["conditions"] if not c["pass"]] == []
     assert code == 0
+
+
+@pytest.mark.parametrize("alpha, beta", [("-3", "1"), ("-6", "2"), ("-1.5", "0.5")])
+def test_alpha_minus_three_beta_root2_reads_wdvv_against_the_euler_pivot(capsys, alpha, beta):
+    # sigma2 = sigma0 = 0 here: the slice c[0] is singular at every point, the
+    # constant pivot H^-1/4 is not
+    code, doc, _ = run_json(capsys, "build-complex", f"--alpha={alpha}", f"--beta={beta}",
+                            "--root", "2", "--seed", "7")
+    assert [c["name"] for c in doc["conditions"] if not c["pass"]] == []
+    assert _condition(doc, "wdvv_commutation_from_square")["max_residual"] < 1e-14
+    assert code == 0
+
+
+@pytest.mark.parametrize("sigma2", ["0", "0.3"])
+def test_off_root_controls_still_fail_the_euler_pivot_commutation(capsys, sigma2):
+    code, doc, _ = run_json(capsys, "build-complex", "--alpha", "2", "--beta", "1",
+                            "--sigma2", sigma2, "--seed", "7")
+    cond = _condition(doc, "wdvv_commutation_from_square")
+    assert code == 1 and not cond["pass"] and cond["max_residual"] > 1e-3
+
+
+def _condition(doc, name):
+    return next(c for c in doc["conditions"] if c["name"] == name)
 
 
 def test_reproduce_example3(capsys):

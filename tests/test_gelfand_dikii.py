@@ -40,7 +40,26 @@ def test_operator_is_traceless(rng):
 def test_operator_jacobian_fd(rng):
     k = gd.gd_operator()
     for w in rng.uniform(-2, 2, (5, 3)):
-        assert cc.fd_check_tensor(k, w) < 1e-9
+        assert np.max(np.abs(cc.fd_jacobian(k.mat, w) - k.jac_at(w))) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 3, 500])
+def test_derived_chain_and_square_forms_equal_the_form_fields(n):
+    # verify_gd_complex derives the forms from the operators at the points;
+    # chain_form and square_form are the independent oracle, bit for bit
+    w = np.random.default_rng(n).uniform(-2.0, 2.0, (n, 3))
+    cx = gd.gd_complex()
+    mats = [k.mat_at(w) for k in cx.operators]
+    jacs = [k.jac_at(w) for k in cx.operators]
+    da = cx.dA.coeff_at(w)
+    forms = gd._chain_and_square(da, mats)
+    jforms = gd._chain_and_square_jacs(da, cx.dA.jac_at(w), mats, jacs, forms)
+    fields = [gd.chain_form(cx, j) for j in range(3)] + [gd.square_form(cx, j, l)
+                                                         for j, l in gd._SQUARE]
+    assert forms.shape == (n, 9, 3) and jforms.shape == (n, 9, 3, 3)
+    for r, f in enumerate(fields):
+        np.testing.assert_array_equal(forms[:, r], f.coeff_at(w))
+        np.testing.assert_array_equal(jforms[:, r], f.jac_at(w))
 
 
 # --- torsion -----------------------------------------------------------------
