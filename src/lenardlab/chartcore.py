@@ -1,7 +1,9 @@
 """Charts, points, differentiable fields and the generic residual computations.
 
-Everything lives on a fixed coordinate chart of R^n.  Fields are pairs of
-callables (components and their analytic first derivatives); all residuals
+Everything lives on a fixed coordinate chart of R^n.  There are three
+kinds of field, one-forms, vector fields and (1,1)-tensor fields, each a
+pair of callables (components and their analytic first derivatives); a
+function enters only through its differential, a one-form.  All residuals
 below are computed from the analytic derivatives, with central finite
 differences available only as an independent cross-check.
 
@@ -160,19 +162,6 @@ class _Field:
         u = coords_of(p, self.chart.dim)
         check_regular(self.predicates, u)
         return u
-
-
-@dataclass(frozen=True, eq=False)
-class ScalarField(_Field):
-    """Scalar function with analytic gradient."""
-
-    chart: Chart
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    predicates: np.ndarray = ()
-
-    def grad_at(self, p) -> np.ndarray:
-        return np.asarray(self.grad(self._regular(p)), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,6 +340,14 @@ def nan_max(values: Iterable[float]) -> float:
     return float(functools.reduce(_nan_max2, values))
 
 
+def worst_by_name(pairs: Iterable[tuple[str, float]]) -> dict[str, float]:
+    """The :func:`nan_max` of the values of each name in (name, value) pairs."""
+    worst: dict[str, float] = {}
+    for name, value in pairs:
+        worst[name] = _nan_max2(worst.get(name, value), value)
+    return worst
+
+
 def matmul_first(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     """out[..., a, i, j] = sum_b m[..., a, b] t[..., b, i, j] at every point,
     (..., k, p) x (..., p, q, r) -> (..., k, q, r): one gemm per point, on t
@@ -419,7 +416,7 @@ def _vector_image_jac(m: np.ndarray, jm: np.ndarray, x: np.ndarray,
     return matmul_first(x[..., None, :], np.swapaxes(jm, -3, -2))[..., 0, :, :] + m @ dx
 
 
-def _compose_jac(mk: np.ndarray, ml: np.ndarray, jk: np.ndarray, jl: np.ndarray) -> np.ndarray:
+def compose_jac(mk: np.ndarray, ml: np.ndarray, jk: np.ndarray, jl: np.ndarray) -> np.ndarray:
     """d(M_K M_L)[i, j, d] = sum_b dM_K[i, b, d] M_L[b, j] + M_K[i, b] dM_L[b, j, d];
     the first sum is taken on dM_K's [i, d, b] layout."""
     return np.swapaxes(matmul_last(np.swapaxes(jk, -1, -2), ml), -1, -2) + matmul_first(mk, jl)
@@ -441,42 +438,6 @@ def covector_image(k: TensorField11, omega: OneFormField) -> OneFormField:
         return covector_image_jac(th, jth, m, jm)
 
     return OneFormField(chart, coeff, jac, union_predicates(k.predicates, omega.predicates))
-
-
-def tensor_compose(k: TensorField11, l: TensorField11) -> TensorField11:
-    """K o L (apply L first): matrices multiply as M_K M_L in both actions.
-    A square K o K evaluates K once per call."""
-    chart = _same_chart(k, l)
-
-    def mats(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mk = np.asarray(k.mat(u), dtype=float)
-        return mk, mk if l is k else np.asarray(l.mat(u), dtype=float)
-
-    def mat(u: np.ndarray) -> np.ndarray:
-        mk, ml = mats(u)
-        return mk @ ml
-
-    def jac(u: np.ndarray) -> np.ndarray:
-        jk, jl = np.asarray(k.jac(u), dtype=float), np.asarray(l.jac(u), dtype=float)
-        return _compose_jac(*mats(u), jk, jl)
-
-    return TensorField11(chart, mat, jac, union_predicates(k.predicates, l.predicates))
-
-
-def tensor_add_scalar_identity(k: TensorField11, f: ScalarField) -> TensorField11:
-    """K + f * Id."""
-    chart = _same_chart(k, f)
-    eye = np.eye(chart.dim)
-
-    def mat(u: np.ndarray) -> np.ndarray:
-        return (np.asarray(k.mat(u), dtype=float)
-                + np.asarray(f.value(u), dtype=float)[..., None, None] * eye)
-
-    def jac(u: np.ndarray) -> np.ndarray:
-        g = np.asarray(f.grad(u), dtype=float)
-        return np.asarray(k.jac(u), dtype=float) + np.einsum("ij,...d->...ijd", eye, g)
-
-    return TensorField11(chart, mat, jac, union_predicates(k.predicates, f.predicates))
 
 
 # torsion --------------------------------------------------------------------
@@ -505,11 +466,11 @@ def nijenhuis_tensor(k: TensorField11, p) -> np.ndarray:
     return _nijenhuis(k.mat_at(p), k.jac_at(p))
 
 
-def nijenhuis_contracted(k: TensorField11, f: ScalarField, p) -> np.ndarray:
+def nijenhuis_contracted(k: TensorField11, df: OneFormField, p) -> np.ndarray:
     """The antisymmetric matrix df(N_K(., .)) on coordinate basis pairs."""
-    _same_chart(k, f)
+    _same_chart(k, df)
     n = nijenhuis_tensor(k, p)
-    return np.einsum("...a,...aij->...ij", f.grad_at(p), n)
+    return np.einsum("...a,...aij->...ij", df.coeff_at(p), n)
 
 
 def haantjes_tensor(k: TensorField11, p) -> np.ndarray:
@@ -544,42 +505,27 @@ def wedge_matrix(a, b) -> np.ndarray:
 # Lenard complexes ----------------------------------------------------------
 
 
-def lenard_residuals(operators: Sequence[TensorField11], X: VectorFieldSpec,
-                     points: np.ndarray,
-                     extras: Callable[[np.ndarray, list[np.ndarray], list[np.ndarray]],
-                                      Iterable[tuple[str, float]]]) -> dict[str, float]:
-    """Worst residual over ``points`` of each condition of a Lenard complex.
-
-    The axioms every complex shares are checked here: commuting chain fields
-    [K_j X, K_l X] = 0 (``vector_field_commutators``), commuting operators
-    (``operator_commutators``) and vanishing Haantjes torsion
-    (``haantjes_torsion``).
-    ``extras(points, mats, jacs)`` yields (condition name, residual) pairs
-    for a family's own conditions from the operator matrices and Jacobians.
-    Each field is evaluated once over the whole (N, dim) batch, and every
-    condition is a NaN-propagating maximum, whatever the point order.
+def lenard_residuals(mats: Sequence[np.ndarray], jacs: Sequence[np.ndarray], x: np.ndarray,
+                     dx: np.ndarray) -> Iterator[tuple[str, float]]:
+    """(condition name, worst residual) pairs of the axioms every Lenard
+    complex shares, from the operator matrices and Jacobians and the
+    scaling field's components and Jacobian at the same points: commuting
+    chain fields [K_j X, K_l X] = 0 (``vector_field_commutators``),
+    commuting operators (``operator_commutators``) and vanishing Haantjes
+    torsion (``haantjes_torsion``).  :func:`worst_by_name` folds them with a
+    family's own pairs.
     """
-    mats = [k.mat_at(points) for k in operators]
-    jacs = [k.jac_at(points) for k in operators]
-    x, dx = X.comp_at(points), X.jac_at(points)
-
-    def shared() -> Iterator[tuple[str, float]]:
-        # the chain fields K_j X and their Jacobians, by the product rule; they
-        # are freed when this generator ends, before ``extras`` runs
-        kx = [apply(m, x) for m in mats]
-        dkx = [_vector_image_jac(m, jm, x, dx) for m, jm in zip(mats, jacs)]
-        for j, l in pairwise_indices(len(operators)):
-            a, b = mats[j], mats[l]
-            yield ("vector_field_commutators",
-                   float(np.max(np.abs(_bracket(kx[j], dkx[j], kx[l], dkx[l])))))
-            yield "operator_commutators", float(np.max(np.abs(a @ b - b @ a)))
-        for m, jm in zip(mats, jacs):
-            yield "haantjes_torsion", _scaled_haantjes(m, jm)
-
-    worst: dict[str, float] = {}
-    for name, value in itertools.chain(shared(), extras(points, mats, jacs)):
-        worst[name] = _nan_max2(worst.get(name, value), value)
-    return worst
+    # the chain fields K_j X and their Jacobians, by the product rule; they
+    # are freed when this generator ends
+    kx = [apply(m, x) for m in mats]
+    dkx = [_vector_image_jac(m, jm, x, dx) for m, jm in zip(mats, jacs)]
+    for j, l in pairwise_indices(len(mats)):
+        a, b = mats[j], mats[l]
+        yield ("vector_field_commutators",
+               float(np.max(np.abs(_bracket(kx[j], dkx[j], kx[l], dkx[l])))))
+        yield "operator_commutators", float(np.max(np.abs(a @ b - b @ a)))
+    for m, jm in zip(mats, jacs):
+        yield "haantjes_torsion", _scaled_haantjes(m, jm)
 
 
 def point_batch(points, dim: int) -> np.ndarray:

@@ -26,9 +26,10 @@ import numpy as np
 from . import equivariant as eq
 from . import gelfand_dikii as gd
 from .chartcore import (
-    ScalarField,
+    OneFormField,
     apply,
     closure_residual,
+    constant_form,
     constant_map,
     fd_hessian,
     fd_jacobian,
@@ -202,14 +203,14 @@ def _reproduce_gd(args: argparse.Namespace) -> int:
         raise UsageError("--segments does not apply to reproduce gd")
     rng = default_rng(args.seed)
     pts = sample_box(rng, args.points, 3, -2.0, 2.0)
-    report = gd.verify_gd_complex(pts, tol=args.tol_analytic, tol_fd=args.tol_fd)
+    report = gd.verify_gd_complex(pts, tol_analytic=args.tol_analytic, tol_fd=args.tol_fd)
 
+    # the differentials of w0, w1, w2 and w0 w1
     chart = gd.W_CHART
-    probes = [ScalarField(chart, lambda w, i=i: w[..., i], constant_map(np.eye(3)[i]))
-              for i in range(3)]
-    probes.append(ScalarField(
-        chart, lambda w: w[..., 0] * w[..., 1],
-        lambda w: np.stack([w[..., 1], w[..., 0], np.zeros_like(w[..., 0])], axis=-1)))
+    probes = [constant_form(chart, row) for row in np.eye(3)]
+    probes.append(OneFormField(
+        chart, lambda w: np.stack([w[..., 1], w[..., 0], np.zeros_like(w[..., 0])], axis=-1),
+        constant_map([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])))
     worst = nan_max(gd.gd_torsion_identity_residual(f, pts) for f in probes)
     report.add("torsion_identity", len(pts), worst, args.tol_analytic)
 

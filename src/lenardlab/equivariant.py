@@ -34,6 +34,7 @@ Euler contraction with lambda = x is the inverse Hessian of A,
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -61,6 +62,7 @@ from .chartcore import (
     point_batch,
     pullback,
     union_predicates,
+    worst_by_name,
 )
 from .report import VerificationReport
 from .wdvv import (
@@ -470,12 +472,12 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
     (``chain_of_vector_fields`` above TOL_ANALYTIC) or where the pivot is
     refused.  Residuals are NaN-propagating maxima over points, in any order.
     """
-    pts = point_batch(points, 3)
+    a = point_batch(points, 3)
     hinv = cx.quad.hessian_inverse()
     eye = np.eye(3)
 
-    def gap(x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.max(np.abs(x - y)))
+    def gap(u: np.ndarray, v: np.ndarray) -> float:
+        return float(np.max(np.abs(u - v)))
 
     # dA, the distinct square forms theta_jl (j <= l) and X: row l of K_j is
     # theta_jl, so the forms cover the operators' rows
@@ -486,12 +488,14 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
         return np.stack([*(np.asarray(f.coeff(a), dtype=float) for f in forms),
                          np.asarray(cx.X.comp(a), dtype=float)], axis=-2)
 
-    def extras(a: np.ndarray, mats: list[np.ndarray],
-               jacs: list[np.ndarray]) -> Iterator[tuple[str, float]]:
+    mats = [k.mat_at(a) for k in cx.operators]
+    jacs = [k.jac_at(a) for k in cx.operators]
+    x, dx = cx.X.comp_at(a), cx.X.jac_at(a)
+
+    def own_conditions() -> Iterator[tuple[str, float]]:
         moved = {sig: [k.mat_at(sig(a)) for k in cx.operators] for sig, _, _ in TRANSPOSITIONS}
         ops = np.stack(mats, axis=-3)  # [..., j, row, col]
         big_a = cx.dA.coeff_at(a)
-        x = cx.X.comp_at(a)
         jda = cx.dA.jac_at(a)
         chain_defect = _chain_defect(mats, x, hinv)
         yield "square_closure", closure_defect(jda)
@@ -530,13 +534,13 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
         # the Jacobians of stacked_rows' rows; rows l >= j of K_j are theta_jl
         yield "jacobian_fd_agreement", fd_check_tensor(
             stacked_rows, [jda[..., None, :, :], *(jm[..., j:, :, :] for j, jm in enumerate(jacs)),
-                           cx.X.jac_at(a)[..., None, :, :]], a)
+                           dx[..., None, :, :]], a)
 
-    worst = lenard_residuals(cx.operators, cx.X, pts, extras)
+    worst = worst_by_name(itertools.chain(lenard_residuals(mats, jacs, x, dx), own_conditions()))
     tols = {"jacobian_fd_agreement": tol_fd, "wdvv_commutation_from_square": 1e-8}
     report = VerificationReport()
     for name in _CONDITIONS:
-        report.add(name, len(pts), worst[name], tols.get(name, tol_analytic))
+        report.add(name, len(a), worst[name], tols.get(name, tol_analytic))
     return report
 
 

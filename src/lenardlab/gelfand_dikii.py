@@ -16,7 +16,9 @@ K has nonvanishing Nijenhuis torsion, completely characterized by
 so powers of K do not produce a closed square of forms.  The corrected
 operators K1 = Id, K2 = K, K3 = K^2 + w2 Id together with dA = dw2 and
 X = d/dw0 satisfy all the complex conditions, and K itself has vanishing
-Haantjes torsion.
+Haantjes torsion.  K3 is one (1,1)-tensor field whose matrix is M^2 + w2 Id
+and whose Jacobian is the product rule of M M plus d(w2 Id).  The torsion
+identity is probed with one-forms dF: it reads only the differential.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ import numpy as np
 from .chartcore import (
     Chart,
     OneFormField,
-    ScalarField,
     TensorField11,
     VectorFieldSpec,
     closure_defect,
+    compose_jac,
     constant_form,
     constant_map,
     coordinate_vector_field,
@@ -46,8 +48,7 @@ from .chartcore import (
     lenard_residuals,
     nijenhuis_contracted,
     point_batch,
-    tensor_add_scalar_identity,
-    tensor_compose,
+    worst_by_name,
     wedge_matrix,
 )
 from .report import VerificationReport
@@ -78,12 +79,6 @@ def gd_operator() -> TensorField11:
     return TensorField11(W_CHART, mat, constant_map(jac))
 
 
-def gd_scalar() -> ScalarField:
-    """The scalar entering K3 = K^2 + A Id; dA = dw2 fixes A = w2 up to a
-    constant, which is taken to be zero (closure checks do not see it)."""
-    return ScalarField(W_CHART, lambda w: w[..., 2], constant_map([0.0, 0.0, 1.0]))
-
-
 @dataclass(frozen=True, eq=False)
 class GDComplex:
     operators: tuple[TensorField11, TensorField11, TensorField11]
@@ -94,20 +89,32 @@ class GDComplex:
 @functools.cache
 def gd_complex() -> GDComplex:
     k = gd_operator()
-    k3 = tensor_add_scalar_identity(tensor_compose(k, k), gd_scalar())
+    eye = np.eye(3)
+    # d(w2 Id)[i, j, d] = delta_ij dw2_d
+    w2_identity_jac = np.einsum("ij,d->ijd", eye, eye[2])
+
+    def k3_mat(w: np.ndarray) -> np.ndarray:
+        """K3 = K^2 + w2 Id."""
+        m = k.mat(w)
+        return m @ m + w[..., 2, None, None] * eye
+
+    def k3_jac(w: np.ndarray) -> np.ndarray:
+        m, jm = k.mat(w), k.jac(w)
+        return compose_jac(m, m, jm, jm) + w2_identity_jac
+
     return GDComplex(
-        operators=(identity_tensor(W_CHART), k, k3),
+        operators=(identity_tensor(W_CHART), k, TensorField11(W_CHART, k3_mat, k3_jac)),
         dA=constant_form(W_CHART, [0.0, 0.0, 1.0]),
         X=coordinate_vector_field(W_CHART, 0),
     )
 
 
-def gd_torsion_identity_residual(f: ScalarField, p) -> float:
+def gd_torsion_identity_residual(df: OneFormField, p) -> float:
     """Worst residual of df(Torsion(K)) = dw2 ^ df over the points p."""
     k = gd_operator()
-    contracted = nijenhuis_contracted(k, f, p)
+    contracted = nijenhuis_contracted(k, df, p)
     e2 = np.array([0.0, 0.0, 1.0])
-    target = wedge_matrix(e2, f.grad_at(p))
+    target = wedge_matrix(e2, df.coeff_at(p))
     return float(np.max(np.abs(contracted - target)))
 
 
@@ -162,7 +169,7 @@ _CONDITIONS = (
 )
 
 
-def verify_gd_complex(points: Sequence, tol: float = 1e-8,
+def verify_gd_complex(points: Sequence, tol_analytic: float = 1e-8,
                       tol_fd: float = 1e-6) -> VerificationReport:
     """Check the complex conditions for (Id, K, K^2 + w2 Id, dw2, d/dw0),
     each field evaluated once over the whole (N, 3) batch of points.
@@ -183,26 +190,30 @@ def verify_gd_complex(points: Sequence, tol: float = 1e-8,
         forms = _chain_and_square(np.asarray(cx.dA.coeff(w), dtype=float), mats)
         return np.concatenate([forms[..., 3:, :], *mats], axis=-2)
 
-    def extras(w: np.ndarray, mats: list[np.ndarray],
-               jacs: list[np.ndarray]) -> Iterator[tuple[str, float]]:
-        da = cx.dA.coeff_at(w)
+    mats = [k.mat_at(pts) for k in cx.operators]
+    jacs = [k.jac_at(pts) for k in cx.operators]
+
+    def own_conditions() -> Iterator[tuple[str, float]]:
+        da = cx.dA.coeff_at(pts)
         forms = _chain_and_square(da, mats)
-        jforms = _chain_and_square_jacs(da, cx.dA.jac_at(w), mats, jacs, forms)
+        jforms = _chain_and_square_jacs(da, cx.dA.jac_at(pts), mats, jacs, forms)
         yield "chain_closure", closure_defect(jforms[..., :3, :, :])
         yield "square_closure", closure_defect(jforms[..., 3:, :, :])
         for jm in jacs:
             # Lie_X(K) = 0 for X = d/dw0: no matrix entry depends on w0.
             yield "operator_symmetry_along_X", float(np.max(np.abs(jm[..., 0])))
         yield "jacobian_fd_agreement", fd_check_tensor(square_and_operator_rows,
-                                                       [jforms[..., 3:, :, :], *jacs], w)
+                                                       [jforms[..., 3:, :, :], *jacs], pts)
         # chain independence is reported per point, not assumed (here det = -8
         # identically)
         det = np.abs(np.linalg.det(forms[..., :3, :]))
         yield "chain_independence", float(np.max(np.maximum(0.0, CHAIN_DET_FLOOR - det)))
 
-    worst = lenard_residuals(cx.operators, cx.X, pts, extras)
+    worst = worst_by_name(itertools.chain(
+        lenard_residuals(mats, jacs, cx.X.comp_at(pts), cx.X.jac_at(pts)), own_conditions()))
     report = VerificationReport()
     for name in _CONDITIONS:
-        report.add(name, len(pts), worst[name], tol_fd if name == "jacobian_fd_agreement" else tol)
+        report.add(name, len(pts), worst[name],
+                   tol_fd if name == "jacobian_fd_agreement" else tol_analytic)
     report.add("chain_independence", len(pts), worst["chain_independence"], 1e-12)
     return report

@@ -217,17 +217,18 @@ def test_criterion_7_gelfand_dikii():
     rng = default_rng(SEED + 60)
     pts = rng.uniform(-2.0, 2.0, (50, 3))
     chart = gd.W_CHART
+    # the differentials of w0, w1, w2 and w0 w1
     probes = [
-        cc.ScalarField(chart, lambda w: float(w[0]), lambda w: np.array([1.0, 0, 0])),
-        cc.ScalarField(chart, lambda w: float(w[1]), lambda w: np.array([0.0, 1, 0])),
-        cc.ScalarField(chart, lambda w: float(w[2]), lambda w: np.array([0.0, 0, 1])),
-        cc.ScalarField(chart, lambda w: float(w[0] * w[1]),
-                       lambda w: np.array([w[1], w[0], 0.0])),
+        cc.constant_form(chart, [1.0, 0, 0]),
+        cc.constant_form(chart, [0.0, 1, 0]),
+        cc.constant_form(chart, [0.0, 0, 1]),
+        cc.OneFormField(chart, lambda w: np.array([w[1], w[0], 0.0]),
+                        cc.constant_map([[0.0, 1, 0], [1, 0, 0], [0, 0, 0]])),
     ]
     worst = max(gd.gd_torsion_identity_residual(f, w) for w in pts for f in probes)
     ok = _line("criterion 7 (torsion identity, 4 probes x 50 pts)", worst, 1e-8)
 
-    report = gd.verify_gd_complex(pts, tol=1e-8)
+    report = gd.verify_gd_complex(pts, tol_analytic=1e-8)
     ok &= _line("criterion 7 (complex verification)",
                 max(c.max_residual for c in report.conditions), 1e-8)
 
