@@ -617,6 +617,16 @@ def fd_hessian(fun: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
     return out
 
 
+def relative_gap(diff: np.ndarray, exact: np.ndarray) -> float:
+    """The worst of max|diff| / max(1, max|exact|), both maxima over the last
+    two axes, over the leading ones; NaN if ``diff`` has a NaN.  A finite
+    difference check's rule: a large value does not fail on rounding, and a
+    small one is not measured on a large one's scale.  ``diff`` is
+    overwritten with |diff|."""
+    scale = np.maximum(1.0, np.max(np.abs(exact), axis=(-2, -1)))
+    return float(np.max(np.max(np.abs(diff, out=diff), axis=(-2, -1)) / scale))
+
+
 def fd_check_tensor(value: Callable[[np.ndarray], np.ndarray], jacs: Sequence[np.ndarray],
                     p) -> float:
     """Worst relative gap over the points ``p`` between the analytic
@@ -642,8 +652,7 @@ def fd_check_tensor(value: Callable[[np.ndarray], np.ndarray], jacs: Sequence[np
     for jac, end in zip(jacs, ends):
         rows = gap[..., end - jac.shape[-3]:end, :, :]
         rows -= jac
-        scale = np.maximum(1.0, np.max(np.abs(jac), axis=(-2, -1)))
-        worst.append(float(np.max(np.max(np.abs(rows, out=rows), axis=(-2, -1)) / scale)))
+        worst.append(relative_gap(rows, jac))
     return nan_max(worst)
 
 

@@ -66,6 +66,7 @@ from .chartcore import (
 )
 from .report import VerificationReport
 from .wdvv import (
+    C0_PIVOT_HINT,
     Prepotential,
     VeselovPotential,
     commutation_residuals,
@@ -442,7 +443,7 @@ def square_wdvv_residuals(cx: LenardComplex, p) -> tuple[np.ndarray, np.ndarray]
 def wdvv_residual_of_complex(cx: LenardComplex, p) -> float:
     """The worst of :func:`square_wdvv_residuals` over the points p; raises
     SingularSliceError naming the first point whose pivot c[0] is refused."""
-    return worst_residual(*square_wdvv_residuals(cx, p), "pivot slice c[0]", p)
+    return worst_residual(*square_wdvv_residuals(cx, p), "pivot slice c[0]", p, C0_PIVOT_HINT)
 
 
 # verify_complex's conditions in report order

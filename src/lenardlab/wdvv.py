@@ -22,7 +22,10 @@ Everything works on the point axis of :mod:`lenardlab.chartcore`: the
 prepotential maps and the residuals take points of shape (..., n), so a
 batch of N points is one call and a single point is the () case.  The
 residuals are computed per point, with pivots refused per point, and
-reported as the NaN-propagating worst over the batch.
+reported as the NaN-propagating worst over the batch.  A pivot is refused
+when its 2-norm condition number exceeds MAX_PIVOT_COND; a Frobenius bound
+on it decides all but the pivots near that threshold, and only those go to
+an SVD (:func:`_guarded_inverse`).
 
 All logarithms appear as log u^2 = 2 log |u|; u = 0 is excluded by the
 regularity predicates, which for a ∨-system are its rows c.  A
@@ -32,7 +35,6 @@ not, so finite-difference stencils call those.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,12 +53,13 @@ MAX_PIVOT_COND = 1e8
 
 
 class SingularSliceError(np.linalg.LinAlgError):
-    """Raised when the commutation pivot is (numerically) singular.
+    """Raised when the commutation pivot is (numerically) singular: without
+    an invertible pivot the normalized residual is meaningless."""
 
-    The pivot slice c[0] is invertible exactly when the one-forms d(h_{1l})
-    are linearly independent; without that the normalized residual is
-    meaningless.
-    """
+
+#: Why the pivot slice c[0] can be refused: it is invertible exactly when
+#: the one-forms d(h_1l) are linearly independent.
+C0_PIVOT_HINT = "the one-forms d(h_1l) must be linearly independent"
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,29 +162,55 @@ def QUARTER_X(x: np.ndarray) -> np.ndarray:
 
 def _guarded_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a stack (..., n, n) of pivots, and the mask of the pivots
-    refused as non-finite, singular or worse conditioned than MAX_PIVOT_COND;
-    a refused pivot is inverted as the identity, so it spoils no other."""
-    eye = np.eye(mat.shape[-1])
+    refused as non-finite, singular or of 2-norm condition number above
+    MAX_PIVOT_COND; a refused pivot is inverted as the identity, so it spoils
+    no other.
+
+    The Frobenius condition number k_F = |P|_F |P^-1|_F bounds the 2-norm one,
+    k_2 <= k_F <= n k_2, so k_F decides every pivot clear of the band
+    (MAX_PIVOT_COND, n MAX_PIVOT_COND], and only the pivots in the band go
+    to an SVD (``np.linalg.cond``).  k_F is formed from P/max|P| and
+    max|P| P^-1, so it overflows at no scale of P.  An accepted pivot's
+    inverse is the LU inverse ``np.linalg.inv`` gives it alone.
+    """
+    n = mat.shape[-1]
+    eye = np.eye(n)
     finite = np.isfinite(mat).all(axis=(-2, -1))
-    rejected = ~finite | ~(np.linalg.cond(np.where(finite[..., None, None], mat, eye))
-                           <= MAX_PIVOT_COND)
-    return np.linalg.inv(np.where(rejected[..., None, None], eye, mat)), rejected
+    mat = np.where(finite[..., None, None], mat, eye)
+    # inv raises on an exactly singular member of a batch, and det underflows
+    # on a scaled pivot; slogdet's sign is 0 exactly when the LU is singular
+    singular = np.linalg.slogdet(mat)[0] == 0
+    inv = np.linalg.inv(np.where(singular[..., None, None], eye, mat))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        size = np.max(np.abs(mat), axis=(-2, -1))[..., None, None]
+        kappa_f = (np.linalg.norm(mat / size, axis=(-2, -1))
+                   * np.linalg.norm(size * inv, axis=(-2, -1)))
+    # k_F and the SVD's k_2 both carry a relative rounding error of about
+    # k eps = 1e-8 at the threshold, and k_F - k_2 can be as small as 1/k_2
+    # (n = 2): the bound decides only the pivots clear of that by 1e-6
+    accept = kappa_f <= MAX_PIVOT_COND * (1.0 - 1e-6)
+    refuse = ~finite | singular | (kappa_f > n * MAX_PIVOT_COND * (1.0 + 1e-6))
+    band = ~(accept | refuse)
+    if band.any():
+        kappa_2 = np.ones(band.shape)
+        kappa_2[band] = np.linalg.cond(mat[band])
+        refuse = refuse | ~(kappa_2 <= MAX_PIVOT_COND)
+    return np.where(refuse[..., None, None], eye, inv), refuse
 
 
 def _commutation_residual(c: np.ndarray, pivot_inv: np.ndarray) -> np.ndarray:
     """The worst pair residual at every point of a stack (..., n, n, n) of
-    third tensors; NaN wherever a pair residual is NaN."""
-    pinv_norm = np.linalg.norm(pivot_inv, axis=(-2, -1))
+    third tensors; NaN wherever a pair residual is NaN.
 
-    def pair(j: int, l: int) -> np.ndarray:
-        cj, cl = c[..., j, :, :], c[..., l, :, :]
-        a = cj @ pivot_inv @ cl
-        num = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1))
-        den = np.maximum(1.0, np.linalg.norm(cj, axis=(-2, -1)) * pinv_norm
-                         * np.linalg.norm(cl, axis=(-2, -1)))
-        return num / den
-
-    return functools.reduce(np.maximum, (pair(j, l) for j, l in pairwise_indices(c.shape[-1])))
+    The products c_j P^-1 of every slice are one stacked matmul, and each
+    pair's c_j P^-1 c_l is associated as (c_j P^-1) c_l."""
+    j, l = np.array(list(pairwise_indices(c.shape[-1]))).T
+    cp = c @ pivot_inv[..., None, :, :]
+    a = cp[..., j, :, :] @ c[..., l, :, :]
+    num = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1))
+    norm = np.linalg.norm(c, axis=(-2, -1))
+    pinv_norm = np.linalg.norm(pivot_inv, axis=(-2, -1))[..., None]
+    return np.max(num / np.maximum(1.0, norm[..., j] * pinv_norm * norm[..., l]), axis=-1)
 
 
 def commutation_residuals(c: np.ndarray, pivot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,15 +221,17 @@ def commutation_residuals(c: np.ndarray, pivot: np.ndarray) -> tuple[np.ndarray,
     return np.where(rejected, np.nan, _commutation_residual(c, pivot_inv)), rejected
 
 
-def worst_residual(residuals: np.ndarray, rejected: np.ndarray, what: str, points) -> float:
+def worst_residual(residuals: np.ndarray, rejected: np.ndarray, what: str, points,
+                   hint: str = "") -> float:
     """The largest of the per-point ``residuals``, NaN if any is NaN; raises
-    SingularSliceError naming the first of ``points`` whose pivot is refused."""
+    SingularSliceError naming the pivot ``what`` and the first of ``points``
+    whose pivot is refused, followed by ``hint``, what that pivot needs."""
     if rejected.any():
         point = np.reshape(points, (-1, np.shape(points)[-1]))[int(np.argmax(rejected))]
+        why = f"; {hint} for the commutation residual to be meaningful" if hint else ""
         raise SingularSliceError(
             f"{what} at {point} is singular or has condition number above "
-            f"{MAX_PIVOT_COND:.0e}; the one-forms d(h_1l) must be linearly "
-            "independent for the commutation residual to be meaningful"
+            f"{MAX_PIVOT_COND:.0e}{why}"
         )
     return float(np.max(residuals))
 
@@ -209,7 +240,8 @@ def wdvv_residual(pre: Prepotential, x) -> float:
     """Scale-free residual of the pairwise commutation with pivot c[0], the
     worst over the points x of shape (..., n)."""
     c = pre.third_at(x)
-    return worst_residual(*commutation_residuals(c, c[..., 0, :, :]), "pivot slice c[0]", x)
+    return worst_residual(*commutation_residuals(c, c[..., 0, :, :]), "pivot slice c[0]", x,
+                          C0_PIVOT_HINT)
 
 
 def g_matrix(pre: Prepotential, weights: EulerWeights, x) -> np.ndarray:

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import pathlib
 
 import pytest
 
 from lenardlab import chartcore as cc
+from lenardlab import cli, wdvv
 from lenardlab.cli import _FLOAT_OPTIONS, main
+from lenardlab.sampling import default_rng, sample_gapped_box
 
 REPORTS = pathlib.Path(__file__).resolve().parent.parent / "reports"
 
@@ -47,7 +50,75 @@ def test_refused_wdvv_pivot_exits_1_not_2(capsys, m):
     assert code == 1
     assert out == ""
     assert "pivot slice c[0]" in err and "condition number" in err
+    assert "d(h_1l) must be linearly independent" in err
     assert run(capsys, "verify-wdvv", "--m", "0")[0] == 2
+
+
+def test_refused_pivot_names_the_first_refused_point(capsys):
+    code, _, err = run(capsys, "verify-wdvv", "--m", "1e6")
+    assert code == 1
+    assert "c[0] at [2.40284925 2.46516076 0.82028408] is singular" in err
+
+
+def test_wdvv_fd_checks_are_relative_to_the_checked_derivative(capsys):
+    # |F| is large at m = 0.1, and an absolute second-difference gap of 1.6e-6
+    # failed this admissible potential on rounding alone
+    code, doc, _ = run_json(capsys, "verify-wdvv", "--m", "0.1", "--points", "10",
+                            "--seed", "0")
+    assert code == 0
+    worst = {c["name"]: c["max_residual"] for c in doc["conditions"]}
+    assert worst["wdvv_commutation"] < 1e-15
+    assert worst["hessian_fd_agreement"] < 1e-7 and worst["third_fd_agreement"] < 1e-7
+    # the third-tensor check is the verifiers' FD check of the Hessian's rows
+    pre = wdvv.veselov_prepotential(wdvv.VeselovPotential(3, 0.1))
+    head = sample_gapped_box(default_rng(0), 10, dim=3, predicates=pre.predicates)
+    assert worst["third_fd_agreement"] == cc.fd_check_tensor(pre.hessian, [pre.third_at(head)],
+                                                             head)
+
+
+@pytest.mark.parametrize("field, failing", [("hessian", "hessian_fd_agreement"),
+                                            ("third", "third_fd_agreement")])
+def test_a_derivative_off_by_1e5_relative_fails_its_fd_check(monkeypatch, capsys, field, failing):
+    def spoiled(pot, scale=1.0):
+        pre = wdvv.veselov_prepotential(pot, scale)
+        exact = getattr(pre, field)
+        return dataclasses.replace(pre, **{field: lambda x: (1.0 + 1e-5) * exact(x)})
+
+    monkeypatch.setattr(cli, "veselov_prepotential", spoiled)
+    code, doc, _ = run_json(capsys, "verify-wdvv", "--m", "2", "--points", "10", "--seed", "4")
+    assert code == 1
+    assert not next(c for c in doc["conditions"] if c["name"] == failing)["pass"]
+    assert next(c for c in doc["conditions"] if c["name"] == "wdvv_commutation")["pass"]
+
+
+def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
+    calls = [
+        ("verify-wdvv", "--euler", "quarter-x", "--points", "20", "--format", "json"),
+        ("verify-wdvv", "--points", "20", "--format", "json"),
+        ("verify-wdvv", "--m", "0", "--format", "json"),
+        ("verify-wdvv", "--euler", "half", "--format", "json"),
+        ("reproduce", "example3", "--segments", "5", "--points", "10", "--format", "json"),
+        ("reproduce", "gd", "--points", "10", "--format", "json"),
+    ]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            try:
+                results.append(run(capsys, *argv))
+            except SystemExit as exc:  # argparse rejects the word itself
+                results.append((exc.code, *capsys.readouterr()))
+        return results
+
+    shared = run_all()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert shared == run_all()
+    # the Euler checks of the first call do not leak into the second
+    assert [code for code, _, _ in shared] == [0, 0, 2, 2, 0, 0]
+    assert "euler_g_matrix" in shared[0][1] and "euler_g_matrix" not in shared[1][1]
+    assert "invalid choice: 'half'" in shared[3][2]
+    assert '"segments": 5' in shared[4][1]
 
 
 def test_verify_wdvv_euler_reports_g_matrix(capsys):

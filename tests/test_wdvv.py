@@ -181,8 +181,10 @@ def test_singular_pivot_raises_named_error():
                              lambda u: np.zeros((3, 3)), lambda u: np.zeros((3, 3, 3)))
     with pytest.raises(wdvv.SingularSliceError, match="linearly independent"):
         wdvv.wdvv_residual(flat, X0)
-    with pytest.raises(wdvv.SingularSliceError):
+    # the hint on the one-forms d(h_1l) is about c[0] only, not the Euler pivot g
+    with pytest.raises(wdvv.SingularSliceError, match="Euler-weighted pivot g") as refused:
         wdvv.generalized_wdvv_residual(PRE3, cc.constant_map([0.0, 0, 0]), X0)
+    assert "h_1l" not in str(refused.value)
 
 
 def test_scaled_prepotential_scales_derivatives():
@@ -256,3 +258,123 @@ def test_vee_prepotential_of_general_rows_against_direct_summation():
         assert np.max(np.abs(cc.fd_jacobian(pre.hessian, x) - c)) < 1e-7 * np.max(np.abs(c))
     with pytest.raises(cc.SingularPointError):
         pre.third_at([2.0, -1.0, 0.0])  # on the plane of the first row
+
+
+# --- the pivot guard --------------------------------------------------------------
+
+
+def stress_pivots(n, count=1500, seed=0):
+    """Pivots of 2-norm condition number 10^6 to 10^10 at scales 10^+-200, with
+    zero, rank-one, NaN and inf members."""
+    rng = np.random.default_rng(seed + n)
+    q1 = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+    sv = 10.0 ** -np.sort(rng.uniform(0.0, 1.0, (count, n)), axis=-1)
+    sv[:, 0], sv[:, -1] = 1.0, 10.0 ** -rng.uniform(6.0, 10.0, count)
+    scale = 10.0 ** rng.uniform(-200.0, 200.0, count)
+    pivots = scale[:, None, None] * (q1 * sv[:, None, :]) @ q2
+    pivots[::97] = 0.0
+    pivots[1::89, 0, 0] = np.nan
+    pivots[2::83, -1, 0] = -np.inf
+    pivots[3::79] = pivots[3::79, :1, :]
+    return pivots
+
+
+def veselov_pivots(n, m, count=200):
+    """The pivots c[0] and the Euler-weighted g = sum_k (x_k/4) c_k at sampled
+    points of the Veselov potential, with the third tensors."""
+    pre = wdvv.veselov_prepotential(wdvv.VeselovPotential(n, m))
+    x = sample_gapped_box(default_rng(n), count, dim=n, predicates=pre.predicates)
+    c = pre.third_at(x)
+    return c, np.concatenate([c[:, 0], wdvv.g_matrix(pre, wdvv.QUARTER_X, x)])
+
+
+def svd_refusals(pivots):
+    """The refusal rule by an SVD of every pivot."""
+    eye = np.eye(pivots.shape[-1])
+    finite = np.isfinite(pivots).all(axis=(-2, -1))
+    return ~finite | ~(np.linalg.cond(np.where(finite[..., None, None], pivots, eye))
+                       <= wdvv.MAX_PIVOT_COND)
+
+
+def pairwise_residual(c, pivot_inv):
+    """The commutation residual pair by pair, (c_j P^-1) c_l, as a reference."""
+    pinv_norm = np.linalg.norm(pivot_inv, axis=(-2, -1))
+    worst = None
+    for j, l in itertools.combinations(range(c.shape[-1]), 2):
+        cj, cl = c[..., j, :, :], c[..., l, :, :]
+        a = cj @ pivot_inv @ cl
+        num = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1))
+        den = np.maximum(1.0, np.linalg.norm(cj, axis=(-2, -1)) * pinv_norm
+                         * np.linalg.norm(cl, axis=(-2, -1)))
+        worst = num / den if worst is None else np.maximum(worst, num / den)
+    return worst
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_guard_refuses_exactly_what_an_svd_refuses(n):
+    pivots = stress_pivots(n)
+    inverses, refused = wdvv._guarded_inverse(pivots)
+    np.testing.assert_array_equal(refused, svd_refusals(pivots))
+    assert 0 < refused.sum() < len(pivots)
+    np.testing.assert_array_equal(inverses[refused], np.broadcast_to(np.eye(n), (refused.sum(), n, n)))
+    kept = pivots[~refused]
+    np.testing.assert_array_equal(inverses[~refused], np.stack([np.linalg.inv(p) for p in kept]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_guard_refuses_exactly_what_an_svd_refuses_on_veselov_pivots(n):
+    # 1/m -> 0 takes the family to A_{n-1}, where c[0] is singular: the
+    # condition numbers cross the threshold within these m
+    for m in (1.0, 7.0, 0.5, -3.0, 1e2, 1e4, 1e5, 1e6, 1e7, 1e8):
+        pivots = veselov_pivots(n, m)[1]
+        np.testing.assert_array_equal(wdvv._guarded_inverse(pivots)[1], svd_refusals(pivots))
+
+
+def test_guard_sends_only_the_band_to_the_svd(monkeypatch):
+    svd_cond = np.linalg.cond
+    seen = []
+
+    def spy(x, *args, **kwargs):
+        seen.append(np.array(x))
+        return svd_cond(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", spy)
+    pivots = veselov_pivots(3, 2.0)[1]
+    assert not wdvv._guarded_inverse(pivots)[1].any()
+    assert seen == []
+    pivots = stress_pivots(3)
+    wdvv._guarded_inverse(pivots)
+    band = np.concatenate(seen)
+    # k_2 <= k_F <= n k_2: the bound leaves only 1e8/n < k_2 <= n 1e8 undecided
+    kappa = svd_cond(band)
+    assert 0 < len(band) < len(pivots) / 4
+    assert np.all((kappa > wdvv.MAX_PIVOT_COND / 3 * (1 - 1e-5))
+                  & (kappa <= 3 * wdvv.MAX_PIVOT_COND * (1 + 1e-5)))
+
+
+def test_one_pivot_against_a_batch_gives_a_scalar_mask():
+    c, _ = veselov_pivots(3, 2.0, count=5)
+    # the diagonal pivots lie in the band the SVD decides: k_F = sqrt(2) k_2
+    for pivot, is_refused in ((c[0, 0], False), (np.zeros((3, 3)), True),
+                              (np.diag([1.0, 1.0, 1 / 0.9e8]), False),
+                              (np.diag([1.0, 1.0, 1 / 1.1e8]), True)):
+        residuals, refused = wdvv.commutation_residuals(c, pivot)
+        assert np.shape(refused) == () and bool(refused) is is_refused
+        assert residuals.shape == (5,)
+        assert np.isnan(residuals).all() == is_refused
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stacked_residual_is_bit_equal_to_the_pairwise_products(n):
+    c, pivots = veselov_pivots(n, 3.0)
+    pivot_inv = np.linalg.inv(pivots[:len(c)])
+    np.testing.assert_array_equal(wdvv._commutation_residual(c, pivot_inv),
+                                  pairwise_residual(c, pivot_inv))
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal((50, n, n, n))
+    pivot_inv = np.linalg.inv(rng.standard_normal((50, n, n)))
+    np.testing.assert_array_equal(wdvv._commutation_residual(c, pivot_inv),
+                                  pairwise_residual(c, pivot_inv))
+    np.testing.assert_array_equal(wdvv._commutation_residual(c, pivot_inv[0]),
+                                  pairwise_residual(c, pivot_inv[0]))
