@@ -1,11 +1,12 @@
 """Charts, points, differentiable fields and the generic residual computations.
 
-Everything lives on a fixed coordinate chart of R^n.  There are three
-kinds of field, one-forms, vector fields and (1,1)-tensor fields, each a
-pair of callables (components and their analytic first derivatives); a
-function enters only through its differential, a one-form.  All residuals
-below are computed from the analytic derivatives, with central finite
-differences available only as an independent cross-check.
+Everything lives on a fixed coordinate chart of R^n.  There is one kind of
+field, :class:`Field`: a pair of callables, its components and their
+analytic first derivatives.  A one-form and a vector field have components
+of shape (dim,), a (1,1)-tensor field of shape (dim, dim); a function enters
+only through its differential, a one-form.  All residuals below are computed
+from the analytic derivatives, with central finite differences available
+only as an independent cross-check.
 
 Conventions, fixed once for the whole package:
 
@@ -13,19 +14,24 @@ Conventions, fixed once for the whole package:
   of shape (..., dim) and broadcasts over the leading axes, so a batch of N
   points is one (N, dim) call and a single point is the () case of the same
   code.  Component shapes below are the trailing axes.
+* A field's ``coeff`` maps points (..., dim) to components (..., *shape) and
+  its ``jac`` maps them to (..., *shape, dim), the derivative index last:
+  jac[..., d] = d coeff / d u_d.
+* Maps keep the dtype of their points.  Points enter through
+  :func:`as_points`: integer points become float64, and float64, complex128
+  and object (e.g. ``Fraction``) points keep their dtype, so the same maps
+  run on a complex step.  Only constructor data (predicate rows, constant
+  values) is cast to float.
 * Regularity predicates are linear data: a field stores them as a (P, dim)
   array C of covector rows, and u is regular iff |u . c| >= REGULARITY_MARGIN
   for every row c (:func:`singular_segments` is the one place that compares).
   Every singular locus in the package is such a hyperplane, so chart
   changes act on the columns of C and unions of fields stack its rows.
-* A (1,1)-tensor field K is stored as a single matrix-valued map M(u).
-  Row i of M is the covector image of the i-th coordinate differential,
+* A (1,1)-tensor field K has as components a matrix M(u).  Row i of M is
+  the covector image of the i-th coordinate differential,
       (K du_i)_m = M[i, m],
   the action on vectors is (K X)^i = sum_m M[i, m] X^m, and the two actions
   are adjoint:  theta(K X) = (K theta)(X).
-* One-form Jacobians are jac[i, j] = d c_i / d u_j; vector-field Jacobians
-  are jac[i, j] = d X^i / d u_j; tensor Jacobians are jac[i, j, d] =
-  d M[i, j] / d u_d.
 * Nijenhuis torsion: N_K(X, Y) = K^2 [X, Y] + [KX, KY] - K[KX, Y] - K[X, KY].
 * Wedge of one-forms on basis pairs: (a ^ b)[i, j] = a_i b_j - a_j b_i.
 * Contractions over the point axis: a product with a matrix or a Jacobian
@@ -82,10 +88,17 @@ class Chart:
             raise ValueError(f"chart dimension must be >= 2, got {self.dim}")
 
 
+def as_points(p) -> np.ndarray:
+    """``p`` as an array of at least float64 precision: integer points become
+    float64, and float64, complex128 and object points keep their dtype."""
+    u = np.asarray(p)
+    return u.astype(np.result_type(u.dtype, np.float64), copy=False)
+
+
 def coords_of(p, dim: int | None = None) -> np.ndarray:
-    """The coordinates of a point, or of points along leading axes, as a
-    float array of shape (..., dim), checked against ``dim``."""
-    u = np.asarray(p, dtype=float)
+    """The coordinates of a point, or of points along leading axes, as an
+    array of shape (..., dim) (:func:`as_points`), checked against ``dim``."""
+    u = as_points(p)
     # a single point passes the first test; only batches reach the slice
     if dim is not None and u.shape != (dim,) and u.shape[-1:] != (dim,):
         raise ChartMismatchError(f"expected points of length {dim}, got shape {u.shape}")
@@ -151,9 +164,10 @@ def check_regular(predicates: np.ndarray, u: np.ndarray) -> None:
 # fields
 
 
-class _Field:
-    """Stores the ``predicates`` a field is built with as (P, dim) rows and
-    checks the points its ``*_at`` methods are given against them."""
+class _Predicated:
+    """Stores the ``predicates`` an object on a ``chart`` is built with as
+    (P, dim) rows and checks the points its ``*_at`` methods are given
+    against them; the raw maps take points unchecked."""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "predicates", predicate_rows(self.predicates, self.chart.dim))
@@ -165,8 +179,10 @@ class _Field:
 
 
 @dataclass(frozen=True, eq=False)
-class OneFormField(_Field):
-    """One-form sum_i c_i(u) du_i with analytic coefficient Jacobian."""
+class Field(_Predicated):
+    """A field with components ``coeff`` (..., *shape) and their analytic
+    Jacobian ``jac`` (..., *shape, dim): a one-form or a vector field has
+    shape (dim,), a (1,1)-tensor (dim, dim) (see the module docstring)."""
 
     chart: Chart
     coeff: Callable[[np.ndarray], np.ndarray]
@@ -174,45 +190,14 @@ class OneFormField(_Field):
     predicates: np.ndarray = ()
 
     def coeff_at(self, p) -> np.ndarray:
-        return np.asarray(self.coeff(self._regular(p)), dtype=float)
+        return self.coeff(self._regular(p))
 
     def jac_at(self, p) -> np.ndarray:
-        return np.asarray(self.jac(self._regular(p)), dtype=float)
+        return self.jac(self._regular(p))
 
 
-@dataclass(frozen=True, eq=False)
-class VectorFieldSpec(_Field):
-    """Vector field with analytic component Jacobian."""
-
-    chart: Chart
-    comp: Callable[[np.ndarray], np.ndarray]
-    jac: Callable[[np.ndarray], np.ndarray]
-    predicates: np.ndarray = ()
-
-    def comp_at(self, p) -> np.ndarray:
-        return np.asarray(self.comp(self._regular(p)), dtype=float)
-
-    def jac_at(self, p) -> np.ndarray:
-        return np.asarray(self.jac(self._regular(p)), dtype=float)
-
-
-@dataclass(frozen=True, eq=False)
-class TensorField11(_Field):
-    """(1,1)-tensor field; see the module docstring for the row convention."""
-
-    chart: Chart
-    mat: Callable[[np.ndarray], np.ndarray]
-    jac: Callable[[np.ndarray], np.ndarray]
-    predicates: np.ndarray = ()
-
-    def mat_at(self, p) -> np.ndarray:
-        return np.asarray(self.mat(self._regular(p)), dtype=float)
-
-    def jac_at(self, p) -> np.ndarray:
-        return np.asarray(self.jac(self._regular(p)), dtype=float)
-
-
-# constructors ---------------------------------------------------------------
+# the benchmark's tracer names this alias; ROADMAP item 9 deletes it
+OneFormField = Field
 
 
 def constant_map(value) -> Callable[[np.ndarray], np.ndarray]:
@@ -221,24 +206,9 @@ def constant_map(value) -> Callable[[np.ndarray], np.ndarray]:
     return lambda u: np.broadcast_to(value, np.shape(u)[:-1] + value.shape)
 
 
-def constant_form(chart: Chart, coeffs) -> OneFormField:
-    c = np.array(coeffs, dtype=float)
-    return OneFormField(chart, constant_map(c), constant_map(np.zeros((chart.dim, chart.dim))))
-
-
-def coordinate_vector_field(chart: Chart, i: int) -> VectorFieldSpec:
-    """The coordinate field d/du_i (0-based index)."""
-    return VectorFieldSpec(chart, constant_map(np.eye(chart.dim)[i]),
-                           constant_map(np.zeros((chart.dim, chart.dim))))
-
-
-def constant_tensor(chart: Chart, mat) -> TensorField11:
-    m = np.array(mat, dtype=float)
-    return TensorField11(chart, constant_map(m), constant_map(np.zeros((chart.dim,) * 3)))
-
-
-def identity_tensor(chart: Chart) -> TensorField11:
-    return constant_tensor(chart, np.eye(chart.dim))
+def constant_field(chart: Chart, value) -> Field:
+    """The field u -> value, of any component shape; its Jacobian is zero."""
+    return Field(chart, constant_map(value), constant_map(np.zeros(np.shape(value) + (chart.dim,))))
 
 
 def _same_chart(*fields) -> Chart:
@@ -278,13 +248,13 @@ class Permutation:
         return np.array(self.mapping)
 
     def __call__(self, u) -> np.ndarray:
-        return np.asarray(u, dtype=float).take(self.index, axis=-1)
+        return as_points(u).take(self.index, axis=-1)
 
     def inverse(self) -> "Permutation":
         return Permutation(tuple(int(k) for k in np.argsort(self.mapping)))
 
 
-def pullback(sigma: Permutation, omega: OneFormField) -> OneFormField:
+def pullback(sigma: Permutation, omega: Field) -> Field:
     """Pull a one-form back along the coordinate permutation sigma.
 
     Coefficients transform as c'_m(u) = c_{sigma^{-1}(m)}(sigma(u)), which for
@@ -297,15 +267,15 @@ def pullback(sigma: Permutation, omega: OneFormField) -> OneFormField:
     inv = sigma.inverse().index
 
     def coeff(u: np.ndarray) -> np.ndarray:
-        return np.asarray(omega.coeff(sigma(u)), dtype=float).take(inv, axis=-1)
+        return omega.coeff(sigma(u)).take(inv, axis=-1)
 
     def jac(u: np.ndarray) -> np.ndarray:
-        return np.asarray(omega.jac(sigma(u)), dtype=float).take(inv, -1).take(inv, -2)
+        return omega.jac(sigma(u)).take(inv, -1).take(inv, -2)
 
-    return OneFormField(omega.chart, coeff, jac, omega.predicates.take(inv, axis=-1))
+    return Field(omega.chart, coeff, jac, omega.predicates.take(inv, axis=-1))
 
 
-def transform_tensor(sigma: Permutation, k: TensorField11) -> TensorField11:
+def transform_tensor(sigma: Permutation, k: Field) -> Field:
     """Transform a (1,1)-tensor by the usual rule, (sigma K)(u) = K(sigma^{-1}u) conjugated."""
     if sigma.dim != k.chart.dim:
         raise ChartMismatchError(
@@ -314,13 +284,13 @@ def transform_tensor(sigma: Permutation, k: TensorField11) -> TensorField11:
     inv = sigma.inverse()
     idx = sigma.index
 
-    def mat(u: np.ndarray) -> np.ndarray:
-        return np.asarray(k.mat(inv(u)), dtype=float).take(idx, -1).take(idx, -2)
+    def coeff(u: np.ndarray) -> np.ndarray:
+        return k.coeff(inv(u)).take(idx, -1).take(idx, -2)
 
     def jac(u: np.ndarray) -> np.ndarray:
-        return np.asarray(k.jac(inv(u)), dtype=float).take(idx, -1).take(idx, -2).take(idx, -3)
+        return k.jac(inv(u)).take(idx, -1).take(idx, -2).take(idx, -3)
 
-    return TensorField11(k.chart, mat, jac, k.predicates.take(idx, axis=-1))
+    return Field(k.chart, coeff, jac, k.predicates.take(idx, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +352,14 @@ def closure_defect(jac: np.ndarray) -> float:
     return float(np.max(np.abs(jac - np.swapaxes(jac, -1, -2))))
 
 
-def closure_residual(omega: OneFormField, p) -> float:
+def closure_residual(omega: Field, p) -> float:
     """Max antisymmetric part of the coefficient Jacobian; zero iff d(omega) = 0 at p."""
     return closure_defect(omega.jac_at(p))
 
 
-def commutator_residual(k: TensorField11, l: TensorField11, p) -> float:
+def commutator_residual(k: Field, l: Field, p) -> float:
     _same_chart(k, l)
-    a, b = k.mat_at(p), l.mat_at(p)
+    a, b = k.coeff_at(p), l.coeff_at(p)
     return float(np.max(np.abs(a @ b - b @ a)))
 
 
@@ -398,10 +368,10 @@ def _bracket(x: np.ndarray, dx: np.ndarray, y: np.ndarray, dy: np.ndarray) -> np
     return apply(dy, x) - apply(dx, y)
 
 
-def lie_bracket_residual(x: VectorFieldSpec, y: VectorFieldSpec, p) -> float:
+def lie_bracket_residual(x: Field, y: Field, p) -> float:
     """Worst |[X, Y]| over the points p, from the analytic Jacobians."""
     _same_chart(x, y)
-    return float(np.max(np.abs(_bracket(x.comp_at(p), x.jac_at(p), y.comp_at(p), y.jac_at(p)))))
+    return float(np.max(np.abs(_bracket(x.coeff_at(p), x.jac_at(p), y.coeff_at(p), y.jac_at(p)))))
 
 
 def covector_image_jac(th: np.ndarray, jth: np.ndarray, m: np.ndarray,
@@ -422,22 +392,17 @@ def compose_jac(mk: np.ndarray, ml: np.ndarray, jk: np.ndarray, jl: np.ndarray) 
     return np.swapaxes(matmul_last(np.swapaxes(jk, -1, -2), ml), -1, -2) + matmul_first(mk, jl)
 
 
-def covector_image(k: TensorField11, omega: OneFormField) -> OneFormField:
+def covector_image(k: Field, omega: Field) -> Field:
     """The one-form K(omega), with analytic Jacobian by the product rule."""
     chart = _same_chart(k, omega)
 
     def coeff(u: np.ndarray) -> np.ndarray:
-        return covector_apply(np.asarray(omega.coeff(u), dtype=float),
-                              np.asarray(k.mat(u), dtype=float))
+        return covector_apply(omega.coeff(u), k.coeff(u))
 
     def jac(u: np.ndarray) -> np.ndarray:
-        th = np.asarray(omega.coeff(u), dtype=float)
-        jth = np.asarray(omega.jac(u), dtype=float)
-        m = np.asarray(k.mat(u), dtype=float)
-        jm = np.asarray(k.jac(u), dtype=float)
-        return covector_image_jac(th, jth, m, jm)
+        return covector_image_jac(omega.coeff(u), omega.jac(u), k.coeff(u), k.jac(u))
 
-    return OneFormField(chart, coeff, jac, union_predicates(k.predicates, omega.predicates))
+    return Field(chart, coeff, jac, union_predicates(k.predicates, omega.predicates))
 
 
 # torsion --------------------------------------------------------------------
@@ -461,31 +426,31 @@ def _haantjes(m: np.ndarray, j: np.ndarray) -> np.ndarray:
             - matmul_first(m, nm - nt))
 
 
-def nijenhuis_tensor(k: TensorField11, p) -> np.ndarray:
+def nijenhuis_tensor(k: Field, p) -> np.ndarray:
     """Components N[a, i, j] of the Nijenhuis torsion on coordinate basis pairs."""
-    return _nijenhuis(k.mat_at(p), k.jac_at(p))
+    return _nijenhuis(k.coeff_at(p), k.jac_at(p))
 
 
-def nijenhuis_contracted(k: TensorField11, df: OneFormField, p) -> np.ndarray:
+def nijenhuis_contracted(k: Field, df: Field, p) -> np.ndarray:
     """The antisymmetric matrix df(N_K(., .)) on coordinate basis pairs."""
     _same_chart(k, df)
     n = nijenhuis_tensor(k, p)
     return np.einsum("...a,...aij->...ij", df.coeff_at(p), n)
 
 
-def haantjes_tensor(k: TensorField11, p) -> np.ndarray:
+def haantjes_tensor(k: Field, p) -> np.ndarray:
     """H_K(X,Y) = K^2 N(X,Y) + N(KX,KY) - K(N(KX,Y) + N(X,KY)) on basis pairs."""
-    return _haantjes(k.mat_at(p), k.jac_at(p))
+    return _haantjes(k.coeff_at(p), k.jac_at(p))
 
 
-def haantjes_residual(k: TensorField11, p) -> float:
+def haantjes_residual(k: Field, p) -> float:
     """Worst max|H_K| over the points p, each relative to max(1, |M|^3 |dM|).
 
     H_K sums products of three entries of M and one of its Jacobian, so
     rounding alone leaves about 1e-16 of |M|^3 |dM|; the scale keeps large
     operators of a torsion-free complex from failing on rounding.
     """
-    return _scaled_haantjes(k.mat_at(p), k.jac_at(p))
+    return _scaled_haantjes(k.coeff_at(p), k.jac_at(p))
 
 
 def _scaled_haantjes(m: np.ndarray, j: np.ndarray) -> float:
@@ -497,8 +462,8 @@ def _scaled_haantjes(m: np.ndarray, j: np.ndarray) -> float:
 
 def wedge_matrix(a, b) -> np.ndarray:
     """(a ^ b) on coordinate basis pairs."""
-    a = np.asarray(a, dtype=float)[..., :, None]
-    b = np.asarray(b, dtype=float)[..., :, None]
+    a = np.asarray(a)[..., :, None]
+    b = np.asarray(b)[..., :, None]
     return a * np.swapaxes(b, -1, -2) - b * np.swapaxes(a, -1, -2)
 
 
@@ -529,8 +494,8 @@ def lenard_residuals(mats: Sequence[np.ndarray], jacs: Sequence[np.ndarray], x: 
 
 
 def point_batch(points, dim: int) -> np.ndarray:
-    """``points`` as an (N, dim) float array with N >= 1."""
-    u = np.asarray(points, dtype=float)
+    """``points`` as an (N, dim) array (:func:`as_points`) with N >= 1."""
+    u = as_points(points)
     if u.size == 0:
         raise ValueError("need at least one point")
     if u.ndim != 2:
@@ -557,14 +522,14 @@ def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
     coefficients near the 0.05 sampling gap, while this one stays below
     1e-10 there.
     """
-    u = np.asarray(u, dtype=float)
+    u = as_points(u)
     h = _fd_steps(u)
     h_by_coord = h.T  # h_by_coord[d]: the steps along coordinate d, at every point
 
     def at(d: int, k: int) -> np.ndarray:
         v = u.copy()
         v.T[d] += k * h_by_coord[d]
-        return np.asarray(fun(v), dtype=float)
+        return fun(v)
 
     def column(d: int) -> np.ndarray:
         return at(d, -2) - 8.0 * at(d, -1) + 8.0 * at(d, 1) - at(d, 2)
@@ -572,7 +537,7 @@ def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
     # filled column by column and divided in place: the Jacobian of a stacked
     # map is the largest array a verifier holds, so it is held once
     first = column(0)
-    jac = np.empty(first.shape + u.shape[-1:])
+    jac = np.empty(first.shape + u.shape[-1:], first.dtype)
     jac[..., 0] = first
     del first
     for d in range(1, u.shape[-1]):
@@ -593,17 +558,17 @@ def fd_hessian(fun: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
     """Fourth-order central second differences of a scalar map at the points
     ``u`` of shape (..., dim); the Hessian axes are appended.  ``fun`` is
     called once per stencil shift, each time with every point shifted."""
-    u = np.asarray(u, dtype=float)
+    u = as_points(u)
     h = FD_STEP_SECOND * np.maximum(1.0, np.abs(u))
     n = u.shape[-1]
     eye = np.eye(n)
 
     def at(shift: np.ndarray) -> np.ndarray:
         """``fun`` at every point moved by ``shift`` (in steps) per coordinate."""
-        return np.asarray(fun(u + shift * h), dtype=float)
+        return fun(u + shift * h)
 
-    out = np.empty(u.shape[:-1] + (n, n))
     f0 = at(np.zeros(n))
+    out = np.empty(u.shape[:-1] + (n, n), np.result_type(f0))
     for i in range(n):
         hi = h[..., i]
         out[..., i, i] = (-at(-2 * eye[i]) + 16 * at(-eye[i]) - 30 * f0
@@ -665,7 +630,7 @@ def assert_segment_regular(predicates: np.ndarray, u0, u1) -> None:
     enters the singular margin along, any of the straight segments from
     ``u0`` to ``u1`` of shape (..., dim); the message names the first
     offending segment and row (:func:`singular_segments`)."""
-    u0, u1 = np.broadcast_arrays(np.asarray(u0, dtype=float), np.asarray(u1, dtype=float))
+    u0, u1 = np.broadcast_arrays(coords_of(u0), coords_of(u1))
     bad = singular_segments(predicates, u0, u1)
     if bad.any():
         i, k = divmod(int(np.argmax(bad.ravel())), len(predicates))
@@ -679,7 +644,7 @@ def assert_segment_regular(predicates: np.ndarray, u0, u1) -> None:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _gl_estimates(omega: OneFormField, u0: np.ndarray, step: np.ndarray,
+def _gl_estimates(omega: Field, u0: np.ndarray, step: np.ndarray,
                   a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """12-node Gauss-Legendre estimates of the integral of omega(u0 + t step)
     (step) dt over the panels [a, b] of shape (P, k), where u0 and step are
@@ -687,8 +652,7 @@ def _gl_estimates(omega: OneFormField, u0: np.ndarray, step: np.ndarray,
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     t = mid[..., None] + half[..., None] * _GL_NODES
     points = u0[:, None, None, :] + t[..., None] * step[:, None, None, :]
-    f = np.einsum("...i,...i->...", np.asarray(omega.coeff(points), dtype=float),
-                  step[:, None, None, :])
+    f = np.einsum("...i,...i->...", omega.coeff(points), step[:, None, None, :])
     # the nodes summed in sequence, so each panel is the same sum at any batch size
     total = 0.0
     for k, w in enumerate(_GL_WEIGHTS):
@@ -696,7 +660,7 @@ def _gl_estimates(omega: OneFormField, u0: np.ndarray, step: np.ndarray,
     return half * total
 
 
-def integrate_one_form(omega: OneFormField, u_from, u_to,
+def integrate_one_form(omega: Field, u_from, u_to,
                        tol: float = 1e-10, max_depth: int = 24):
     """Line integrals of omega along the straight segments from ``u_from`` to
     ``u_to`` of shape (..., dim), by adaptive Gauss-Legendre: an array of

@@ -27,10 +27,10 @@ import numpy as np
 from . import equivariant as eq
 from . import gelfand_dikii as gd
 from .chartcore import (
-    OneFormField,
+    Field,
     apply,
     closure_residual,
-    constant_form,
+    constant_field,
     constant_map,
     fd_hessian,
     fd_jacobian,
@@ -167,7 +167,7 @@ def _reproduce_example3(args: argparse.Namespace) -> int:
     report.add("display_coefficients_match", min(len(pts), 20), worst, 1e-10)
 
     worst = nan_max(
-        float(np.max(np.abs(apply(k.mat_at(pts), pts) - eq.EXAMPLE3_CHAIN_FIELDS[j])))
+        float(np.max(np.abs(apply(k.coeff_at(pts), pts) - eq.EXAMPLE3_CHAIN_FIELDS[j])))
         for j, k in enumerate(cx.operators)
     )
     report.add("chain_field_constants", len(pts), worst, 1e-12)
@@ -212,8 +212,8 @@ def _reproduce_gd(args: argparse.Namespace) -> int:
 
     # the differentials of w0, w1, w2 and w0 w1
     chart = gd.W_CHART
-    probes = [constant_form(chart, row) for row in np.eye(3)]
-    probes.append(OneFormField(
+    probes = [constant_field(chart, row) for row in np.eye(3)]
+    probes.append(Field(
         chart, lambda w: np.stack([w[..., 1], w[..., 0], np.zeros_like(w[..., 0])], axis=-1),
         constant_map([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])))
     worst = nan_max(gd.gd_torsion_identity_residual(f, pts) for f in probes)

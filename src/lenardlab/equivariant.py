@@ -43,11 +43,9 @@ import numpy as np
 
 from .chartcore import (
     Chart,
-    OneFormField,
+    Field,
     Permutation,
     SingularPointError,
-    TensorField11,
-    VectorFieldSpec,
     apply,
     closure_defect,
     constant_map,
@@ -133,10 +131,10 @@ class QuadraticInvariant:
     def A_to_a(self, big_a) -> np.ndarray:
         return coords_of(big_a, 3) @ self.hessian_inverse()
 
-    def gradient_form(self) -> OneFormField:
+    def gradient_form(self) -> Field:
         """dA = sum_i A_i da_i in the a-chart (exact by construction)."""
         h = self.hessian()
-        return OneFormField(A_CHART, lambda a: a @ h, constant_map(h))
+        return Field(A_CHART, lambda a: a @ h, constant_map(h))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +228,7 @@ def solve_phi_roots(alpha: float, beta: float) -> PhiRoots:
 # the logarithmic one-forms, built in the A-chart and pushed to the a-chart
 
 
-def _log_form(quad: QuadraticInvariant, terms: Sequence[tuple[float, np.ndarray]]) -> OneFormField:
+def _log_form(quad: QuadraticInvariant, terms: Sequence[tuple[float, np.ndarray]]) -> Field:
     """sum of w * d(v.A)/(v.A) terms, expressed in the a-chart via A = H a.
 
     All terms are evaluated at once: with W the weights and D the directions
@@ -238,7 +236,7 @@ def _log_form(quad: QuadraticInvariant, terms: Sequence[tuple[float, np.ndarray]
     """
     h = quad.hessian()
     weights = np.array([float(w) for w, _ in terms])
-    dirs = np.array([np.asarray(v, dtype=float) for _, v in terms])
+    dirs = np.array([v for _, v in terms], dtype=float)
 
     def coeff(a: np.ndarray) -> np.ndarray:
         return ((weights / ((a @ h) @ dirs.T)) @ dirs) @ h
@@ -248,16 +246,16 @@ def _log_form(quad: QuadraticInvariant, terms: Sequence[tuple[float, np.ndarray]
         j = -(dirs.T * (weights / s**2)[..., None, :]) @ dirs
         return h @ j @ h
 
-    return OneFormField(A_CHART, coeff, jac, union_predicates(dirs @ h))
+    return Field(A_CHART, coeff, jac, union_predicates(dirs @ h))
 
 
-def build_dQ(params: FamilyParams) -> OneFormField:
+def build_dQ(params: FamilyParams) -> Field:
     s1, s2 = params.sigma1, params.sigma2
     return _log_form(params.quad, [(s1, [1.0, 1.0, 0.0]), (s1, [1.0, 1.0, 0.0]),
                                    (s2, [1.0, -1.0, 0.0]), (s2, [-1.0, 1.0, 0.0])])
 
 
-def build_dP(params: FamilyParams) -> OneFormField:
+def build_dP(params: FamilyParams) -> Field:
     s1, s2 = params.sigma1, params.sigma2
     return _log_form(params.quad, [
         (params.sigma0, [1.0, 0.0, 0.0]),
@@ -276,25 +274,25 @@ def build_dP(params: FamilyParams) -> OneFormField:
 class EquivariantSquare:
     """The seven forms of an equivariant square, all in the a-chart."""
 
-    dA: OneFormField
-    dP: OneFormField
-    dQ: OneFormField
-    dR: OneFormField
-    dT: OneFormField
-    dS: OneFormField
-    dV: OneFormField
+    dA: Field
+    dP: Field
+    dQ: Field
+    dR: Field
+    dT: Field
+    dS: Field
+    dV: Field
 
-    def form(self, j: int, l: int) -> OneFormField:
+    def form(self, j: int, l: int) -> Field:
         """Square entry theta_{jl} = K_j K_l dA (0-based, symmetric): row l of K_j."""
         return ((self.dP, self.dQ, self.dR), (self.dQ, self.dS, self.dT),
                 (self.dR, self.dT, self.dV))[j][l]
 
-    def named_forms(self) -> dict[str, OneFormField]:
+    def named_forms(self) -> dict[str, Field]:
         return {"dA": self.dA, "dP": self.dP, "dQ": self.dQ, "dR": self.dR,
                 "dT": self.dT, "dS": self.dS, "dV": self.dV}
 
 
-def complete_square(dA: OneFormField, dP: OneFormField, dQ: OneFormField) -> EquivariantSquare:
+def complete_square(dA: Field, dP: Field, dQ: Field) -> EquivariantSquare:
     """Complete (dA, dP, dQ) to the full square by transposition pullbacks:
     dR, dT (orbit of dQ) and dS, dV (orbit of dP).  Nothing is evaluated; the
     square is equivariant only if sigma12*dA = dA, sigma12*dQ = dQ and
@@ -309,17 +307,17 @@ def complete_square(dA: OneFormField, dP: OneFormField, dQ: OneFormField) -> Equ
     )
 
 
-def _tensor_from_rows(rows: Sequence[OneFormField]) -> TensorField11:
+def _tensor_from_rows(rows: Sequence[Field]) -> Field:
     """Tensor whose covector images of the coordinate differentials are ``rows``."""
     chart = rows[0].chart
 
-    def mat(u: np.ndarray) -> np.ndarray:
-        return np.stack([np.asarray(r.coeff(u), dtype=float) for r in rows], axis=-2)
+    def coeff(u: np.ndarray) -> np.ndarray:
+        return np.stack([r.coeff(u) for r in rows], axis=-2)
 
     def jac(u: np.ndarray) -> np.ndarray:
-        return np.stack([np.asarray(r.jac(u), dtype=float) for r in rows], axis=-3)
+        return np.stack([r.jac(u) for r in rows], axis=-3)
 
-    return TensorField11(chart, mat, jac, union_predicates(*(r.predicates for r in rows)))
+    return Field(chart, coeff, jac, union_predicates(*(r.predicates for r in rows)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,9 +326,9 @@ class LenardComplex:
 
     params: FamilyParams
     square: EquivariantSquare
-    operators: tuple[TensorField11, TensorField11, TensorField11]
-    dA: OneFormField
-    X: VectorFieldSpec
+    operators: tuple[Field, Field, Field]
+    dA: Field
+    X: Field
 
     @property
     def quad(self) -> QuadraticInvariant:
@@ -346,7 +344,7 @@ def assemble_complex(params: FamilyParams) -> LenardComplex:
     dA = params.quad.gradient_form()
     square = complete_square(dA, build_dP(params), build_dQ(params))
     operators = tuple(_tensor_from_rows([square.form(j, l) for l in range(3)]) for j in range(3))
-    x = VectorFieldSpec(A_CHART, lambda a: np.asarray(a, dtype=float), constant_map(np.eye(3)))
+    x = Field(A_CHART, lambda a: a, constant_map(np.eye(3)))
     return LenardComplex(params, square, operators, dA, x)
 
 
@@ -376,7 +374,7 @@ def split_form_residual(cx: LenardComplex, p) -> float:
                                     (dA3/A3 - dA2/A2).
     """
     a = coords_of(p, 3)
-    mats, mats_23 = ([k.mat_at(b) for k in cx.operators] for b in (a, SIGMA_23(a)))
+    mats, mats_23 = ([k.coeff_at(b) for k in cx.operators] for b in (a, SIGMA_23(a)))
     return _symmetry_constraint(cx.params, a, mats, mats_23)[1]
 
 
@@ -431,8 +429,8 @@ def square_wdvv_residuals(cx: LenardComplex, p) -> tuple[np.ndarray, np.ndarray]
     """
     a = coords_of(p, 3)
     hinv = cx.quad.hessian_inverse()
-    mats = [k.mat_at(a) for k in cx.operators]
-    _require_within(_chain_defect(mats, cx.X.comp_at(a), hinv), TOL_ANALYTIC, a,
+    mats = [k.coeff_at(a) for k in cx.operators]
+    _require_within(_chain_defect(mats, cx.X.coeff_at(a), hinv), TOL_ANALYTIC, a,
                     "no x-chart, hence no WDVV residual: the vector chain condition fails")
     c = third_tensor_from_square(np.stack(mats, axis=-3), hinv)
     _require_within(_symmetry_defect(c), 1e-6, a,
@@ -486,15 +484,14 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
 
     def stacked_rows(a: np.ndarray) -> np.ndarray:
         """The checked fields at the points a, as rows (..., 8, 3)."""
-        return np.stack([*(np.asarray(f.coeff(a), dtype=float) for f in forms),
-                         np.asarray(cx.X.comp(a), dtype=float)], axis=-2)
+        return np.stack([*(f.coeff(a) for f in forms), cx.X.coeff(a)], axis=-2)
 
-    mats = [k.mat_at(a) for k in cx.operators]
+    mats = [k.coeff_at(a) for k in cx.operators]
     jacs = [k.jac_at(a) for k in cx.operators]
-    x, dx = cx.X.comp_at(a), cx.X.jac_at(a)
+    x, dx = cx.X.coeff_at(a), cx.X.jac_at(a)
 
     def own_conditions() -> Iterator[tuple[str, float]]:
-        moved = {sig: [k.mat_at(sig(a)) for k in cx.operators] for sig, _, _ in TRANSPOSITIONS}
+        moved = {sig: [k.coeff_at(sig(a)) for k in cx.operators] for sig, _, _ in TRANSPOSITIONS}
         ops = np.stack(mats, axis=-3)  # [..., j, row, col]
         big_a = cx.dA.coeff_at(a)
         jda = cx.dA.jac_at(a)
@@ -549,18 +546,18 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
 # matrix potential reconstruction
 
 
-def square_form_in_x(cx: LenardComplex, j: int, l: int) -> OneFormField:
+def square_form_in_x(cx: LenardComplex, j: int, l: int) -> Field:
     """theta_{jl} rewritten on the x-chart (x = A-coordinates)."""
     hinv = cx.quad.hessian_inverse()
     form = cx.square.form(j, l)
 
     def coeff(x: np.ndarray) -> np.ndarray:
-        return np.asarray(form.coeff(x @ hinv), dtype=float) @ hinv
+        return form.coeff(x @ hinv) @ hinv
 
     def jac(x: np.ndarray) -> np.ndarray:
-        return hinv @ np.asarray(form.jac(x @ hinv), dtype=float) @ hinv
+        return hinv @ form.jac(x @ hinv) @ hinv
 
-    return OneFormField(X_CHART, coeff, jac, form.predicates @ hinv)
+    return Field(X_CHART, coeff, jac, form.predicates @ hinv)
 
 
 def reconstruct_potential_entry(cx: LenardComplex, j: int, l: int, x_from, x_to):
@@ -604,7 +601,7 @@ def example3_display_forms() -> dict:
     Each display takes points of shape (..., 3).
     """
     def coords(a):
-        return np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+        return np.moveaxis(coords_of(a), -1, 0)
 
     def form(*comps):
         return np.stack(np.broadcast_arrays(*comps), axis=-1)

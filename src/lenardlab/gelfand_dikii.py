@@ -32,19 +32,16 @@ import numpy as np
 
 from .chartcore import (
     Chart,
-    OneFormField,
-    TensorField11,
-    VectorFieldSpec,
+    Field,
+    as_points,
     closure_defect,
     compose_jac,
-    constant_form,
+    constant_field,
     constant_map,
-    coordinate_vector_field,
     covector_apply,
     covector_image,
     covector_image_jac,
     fd_check_tensor,
-    identity_tensor,
     lenard_residuals,
     nijenhuis_contracted,
     point_batch,
@@ -61,29 +58,30 @@ CHAIN_DET_FLOOR = 1e-3
 
 
 @functools.cache
-def gd_operator() -> TensorField11:
+def gd_operator() -> Field:
     """The recursion operator; row i is the covector image of dw_i."""
 
     jac = np.zeros((3, 3, 3))
     jac[0, 2, 1] = -0.5
     jac[1, 2, 2] = -1.0
 
-    def mat(w: np.ndarray) -> np.ndarray:
-        m = np.zeros(np.shape(w)[:-1] + (3, 3))
+    def coeff(w: np.ndarray) -> np.ndarray:
+        w = as_points(w)
+        m = np.zeros(w.shape[:-1] + (3, 3), w.dtype)
         m[..., 0, 2] = -0.5 * w[..., 1]
         m[..., 1, 0] = 2.0
         m[..., 1, 2] = -w[..., 2]
         m[..., 2, 1] = 2.0
         return m
 
-    return TensorField11(W_CHART, mat, constant_map(jac))
+    return Field(W_CHART, coeff, constant_map(jac))
 
 
 @dataclass(frozen=True, eq=False)
 class GDComplex:
-    operators: tuple[TensorField11, TensorField11, TensorField11]
-    dA: OneFormField
-    X: VectorFieldSpec
+    operators: tuple[Field, Field, Field]
+    dA: Field
+    X: Field
 
 
 @functools.cache
@@ -95,21 +93,21 @@ def gd_complex() -> GDComplex:
 
     def k3_mat(w: np.ndarray) -> np.ndarray:
         """K3 = K^2 + w2 Id."""
-        m = k.mat(w)
+        m = k.coeff(w)
         return m @ m + w[..., 2, None, None] * eye
 
     def k3_jac(w: np.ndarray) -> np.ndarray:
-        m, jm = k.mat(w), k.jac(w)
+        m, jm = k.coeff(w), k.jac(w)
         return compose_jac(m, m, jm, jm) + w2_identity_jac
 
     return GDComplex(
-        operators=(identity_tensor(W_CHART), k, TensorField11(W_CHART, k3_mat, k3_jac)),
-        dA=constant_form(W_CHART, [0.0, 0.0, 1.0]),
-        X=coordinate_vector_field(W_CHART, 0),
+        operators=(constant_field(W_CHART, eye), k, Field(W_CHART, k3_mat, k3_jac)),
+        dA=constant_field(W_CHART, eye[2]),
+        X=constant_field(W_CHART, eye[0]),
     )
 
 
-def gd_torsion_identity_residual(df: OneFormField, p) -> float:
+def gd_torsion_identity_residual(df: Field, p) -> float:
     """Worst residual of df(Torsion(K)) = dw2 ^ df over the points p."""
     k = gd_operator()
     contracted = nijenhuis_contracted(k, df, p)
@@ -118,21 +116,21 @@ def gd_torsion_identity_residual(df: OneFormField, p) -> float:
     return float(np.max(np.abs(contracted - target)))
 
 
-def chain_form(cx: GDComplex, j: int) -> OneFormField:
+def chain_form(cx: GDComplex, j: int) -> Field:
     """theta_j = K_j dA."""
     return covector_image(cx.operators[j], cx.dA)
 
 
-def square_form(cx: GDComplex, j: int, l: int) -> OneFormField:
+def square_form(cx: GDComplex, j: int, l: int) -> Field:
     """theta_{jl} = K_j K_l dA."""
     return covector_image(cx.operators[j], chain_form(cx, l))
 
 
 @functools.cache
-def naive_power_form(k_power: int) -> OneFormField:
+def naive_power_form(k_power: int) -> Field:
     """K^k dw2 for the uncorrected power chain; not closed from k = 3 on."""
     k = gd_operator()
-    form = constant_form(W_CHART, [0.0, 0.0, 1.0])
+    form = constant_field(W_CHART, [0.0, 0.0, 1.0])
     for _ in range(k_power):
         form = covector_image(k, form)
     return form
@@ -186,11 +184,11 @@ def verify_gd_complex(points: Sequence, tol_analytic: float = 1e-8,
 
     def square_and_operator_rows(w: np.ndarray) -> np.ndarray:
         """The square forms and the operators' rows at w, as rows (..., 15, 3)."""
-        mats = [np.asarray(k.mat(w), dtype=float) for k in cx.operators]
-        forms = _chain_and_square(np.asarray(cx.dA.coeff(w), dtype=float), mats)
+        mats = [k.coeff(w) for k in cx.operators]
+        forms = _chain_and_square(cx.dA.coeff(w), mats)
         return np.concatenate([forms[..., 3:, :], *mats], axis=-2)
 
-    mats = [k.mat_at(pts) for k in cx.operators]
+    mats = [k.coeff_at(pts) for k in cx.operators]
     jacs = [k.jac_at(pts) for k in cx.operators]
 
     def own_conditions() -> Iterator[tuple[str, float]]:
@@ -210,7 +208,7 @@ def verify_gd_complex(points: Sequence, tol_analytic: float = 1e-8,
         yield "chain_independence", float(np.max(np.maximum(0.0, CHAIN_DET_FLOOR - det)))
 
     worst = worst_by_name(itertools.chain(
-        lenard_residuals(mats, jacs, cx.X.comp_at(pts), cx.X.jac_at(pts)), own_conditions()))
+        lenard_residuals(mats, jacs, cx.X.coeff_at(pts), cx.X.jac_at(pts)), own_conditions()))
     report = VerificationReport()
     for name in _CONDITIONS:
         report.add(name, len(pts), worst[name],

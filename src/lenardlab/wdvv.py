@@ -42,7 +42,7 @@ import numpy as np
 
 from .chartcore import (
     Chart,
-    _Field,
+    _Predicated,
     coords_of,
     difference_rows,
     pairwise_indices,
@@ -63,13 +63,13 @@ C0_PIVOT_HINT = "the one-forms d(h_1l) must be linearly independent"
 
 
 @dataclass(frozen=True, eq=False)
-class Prepotential(_Field):
+class Prepotential(_Predicated):
     """A scalar potential with analytic Hessian and third derivatives.
 
-    Like the fields of :mod:`lenardlab.chartcore`, it stores its regularity
+    Like a :class:`~lenardlab.chartcore.Field`, it stores its regularity
     ``predicates`` as (P, n) rows: the ``*_at`` methods check the points
     against them once per call, and the raw maps take points of shape
-    (..., n) unchecked.
+    (..., n) unchecked and keep their dtype.
     """
 
     chart: Chart
@@ -79,13 +79,13 @@ class Prepotential(_Field):
     predicates: np.ndarray = ()
 
     def value_at(self, p) -> np.ndarray:
-        return np.asarray(self.value(self._regular(p)), dtype=float)
+        return self.value(self._regular(p))
 
     def hessian_at(self, p) -> np.ndarray:
-        return np.asarray(self.hessian(self._regular(p)), dtype=float)
+        return self.hessian(self._regular(p))
 
     def third_at(self, p) -> np.ndarray:
-        return np.asarray(self.third(self._regular(p)), dtype=float)
+        return self.third(self._regular(p))
 
 
 def vee_prepotential(rows, h) -> Prepotential:

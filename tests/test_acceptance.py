@@ -134,7 +134,7 @@ def test_criterion_3_reference_family_end_to_end(reference_complex):
     ok = _line("criterion 3 (display coefficients, 20 pts)", disp_worst, 1e-10)
 
     chain_worst = max(
-        float(np.max(np.abs(k.mat_at(a) @ a - eq.EXAMPLE3_CHAIN_FIELDS[j])))
+        float(np.max(np.abs(k.coeff_at(a) @ a - eq.EXAMPLE3_CHAIN_FIELDS[j])))
         for a in pts for j, k in enumerate(cx.operators))
     ok &= _line("criterion 3 (constant chain fields)", chain_worst, 1e-12)
 
@@ -219,10 +219,10 @@ def test_criterion_7_gelfand_dikii():
     chart = gd.W_CHART
     # the differentials of w0, w1, w2 and w0 w1
     probes = [
-        cc.constant_form(chart, [1.0, 0, 0]),
-        cc.constant_form(chart, [0.0, 1, 0]),
-        cc.constant_form(chart, [0.0, 0, 1]),
-        cc.OneFormField(chart, lambda w: np.array([w[1], w[0], 0.0]),
+        cc.constant_field(chart, [1.0, 0, 0]),
+        cc.constant_field(chart, [0.0, 1, 0]),
+        cc.constant_field(chart, [0.0, 0, 1]),
+        cc.Field(chart, lambda w: np.array([w[1], w[0], 0.0]),
                         cc.constant_map([[0.0, 1, 0], [1, 0, 0], [0, 0, 0]])),
     ]
     worst = max(gd.gd_torsion_identity_residual(f, w) for w in pts for f in probes)
@@ -274,8 +274,8 @@ def test_criterion_8_cross_validation(reference_complex):
 
     partition = report.condition("partition_of_identity").max_residual
     ok &= _line("criterion 8 (partition of identity)", partition, 1e-10)
-    ops = np.stack([k.mat_at(pts) for k in cx.operators], axis=-3)
+    ops = np.stack([k.coeff_at(pts) for k in cx.operators], axis=-3)
     symmetry = float(np.max(eq._symmetry_defect(
-        eq.third_tensor_from_chain(ops, cx.dA.coeff_at(pts), cx.X.comp_at(pts)))))
+        eq.third_tensor_from_chain(ops, cx.dA.coeff_at(pts), cx.X.coeff_at(pts)))))
     ok &= _line("criterion 8 (third tensor symmetry)", symmetry, 1e-10)
     assert ok

@@ -4,6 +4,7 @@ passes whatever N is."""
 
 import dataclasses
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -37,10 +38,10 @@ def assert_fields_batch(forms, operators, vector_fields, points):
         assert_batch_is_stack(f.coeff, points)
         assert_batch_is_stack(f.jac, points)
     for k in operators:
-        assert_batch_is_stack(k.mat, points)
+        assert_batch_is_stack(k.coeff, points)
         assert_batch_is_stack(k.jac, points)
     for x in vector_fields:
-        assert_batch_is_stack(x.comp, points)
+        assert_batch_is_stack(x.coeff, points)
         assert_batch_is_stack(x.jac, points)
 
 
@@ -135,7 +136,7 @@ def test_assembly_evaluates_no_field_and_verification_makes_one_fd_check(monkeyp
     # rows, so one FD check covers dA, the operators and X
     params, _, cx = example3
     assert count_calls(monkeypatch, lambda: eq.assemble_complex(params),
-                       (cc.OneFormField, "coeff_at")) == 0
+                       (cc.Field, "coeff_at")) == 0
     for n in (1, 3, 30):
         pts = sample_gapped_box(default_rng(9), n, predicates=cx.sampling_predicates())
         assert count_calls(monkeypatch, lambda: eq.verify_complex(cx, pts),
@@ -152,17 +153,17 @@ def test_gd_verification_makes_one_fd_call_and_few_operator_evaluations(monkeypa
     assert count_calls(monkeypatch, lambda: gd.verify_gd_complex(pts),
                        (cc, "fd_jacobian")) == 1
     k = gd.gd_operator()
-    mat, calls = k.mat, []
+    mat, calls = k.coeff, []
 
     def counted(w):
         calls.append(1)
         return mat(w)
 
-    object.__setattr__(k, "mat", counted)
+    object.__setattr__(k, "coeff", counted)
     try:
         gd.verify_gd_complex(pts)
     finally:
-        object.__setattr__(k, "mat", mat)
+        object.__setattr__(k, "coeff", mat)
     assert 0 < len(calls) <= 40
 
 
@@ -181,7 +182,7 @@ def test_complex_fd_check_evaluates_each_field_once_per_shifted_batch(monkeypatc
         name: dataclasses.replace(f, coeff=counted(name, f.coeff))
         for name, f in cx.square.named_forms().items()})
     counting = dataclasses.replace(cx, square=square, dA=square.dA,
-                                   X=dataclasses.replace(cx.X, comp=counted("X", cx.X.comp)))
+                                   X=dataclasses.replace(cx.X, coeff=counted("X", cx.X.coeff)))
     fd_jacobian = cc.fd_jacobian
 
     def flagged(fun, u):
@@ -303,14 +304,22 @@ def test_build_complex_evaluates_the_operators_on_four_batches_for_any_n(monkeyp
                 return getattr(form, name)(a)
             return fn
 
-        return cc.OneFormField(form.chart, counted("coeff"), counted("jac"), form.predicates)
+        return cc.Field(form.chart, counted("coeff"), counted("jac"), form.predicates)
 
-    batches = {"mat_at": [], "jac_at": []}
+    # every Field evaluated through coeff_at / jac_at, and the complex they belong to
+    batches = {"coeff_at": [], "jac_at": []}
     for method in batches:
-        def record(self, p, method=method, original=getattr(cc.TensorField11, method)):
+        def record(self, p, method=method, original=getattr(cc.Field, method)):
             batches[method].append(self)
             return original(self, p)
-        monkeypatch.setattr(cc.TensorField11, method, record)
+        monkeypatch.setattr(cc.Field, method, record)
+    built, assemble = [], eq.assemble_complex
+
+    def recorded_assembly(params):
+        built.append(assemble(params))
+        return built[-1]
+
+    monkeypatch.setattr(eq, "assemble_complex", recorded_assembly)
     monkeypatch.setattr(eq, "_log_form", counted_log_form)
     monkeypatch.setattr(eq, "fd_check_tensor", lambda *_: 0.0)
 
@@ -321,10 +330,12 @@ def test_build_complex_evaluates_the_operators_on_four_batches_for_any_n(monkeyp
             calls.clear()
         assert cli.main(["build-complex", "--alpha", "2", "--beta", "1", "--root", "1",
                          "--points", str(n), "--out", str(tmp_path / "r.txt")]) == 0
-        ops = set(batches["mat_at"])
+        cx = built[-1]
+        ops = set(cx.operators)
         assert len(ops) == 3
-        assert all(batches["mat_at"].count(k) == 4 for k in ops)
-        assert sorted(map(id, batches["jac_at"])) == sorted(map(id, ops))
+        # the operators on a and on sigma(a) for three sigma, dA and X once
+        assert Counter(batches["coeff_at"]) == {**dict.fromkeys(ops, 4), cx.dA: 1, cx.X: 1}
+        assert Counter(batches["jac_at"]) == dict.fromkeys([*ops, cx.dA, cx.X], 1)
         seen.append(dict(evals))
     assert seen[0] == seen[1]
     assert seen[0] == {"coeff": 36, "jac": 9}

@@ -13,16 +13,16 @@ from lenardlab.sampling import default_rng, sample_segments
 CH3 = cc.Chart("u", 3)
 
 
-def affine_form(mat, const=(0.0, 0.0, 0.0)) -> cc.OneFormField:
+def affine_form(mat, const=(0.0, 0.0, 0.0)) -> cc.Field:
     mat = np.array(mat, dtype=float)
     const = np.array(const, dtype=float)
-    return cc.OneFormField(CH3, lambda u: mat @ u + const, lambda u: mat)
+    return cc.Field(CH3, lambda u: mat @ u + const, lambda u: mat)
 
 
-def affine_field(mat, const=(0.0, 0.0, 0.0)) -> cc.VectorFieldSpec:
+def affine_field(mat, const=(0.0, 0.0, 0.0)) -> cc.Field:
     mat = np.array(mat, dtype=float)
     const = np.array(const, dtype=float)
-    return cc.VectorFieldSpec(CH3, lambda u: mat @ u + const, lambda u: mat)
+    return cc.Field(CH3, lambda u: mat @ u + const, lambda u: mat)
 
 
 coords = st.floats(-3.0, 3.0).map(lambda v: round(v, 3))
@@ -41,7 +41,7 @@ def test_chart_rejects_dimension_one():
 
 
 def test_closure_of_coordinate_form_is_exactly_zero():
-    da1 = cc.constant_form(CH3, np.eye(3)[0])
+    da1 = cc.constant_field(CH3, np.eye(3)[0])
     assert cc.closure_residual(da1, np.array([0.3, -1.2, 5.0])) == 0.0
 
 
@@ -60,7 +60,7 @@ def test_closure_of_exact_log_form():
         v = np.array([-0.25, 0.25, 0.0]) / (u[0] - u[1]) ** 2
         return np.outer(v, [-1.0, 1.0, 0.0])
 
-    omega = cc.OneFormField(CH3, coeff, jac, [[1.0, -1.0, 0.0]])
+    omega = cc.Field(CH3, coeff, jac, [[1.0, -1.0, 0.0]])
     u = np.array([2.0, 1.0, 3.0])
     assert cc.closure_residual(omega, u) < 1e-12
     assert form_fd_gap(omega, u) < 1e-8
@@ -81,8 +81,8 @@ def test_transposition_is_involution():
 
 def test_pullback_swaps_coordinate_forms():
     s12 = cc.Permutation.transposition(3, 0, 1)
-    da1 = cc.constant_form(CH3, np.eye(3)[0])
-    da3 = cc.constant_form(CH3, np.eye(3)[2])
+    da1 = cc.constant_field(CH3, np.eye(3)[0])
+    da3 = cc.constant_field(CH3, np.eye(3)[2])
     u = np.array([0.7, -1.1, 2.0])
     assert np.allclose(cc.pullback(s12, da1).coeff_at(u), [0, 1, 0])
     assert np.allclose(cc.pullback(s12, da3).coeff_at(u), [0, 0, 1])
@@ -117,8 +117,8 @@ def test_pullback_preserves_closure(sig, m, u):
 def test_predicate_rows_follow_the_point_map(sig, m, u):
     # a pulled-back form is singular at u where the original is at sigma(u);
     # a transformed tensor where the original is at sigma^-1(u)
-    omega = cc.OneFormField(CH3, lambda v: v, cc.constant_map(np.eye(3)), m)
-    k = cc.TensorField11(CH3, cc.constant_map(np.eye(3)), cc.constant_map(np.zeros((3, 3, 3))), m)
+    omega = cc.Field(CH3, lambda v: v, cc.constant_map(np.eye(3)), m)
+    k = cc.Field(CH3, cc.constant_map(np.eye(3)), cc.constant_map(np.zeros((3, 3, 3))), m)
     assert np.allclose(cc.pullback(sig, omega).predicates @ u, m @ sig(u), rtol=0, atol=1e-12)
     assert np.allclose(cc.transform_tensor(sig, k).predicates @ u, m @ sig.inverse()(u),
                        rtol=0, atol=1e-12)
@@ -130,18 +130,18 @@ def test_predicate_rows_follow_the_point_map(sig, m, u):
 @settings(max_examples=50)
 @given(m=mat3, theta=points3, x=points3, u=points3)
 def test_vector_and_covector_actions_are_adjoint(m, theta, x, u):
-    k = cc.constant_tensor(CH3, m)
-    lhs = float(theta @ cc.apply(k.mat_at(u), x))
-    rhs = float(cc.covector_image(k, cc.constant_form(CH3, theta)).coeff_at(u) @ x)
+    k = cc.constant_field(CH3, m)
+    lhs = float(theta @ cc.apply(k.coeff_at(u), x))
+    rhs = float(cc.covector_image(k, cc.constant_field(CH3, theta)).coeff_at(u) @ x)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_commutator_trivial_cases():
     m = np.array([[1.0, 2, 0], [0, 1, 1], [3, 0, 2]])
-    k = cc.constant_tensor(CH3, m)
+    k = cc.constant_field(CH3, m)
     u = np.zeros(3)
     assert cc.commutator_residual(k, k, u) == 0.0
-    assert cc.commutator_residual(k, cc.identity_tensor(CH3), u) == 0.0
+    assert cc.commutator_residual(k, cc.constant_field(CH3, np.eye(3)), u) == 0.0
 
 
 def test_covector_image_product_rule():
@@ -151,7 +151,7 @@ def test_covector_image_product_rule():
         j[0, 1, 0] = 1.0
         return j
 
-    k = cc.TensorField11(CH3, lambda u: np.array([[0.0, u[0], 0], [1, 0, 0], [0, 0, 2]]), kjac)
+    k = cc.Field(CH3, lambda u: np.array([[0.0, u[0], 0], [1, 0, 0], [0, 0, 2]]), kjac)
     omega = affine_form([[0, 0, 0], [1, 0, 0], [0, 0, 0]])  # u1 du2
     image = cc.covector_image(k, omega)
     u = np.array([1.5, 2.0, -0.7])
@@ -165,17 +165,17 @@ def test_chain_field_brackets_match_finite_differences():
 
     def affine_tensor():
         a, b = rng.uniform(-1.0, 1.0, (3, 3)), rng.uniform(-1.0, 1.0, (3, 3, 3))
-        return cc.TensorField11(CH3, lambda u: a + np.einsum("...d,dij->...ij", u, b),
+        return cc.Field(CH3, lambda u: a + np.einsum("...d,dij->...ij", u, b),
                                 cc.constant_map(np.moveaxis(b, 0, -1)))
 
     ks = [affine_tensor(), affine_tensor()]
     m, c = rng.uniform(-1.0, 1.0, (3, 3)), rng.uniform(-1.0, 1.0, 3)
-    x = cc.VectorFieldSpec(CH3, lambda u: u @ m.T + c, cc.constant_map(m))
+    x = cc.Field(CH3, lambda u: u @ m.T + c, cc.constant_map(m))
     u = rng.uniform(-1.0, 1.0, (4, 3))
-    worst = cc.worst_by_name(cc.lenard_residuals([k.mat_at(u) for k in ks],
+    worst = cc.worst_by_name(cc.lenard_residuals([k.coeff_at(u) for k in ks],
                                                  [k.jac_at(u) for k in ks],
-                                                 x.comp_at(u), x.jac_at(u)))
-    kx = [lambda v, k=k: cc.apply(k.mat(v), x.comp(v)) for k in ks]
+                                                 x.coeff_at(u), x.jac_at(u)))
+    kx = [lambda v, k=k: cc.apply(k.coeff(v), x.coeff(v)) for k in ks]
     fd = (cc.apply(cc.fd_jacobian(kx[1], u), kx[0](u))
           - cc.apply(cc.fd_jacobian(kx[0], u), kx[1](u)))
     assert np.max(np.abs(fd)) > 0.1
@@ -196,12 +196,12 @@ def test_lie_bracket_vanishing_cases():
 
 def test_lie_bracket_hand_computed():
     # X = u1 d/du2, Y = d/du1:  [X, Y] = -d/du2
-    x = cc.VectorFieldSpec(
+    x = cc.Field(
         CH3, lambda u: np.array([0.0, u[0], 0.0]),
         lambda u: np.array([[0.0, 0, 0], [1, 0, 0], [0, 0, 0]]))
-    y = cc.coordinate_vector_field(CH3, 0)
+    y = cc.constant_field(CH3, np.eye(3)[0])
     u = np.array([2.0, 0.3, 1.1])
-    bracket = cc._bracket(x.comp_at(u), x.jac_at(u), y.comp_at(u), y.jac_at(u))
+    bracket = cc._bracket(x.coeff_at(u), x.jac_at(u), y.coeff_at(u), y.jac_at(u))
     assert np.allclose(bracket, [0.0, -1.0, 0.0])
     assert cc.lie_bracket_residual(x, y, u) == pytest.approx(1.0)
 
@@ -211,14 +211,14 @@ def test_lie_bracket_hand_computed():
 
 def test_identity_tensor_has_no_torsion():
     u = np.array([0.9, -1.4, 2.2])
-    assert np.max(np.abs(cc.nijenhuis_tensor(cc.identity_tensor(CH3), u))) == 0.0
-    assert cc.haantjes_residual(cc.identity_tensor(CH3), u) == 0.0
+    assert np.max(np.abs(cc.nijenhuis_tensor(cc.constant_field(CH3, np.eye(3)), u))) == 0.0
+    assert cc.haantjes_residual(cc.constant_field(CH3, np.eye(3)), u) == 0.0
 
 
 @settings(max_examples=30)
 @given(m=mat3, u=points3)
 def test_constant_tensor_has_no_torsion(m, u):
-    k = cc.constant_tensor(CH3, m)
+    k = cc.constant_field(CH3, m)
     assert np.max(np.abs(cc.nijenhuis_tensor(k, u))) == 0.0
     assert cc.haantjes_residual(k, u) == 0.0
 
@@ -229,7 +229,7 @@ def test_haantjes_residual_of_a_generic_affine_tensor_is_of_order_one(seed):
     # field with torsion still reads above 1
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(-1.0, 1.0, (3, 3)), rng.uniform(-1.0, 1.0, (3, 3, 3))
-    k = cc.TensorField11(CH3, lambda u: a + np.einsum("...d,dij->...ij", u, b),
+    k = cc.Field(CH3, lambda u: a + np.einsum("...d,dij->...ij", u, b),
                          cc.constant_map(np.moveaxis(b, 0, -1)))
     assert cc.haantjes_residual(k, rng.uniform(-1.0, 1.0, (10, 3))) > 1.0
 
@@ -390,7 +390,7 @@ def form_fd_gap(omega, u):
 
 
 def test_fd_checks_catch_wrong_jacobian():
-    omega = cc.OneFormField(CH3, lambda u: u**2, lambda u: np.zeros((3, 3)))
+    omega = cc.Field(CH3, lambda u: u**2, lambda u: np.zeros((3, 3)))
     u = np.array([1.0, 2.0, 3.0])
     assert form_fd_gap(omega, u) > 1.0
 
@@ -435,12 +435,12 @@ def exact_form():
         return np.stack([components(2 * u1, 2 * u0, zero), components(2 * u0, zero, zero),
                          components(zero, zero, zero)], axis=-2)
 
-    return cc.OneFormField(CH3, coeff, jac)
+    return cc.Field(CH3, coeff, jac)
 
 
 def jump_form():
     # a jump at u0 = 1/3 never lands on a bisection point of [0, 1]
-    return cc.OneFormField(CH3, lambda u: components(np.where(u[..., 0] > 1.0 / 3.0, 1.0, 0.0),
+    return cc.Field(CH3, lambda u: components(np.where(u[..., 0] > 1.0 / 3.0, 1.0, 0.0),
                                                      0.0, 0.0),
                            cc.constant_map(np.zeros((3, 3))))
 
@@ -452,7 +452,7 @@ def guard_form():
         j[..., 0, 0] = -1.0 / u[..., 0] ** 2
         return j
 
-    return cc.OneFormField(CH3, lambda u: components(1.0 / u[..., 0], 0.0, 0.0), jac,
+    return cc.Field(CH3, lambda u: components(1.0 / u[..., 0], 0.0, 0.0), jac,
                            [[1.0, 0.0, 0.0]])
 
 
@@ -466,7 +466,7 @@ def log_form():
         u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
         return components(1.0 / u0 + 0.5 / (u0 - u1), -0.5 / (u0 - u1) + u2**2, 2 * u1 * u2)
 
-    return cc.OneFormField(CH3, coeff, lambda u: cc.fd_jacobian(coeff, u),
+    return cc.Field(CH3, coeff, lambda u: cc.fd_jacobian(coeff, u),
                            [[1.0, 0.0, 0.0], [1.0, -1.0, 0.0]])
 
 
@@ -558,7 +558,7 @@ def test_one_coeff_call_per_refinement_level():
         calls.append(1)
         return omega.coeff(u)
 
-    counting = cc.OneFormField(CH3, counted, omega.jac, omega.predicates)
+    counting = cc.Field(CH3, counted, omega.jac, omega.predicates)
     u0, u1 = log_segments()
     cc.integrate_one_form(counting, u0, u1)
     batch_calls = len(calls)

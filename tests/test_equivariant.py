@@ -176,8 +176,8 @@ def test_family_forms_fd_jacobians(example3, sample_a):
 def test_complete_square_trivial_relabeling():
     quad = eq.QuadraticInvariant(1.0, 0.0)
     dA = quad.gradient_form()
-    dP = cc.constant_form(eq.A_CHART, np.eye(3)[0])
-    dQ = cc.constant_form(eq.A_CHART, [0.0, 0.0, 0.0])
+    dP = cc.constant_field(eq.A_CHART, np.eye(3)[0])
+    dQ = cc.constant_field(eq.A_CHART, [0.0, 0.0, 0.0])
     square = eq.complete_square(dA, dP, dQ)
     a = np.array([0.3, 0.9, 2.1])
     assert np.allclose(square.dS.coeff_at(a), [0, 1, 0])
@@ -207,7 +207,7 @@ def test_wrong_scaling_field_has_no_x_chart(example3, sample_a):
     # with X = 2a the chain K_j X misses d/dA_j: the pivots are fine, but the
     # WDVV residual of the square has no chart to live on
     _, _, cx = example3
-    x2 = cc.VectorFieldSpec(eq.A_CHART, lambda a: 2.0 * a, cc.constant_map(2.0 * np.eye(3)))
+    x2 = cc.Field(eq.A_CHART, lambda a: 2.0 * a, cc.constant_map(2.0 * np.eye(3)))
     wrong = eq.LenardComplex(cx.params, cx.square, cx.operators, cx.dA, x2)
     report = eq.verify_complex(wrong, sample_a)
     assert report.condition("chain_of_vector_fields").max_residual > 0.1
@@ -264,14 +264,14 @@ def test_chain_fields_are_inverse_hessian_rows(example3, sample_a):
     _, _, cx = example3
     for a in sample_a:
         for j, k in enumerate(cx.operators):
-            assert np.allclose(k.mat_at(a) @ a, eq.EXAMPLE3_CHAIN_FIELDS[j], atol=1e-12)
+            assert np.allclose(k.coeff_at(a) @ a, eq.EXAMPLE3_CHAIN_FIELDS[j], atol=1e-12)
 
 
 def test_partition_of_identity(example3, sample_a):
     _, _, cx = example3
     for a in sample_a:
         big_a = cx.dA.coeff_at(a)
-        total = sum(big_a[i] * cx.operators[i].mat_at(a) for i in range(3))
+        total = sum(big_a[i] * cx.operators[i].coeff_at(a) for i in range(3))
         assert np.max(np.abs(total - np.eye(3))) < 1e-10
 
 
@@ -280,14 +280,14 @@ def test_operator_exchange_under_transpositions(example3, sample_a):
     for sig, j, l in eq.TRANSPOSITIONS:
         moved = cc.transform_tensor(sig, cx.operators[j])
         for a in sample_a[:10]:
-            assert np.allclose(moved.mat_at(a), cx.operators[l].mat_at(a), atol=1e-10)
+            assert np.allclose(moved.coeff_at(a), cx.operators[l].coeff_at(a), atol=1e-10)
 
 
 def test_k2dR_matches_k3dQ(example3, sample_a):
     _, _, cx = example3
     for a in sample_a:
-        lhs = cx.square.dR.coeff_at(a) @ cx.operators[1].mat_at(a)
-        rhs = cx.square.dQ.coeff_at(a) @ cx.operators[2].mat_at(a)
+        lhs = cx.square.dR.coeff_at(a) @ cx.operators[1].coeff_at(a)
+        rhs = cx.square.dQ.coeff_at(a) @ cx.operators[2].coeff_at(a)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
@@ -414,11 +414,11 @@ def test_wdvv_residual_of_complex_small(example3, sample_a):
 
 
 def operator_stack(cx, a):
-    return np.stack([k.mat_at(a) for k in cx.operators], axis=-3)
+    return np.stack([k.coeff_at(a) for k in cx.operators], axis=-3)
 
 
 def chain_tensor(cx, a):
-    return eq.third_tensor_from_chain(operator_stack(cx, a), cx.dA.coeff_at(a), cx.X.comp_at(a))
+    return eq.third_tensor_from_chain(operator_stack(cx, a), cx.dA.coeff_at(a), cx.X.coeff_at(a))
 
 
 def test_third_tensor_routes_agree(example3, sample_a):

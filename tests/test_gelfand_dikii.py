@@ -11,33 +11,33 @@ W0 = np.array([1.0, 2.0, 3.0])
 
 
 # the torsion identity's probes: the differentials of w0, w1, w2 and w0 w1
-DW0, DW1, DW2 = (cc.constant_form(gd.W_CHART, row) for row in np.eye(3))
-DW0W1 = cc.OneFormField(
+DW0, DW1, DW2 = (cc.constant_field(gd.W_CHART, row) for row in np.eye(3))
+DW0W1 = cc.Field(
     gd.W_CHART, lambda w: np.stack([w[..., 1], w[..., 0], np.zeros_like(w[..., 0])], axis=-1),
     cc.constant_map([[0.0, 1, 0], [1, 0, 0], [0, 0, 0]]))
 
 
 def test_operator_rows_at_origin():
-    m = gd.gd_operator().mat_at(np.zeros(3))
+    m = gd.gd_operator().coeff_at(np.zeros(3))
     assert np.allclose(m[1], [2.0, 0.0, 0.0])   # K dw1 = 2 dw0 at w2 = 0
     assert np.allclose(m[2], [0.0, 2.0, 0.0])   # K dw2 = 2 dw1
 
 
 def test_operator_row_reference_value():
-    m = gd.gd_operator().mat_at(W0)
+    m = gd.gd_operator().coeff_at(W0)
     assert np.allclose(m[0], [0.0, 0.0, -1.0])  # K dw0 = -(1/2) w1 dw2
 
 
 def test_operator_is_traceless(rng):
     k = gd.gd_operator()
     for w in rng.uniform(-2, 2, (20, 3)):
-        assert np.trace(k.mat_at(w)) == 0.0
+        assert np.trace(k.coeff_at(w)) == 0.0
 
 
 @pytest.mark.parametrize("k", gd.gd_complex().operators, ids=["Id", "K", "K3"])
 def test_operator_jacobian_fd(rng, k):
     for w in rng.uniform(-2, 2, (5, 3)):
-        assert np.max(np.abs(cc.fd_jacobian(k.mat, w) - k.jac_at(w))) < 1e-9
+        assert np.max(np.abs(cc.fd_jacobian(k.coeff, w) - k.jac_at(w))) < 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 3, 500])
@@ -46,7 +46,7 @@ def test_derived_chain_and_square_forms_equal_the_form_fields(n):
     # chain_form and square_form are the independent oracle, bit for bit
     w = np.random.default_rng(n).uniform(-2.0, 2.0, (n, 3))
     cx = gd.gd_complex()
-    mats = [k.mat_at(w) for k in cx.operators]
+    mats = [k.coeff_at(w) for k in cx.operators]
     jacs = [k.jac_at(w) for k in cx.operators]
     da = cx.dA.coeff_at(w)
     forms = gd._chain_and_square(da, mats)
