@@ -203,14 +203,18 @@ def _commutation_residual(c: np.ndarray, pivot_inv: np.ndarray) -> np.ndarray:
     third tensors; NaN wherever a pair residual is NaN.
 
     The products c_j P^-1 of every slice are one stacked matmul, and each
-    pair's c_j P^-1 c_l is associated as (c_j P^-1) c_l."""
+    pair's c_j P^-1 c_l is associated as (c_j P^-1) c_l.  Each is divided by
+    |c_j| |P^-1| |c_l| itself, so the residual does not scale with c; where
+    that product is 0, so is the numerator, and the residual reads 0.  (The
+    smaller |c_j P^-1| |c_l| would raise rounding from k eps to k^2 eps for a
+    pivot of condition number k.)"""
     j, l = np.array(list(pairwise_indices(c.shape[-1]))).T
     cp = c @ pivot_inv[..., None, :, :]
     a = cp[..., j, :, :] @ c[..., l, :, :]
     num = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1))
     norm = np.linalg.norm(c, axis=(-2, -1))
-    pinv_norm = np.linalg.norm(pivot_inv, axis=(-2, -1))[..., None]
-    return np.max(num / np.maximum(1.0, norm[..., j] * pinv_norm * norm[..., l]), axis=-1)
+    size = norm[..., j] * np.linalg.norm(pivot_inv, axis=(-2, -1))[..., None] * norm[..., l]
+    return np.max(num / np.where(size == 0.0, 1.0, size), axis=-1)
 
 
 def commutation_residuals(c: np.ndarray, pivot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

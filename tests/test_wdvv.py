@@ -260,6 +260,28 @@ def test_vee_prepotential_of_general_rows_against_direct_summation():
         pre.third_at([2.0, -1.0, 0.0])  # on the plane of the first row
 
 
+def test_commutation_residual_does_not_scale_with_the_potential():
+    # the general rows above are no ∨-system: their residual stays 2.7e-2 at
+    # every scale, so a small potential cannot pass for a WDVV solution
+    rows = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0], [-2.0, 0.25, 1.0], [1.0, 1.0, 1.0]])
+    h = np.array([0.7, -1.3, 0.4, 2.0])
+    x = sample_gapped_box(default_rng(5), 6, dim=3, predicates=rows, gap=0.2)
+    residuals = [wdvv.wdvv_residual(wdvv.vee_prepotential(rows, s * h), x)
+                 for s in (1.0, 1e-3, 1e-9, 1e-100)]
+    assert residuals[0] > 1e-2
+    assert residuals == pytest.approx([residuals[0]] * 4, rel=1e-12)
+    pre = wdvv.veselov_prepotential(POT3, scale=1e-9)
+    pts = sample_points(50, seed=5)
+    assert wdvv.wdvv_residual(pre, pts) < 1e-8
+    assert wdvv.generalized_wdvv_residual(pre, wdvv.QUARTER_X, pts) < 1e-8
+
+
+def test_commutation_residual_reads_zero_where_its_scale_is_zero():
+    # zero slices c_j make |c_j| |P^-1| |c_l| = 0, and the numerator is 0 too
+    residuals, rejected = wdvv.commutation_residuals(np.zeros((2, 3, 3, 3)), np.eye(3))
+    assert residuals.tolist() == [0.0, 0.0] and not rejected.any()
+
+
 # --- the pivot guard --------------------------------------------------------------
 
 
