@@ -39,7 +39,15 @@ from .chartcore import (
     union_predicates,
 )
 from .report import VerificationReport, render_json, render_text
-from .sampling import SamplingExhaustedError, default_rng, sample_box, sample_gapped_box, sample_segments
+from .sampling import (
+    DEFAULT_BOX,
+    DEFAULT_GAP,
+    SamplingExhaustedError,
+    default_rng,
+    sample_box,
+    sample_gapped_box,
+    sample_segments,
+)
 from .wdvv import (
     QUARTER_X,
     InvalidPotentialError,
@@ -84,6 +92,10 @@ def _potential(name: str, n: int | None, m: float | None) -> tuple[Prepotential,
             raise UsageError(f"{flag} does not apply to --potential {name}")
     return eq.example3_fixture()[1], {"potential": name, "n": 3, "m": 1.0, "scale": 1.0 / 16.0}
 
+
+# The most points or segments a run may ask for; numpy cannot even allocate
+# the draws for far larger counts.
+MAX_COUNT = 10**7
 
 # Points per batched WDVV call, and segments per batched line-integral call:
 # bounds the temporaries, so a run's peak memory does not grow with --points
@@ -306,6 +318,14 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError("point count and tolerances must be positive")
         if args.seed < 0:
             raise UsageError(f"--seed must be non-negative, got {args.seed}")
+        if max(args.points, getattr(args, "segments", None) or 0) > MAX_COUNT:
+            raise UsageError(f"--points and --segments must be at most {MAX_COUNT}")
+        low, high = DEFAULT_BOX
+        # n points in [low, high] with pairwise gaps >= DEFAULT_GAP need
+        # (n - 1) gaps; compared as n - 1 against a float, no int overflows
+        if getattr(args, "n", None) is not None and args.n - 1 > (high - low) / DEFAULT_GAP:
+            raise UsageError(f"--n {args.n}: no point of [{low:g}, {high:g}]^n has all "
+                             f"coordinates {DEFAULT_GAP:g} apart")
         if args.command == "verify-wdvv":
             return cmd_verify_wdvv(args)
         if args.command == "build-complex":

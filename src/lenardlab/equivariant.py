@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -98,19 +99,21 @@ class QuadraticInvariant:
 
     The product block is the full symmetric sum (S3 invariance forces the
     a3 a1 term).  Admissibility requires (alpha - beta)^2 (2 beta + alpha)
-    to be nonzero, so the Hessian is invertible.  The Hessian and its inverse
-    are symmetric, so for points a of shape (..., 3), ``a @ H`` is H a at
-    every point.
+    to be finite and nonzero, so the Hessian is invertible.  The Hessian and
+    its inverse are symmetric, so for points a of shape (..., 3), ``a @ H``
+    is H a at every point.
     """
 
     alpha: float
     beta: float
 
     def __post_init__(self) -> None:
-        disc = (self.alpha - self.beta) ** 2 * (2 * self.beta + self.alpha)
-        if abs(disc) < 1e-12:
+        # a product, not a power: float ** raises OverflowError where * gives inf
+        d = self.alpha - self.beta
+        disc = d * d * (2 * self.beta + self.alpha)
+        if not 1e-12 <= abs(disc) < math.inf:
             raise DegenerateParametersError(
-                f"(alpha-beta)^2*(2*beta+alpha) = {disc:g} must be nonzero "
+                f"(alpha-beta)^2*(2*beta+alpha) = {disc:g} must be finite and nonzero "
                 f"(alpha={self.alpha:g}, beta={self.beta:g})"
             )
 

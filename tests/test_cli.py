@@ -7,7 +7,7 @@ import pytest
 from lenardlab import chartcore as cc
 from lenardlab import cli, wdvv
 from lenardlab.cli import _FLOAT_OPTIONS, main
-from lenardlab.sampling import default_rng, sample_gapped_box
+from lenardlab.sampling import DEFAULT_BOX, DEFAULT_GAP, default_rng, sample_gapped_box
 
 REPORTS = pathlib.Path(__file__).resolve().parent.parent / "reports"
 
@@ -309,12 +309,42 @@ def test_a_value_error_inside_a_kernel_is_a_bug_not_bad_input(monkeypatch, argv)
 @pytest.mark.parametrize("argv, message", [
     (("verify-wdvv", "--n", "1"), "n >= 2"),
     (("build-complex", "--alpha", "1", "--beta", "-0.5", "--sigma2", "0"), "nonzero"),
+    # (alpha - beta)^2 (2 beta + alpha) overflows: refused, not an OverflowError
+    (("build-complex", "--alpha", "1e308", "--beta", "1", "--root", "1"), "= inf must be finite"),
+    (("build-complex", "--alpha", "1e200", "--beta", "1e-200", "--root", "2"), "= inf must be"),
+    (("build-complex", "--alpha", "1e200", "--beta", "1", "--sigma2", "0.1"), "= inf must be"),
+    (("build-complex", "--alpha", "-1e200", "--beta", "1", "--root", "1"), "= -inf must be"),
 ])
 def test_package_input_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--points", "3")
     assert code == 2
     assert out == ""
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify-wdvv", "--points", str(10**7 + 1)), "at most 10000000"),
+    (("verify-wdvv", "--points", str(10**20)), "at most 10000000"),
+    (("reproduce", "example3", "--segments", str(10**20)), "at most 10000000"),
+    (("verify-wdvv", "--n", "1000000000"), "--n 1000000000: no point of [0.5, 3]^n"),
+    (("verify-wdvv", "--n", "52"), "--n 52: no point"),
+])
+def test_oversized_counts_exit_2_before_anything_is_built(monkeypatch, capsys, argv, message):
+    def unreachable(*_, **__):
+        raise AssertionError("sampled or built before the counts were checked")
+
+    for name in ("sample_gapped_box", "sample_segments", "veselov_prepotential"):
+        monkeypatch.setattr(cli, name, unreachable)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_the_largest_gapped_n_is_the_one_the_default_box_fits():
+    # 51 coordinates 0.05 apart span exactly the 2.5 of [0.5, 3]; 52 do not fit
+    low, high = DEFAULT_BOX
+    assert (51 - 1) * DEFAULT_GAP <= high - low < (52 - 1) * DEFAULT_GAP
 
 
 def test_tolerance_environment_variables_change_nothing(monkeypatch, capsys):
