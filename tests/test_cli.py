@@ -7,7 +7,7 @@ import pytest
 from lenardlab import chartcore as cc
 from lenardlab import cli, wdvv
 from lenardlab.cli import _FLOAT_OPTIONS, main
-from lenardlab.sampling import DEFAULT_BOX, DEFAULT_GAP, default_rng, sample_gapped_box
+from lenardlab.sampling import default_rng, sample_gapped_box
 
 REPORTS = pathlib.Path(__file__).resolve().parent.parent / "reports"
 
@@ -340,11 +340,6 @@ def test_oversized_counts_exit_2_before_anything_is_built(monkeypatch, capsys, a
     assert out == ""
     assert message in err and "Traceback" not in err
 
-
-def test_the_largest_gapped_n_is_the_one_the_default_box_fits():
-    # 51 coordinates 0.05 apart span exactly the 2.5 of [0.5, 3]; 52 do not fit
-    low, high = DEFAULT_BOX
-    assert (51 - 1) * DEFAULT_GAP <= high - low < (52 - 1) * DEFAULT_GAP
 
 
 def test_tolerance_environment_variables_change_nothing(monkeypatch, capsys):

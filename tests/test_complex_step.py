@@ -59,25 +59,15 @@ def test_gd_fields_keep_complex_points(name):
     assert_complex_step_matches(field.coeff, field.jac, u)
 
 
-@pytest.mark.parametrize("rows, h", [
-    pytest.param(np.concatenate([np.eye(3), cc.difference_rows(3)]),
-                 np.array([0.5, 0.5, 0.5, 1.0, 1.0, 1.0]), id="veselov-m2"),
-    pytest.param(np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0], [-2.0, 0.25, 1.0], [1.0, 1.0, 1.0]]),
-                 np.array([0.7, -1.3, 0.4, 2.0]), id="general-rows"),
+@pytest.mark.parametrize("pre", [
+    pytest.param(wdvv.veselov_prepotential(wdvv.VeselovPotential(3, 2.0)), id="veselov-m2"),
+    pytest.param(wdvv.vee_prepotential(
+        np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0], [-2.0, 0.25, 1.0], [1.0, 1.0, 1.0]]),
+        np.array([0.7, -1.3, 0.4, 2.0])), id="general-rows"),
 ])
-def test_vee_prepotential_hessian_keeps_complex_points(rows, h):
-    pre = wdvv.vee_prepotential(rows, h)
-    u = sample_gapped_box(default_rng(5), 20, predicates=rows, gap=0.2)
+def test_vee_prepotential_hessian_keeps_complex_points(pre):
+    u = sample_gapped_box(default_rng(5), 20, predicates=pre.predicates, gap=0.2)
     assert_complex_step_matches(pre.hessian, pre.third, u)
-
-
-def test_veselov_m2_is_the_vee_prepotential_of_its_rows():
-    # the first ∨-system case above is the potential verify-wdvv checks
-    pre = wdvv.veselov_prepotential(wdvv.VeselovPotential(3, 2.0))
-    u = sample_gapped_box(default_rng(5), 5, predicates=pre.predicates)
-    rows = np.concatenate([np.eye(3), cc.difference_rows(3)])
-    np.testing.assert_array_equal(pre.third(u), wdvv.vee_prepotential(
-        rows, np.array([0.5, 0.5, 0.5, 1.0, 1.0, 1.0])).third(u))
 
 
 def test_points_promote_integers_and_keep_float_complex_and_object():
