@@ -209,7 +209,7 @@ def test_lie_bracket_hand_computed():
 # --- torsion -----------------------------------------------------------------
 
 
-def test_identity_tensor_has_no_torsion():
+def test_identity_operator_has_no_torsion():
     u = np.array([0.9, -1.4, 2.2])
     assert np.max(np.abs(cc.nijenhuis_tensor(cc.constant_field(CH3, np.eye(3)), u))) == 0.0
     assert cc.haantjes_residual(cc.constant_field(CH3, np.eye(3)), u) == 0.0
@@ -217,7 +217,7 @@ def test_identity_tensor_has_no_torsion():
 
 @settings(max_examples=30)
 @given(m=mat3, u=points3)
-def test_constant_tensor_has_no_torsion(m, u):
+def test_constant_operator_has_no_torsion(m, u):
     k = cc.constant_field(CH3, m)
     assert np.max(np.abs(cc.nijenhuis_tensor(k, u))) == 0.0
     assert cc.haantjes_residual(k, u) == 0.0

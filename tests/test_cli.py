@@ -341,7 +341,6 @@ def test_oversized_counts_exit_2_before_anything_is_built(monkeypatch, capsys, a
     assert message in err and "Traceback" not in err
 
 
-
 def test_tolerance_environment_variables_change_nothing(monkeypatch, capsys):
     # options come from the command line only: a LENARDLAB_<OPTION> variable
     # for any float option, the tolerances included, is not read
