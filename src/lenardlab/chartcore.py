@@ -256,45 +256,6 @@ class Permutation:
         return Permutation(tuple(int(k) for k in np.argsort(self.mapping)))
 
 
-def pullback(sigma: Permutation, omega: Field) -> Field:
-    """Pull a one-form back along the coordinate permutation sigma.
-
-    Coefficients transform as c'_m(u) = c_{sigma^{-1}(m)}(sigma(u)), which for
-    transpositions is the familiar swap of both labels and arguments.
-    """
-    if sigma.dim != omega.chart.dim:
-        raise ChartMismatchError(
-            f"permutation of dim {sigma.dim} on chart of dim {omega.chart.dim}"
-        )
-    inv = sigma.inverse().index
-
-    def coeff(u: np.ndarray) -> np.ndarray:
-        return omega.coeff(sigma(u)).take(inv, axis=-1)
-
-    def jac(u: np.ndarray) -> np.ndarray:
-        return omega.jac(sigma(u)).take(inv, -1).take(inv, -2)
-
-    return Field(omega.chart, coeff, jac, omega.predicates.take(inv, axis=-1))
-
-
-def transform_tensor(sigma: Permutation, k: Field) -> Field:
-    """Transform a (1,1)-tensor by the usual rule, (sigma K)(u) = K(sigma^{-1}u) conjugated."""
-    if sigma.dim != k.chart.dim:
-        raise ChartMismatchError(
-            f"permutation of dim {sigma.dim} on chart of dim {k.chart.dim}"
-        )
-    inv = sigma.inverse()
-    idx = sigma.index
-
-    def coeff(u: np.ndarray) -> np.ndarray:
-        return k.coeff(inv(u)).take(idx, -1).take(idx, -2)
-
-    def jac(u: np.ndarray) -> np.ndarray:
-        return k.jac(inv(u)).take(idx, -1).take(idx, -2).take(idx, -3)
-
-    return Field(k.chart, coeff, jac, k.predicates.take(idx, axis=-1))
-
-
 # ---------------------------------------------------------------------------
 # residuals
 

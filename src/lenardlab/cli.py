@@ -36,7 +36,6 @@ from .chartcore import (
     fd_jacobian,
     nan_max,
     relative_gap,
-    union_predicates,
 )
 from .report import VerificationReport, render_json, render_text
 from .sampling import (
@@ -172,11 +171,13 @@ def _reproduce_example3(args: argparse.Namespace) -> int:
     pts = sample_gapped_box(rng, args.points, predicates=cx.sampling_predicates())
     report = eq.verify_complex(cx, pts, tol_analytic=args.tol_analytic, tol_fd=args.tol_fd)
 
-    displays = eq.example3_display_forms()
-    built = dict(cx.square.named_forms())
-    worst = nan_max(float(np.max(np.abs(built[name].coeff_at(pts[:20]) - disp(pts[:20]))))
-                    for name, disp in displays.items())
-    report.add("display_coefficients_match", min(len(pts), 20), worst, 1e-10)
+    head = pts[:20]
+    mats = [k.coeff_at(head) for k in cx.operators]
+    built = {"dA": cx.dA.coeff_at(head),
+             **{name: mats[j][..., l, :] for name, (j, l) in eq.SQUARE_FORMS.items()}}
+    worst = nan_max(float(np.max(np.abs(built[name] - disp(head))))
+                    for name, disp in eq.example3_display_forms().items())
+    report.add("display_coefficients_match", len(head), worst, 1e-10)
 
     worst = nan_max(
         float(np.max(np.abs(apply(k.coeff_at(pts), pts) - eq.EXAMPLE3_CHAIN_FIELDS[j])))
@@ -185,10 +186,9 @@ def _reproduce_example3(args: argparse.Namespace) -> int:
     report.add("chain_field_constants", len(pts), worst, 1e-12)
 
     h = params.quad.hessian()
-    x_preds = union_predicates(*(eq.square_form_in_x(cx, j, l).predicates
-                                 for j in range(3) for l in range(j, 3)))
+    # the square forms in x are singular on the planes of the nine directions;
     # H is symmetric, so a @ h maps every point of a (..., 3) batch by H
-    x0, x1 = sample_segments(rng, segments, predicates=x_preds, to_ambient=lambda a: a @ h)
+    x0, x1 = sample_segments(rng, segments, predicates=eq.DIRECTIONS, to_ambient=lambda a: a @ h)
 
     def reconstruction_errors():
         for k in range(0, segments, _BLOCK):
@@ -314,12 +314,16 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(
             _attach_float_values(sys.argv[1:] if argv is None else argv))
         _check_finite(args)
-        if args.points <= 0 or not (args.tol_analytic > 0 and args.tol_fd > 0):
-            raise UsageError("point count and tolerances must be positive")
+        for flag, value in (("--points", args.points), ("--tol-analytic", args.tol_analytic),
+                            ("--tol-fd", args.tol_fd)):
+            if not value > 0:
+                raise UsageError(f"{flag} must be positive, got {value}")
         if args.seed < 0:
             raise UsageError(f"--seed must be non-negative, got {args.seed}")
-        if max(args.points, getattr(args, "segments", None) or 0) > MAX_COUNT:
-            raise UsageError(f"--points and --segments must be at most {MAX_COUNT}")
+        for flag, value in (("--points", args.points),
+                            ("--segments", getattr(args, "segments", None))):
+            if value is not None and value > MAX_COUNT:
+                raise UsageError(f"{flag} must be at most {MAX_COUNT}, got {value}")
         low, high = DEFAULT_BOX
         # n points in [low, high] with pairwise gaps >= DEFAULT_GAP need
         # (n - 1) gaps; compared as n - 1 against a float, no int overflows

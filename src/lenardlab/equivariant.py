@@ -22,6 +22,19 @@ are assembled row-wise from the completed square of forms
 
 and the scaling field X has a-components equal to the point itself.
 
+Every form of the square is a sum of terms w d(v.A)/(v.A).  A transposition
+pullback only permutes the directions v, and a term does not change when v
+changes sign, so the whole square lives on the nine directions e_i, e_i + e_j
+and e_i - e_j (``DIRECTIONS``).  It is stored as data: a weight tensor W of
+shape (9, 3, 3), W[t, j, l] the weight of direction t in theta_jl (row l of
+K_j).  Each operator is then one gemm over the nine terms (:func:`log_field`),
+in the a-chart on the rows v H and in the x-chart (x = A) on the rows v.
+W is the square's ∨-data: W[t] = 4 h_t v_t v_t^T, with the multiplicities
+h = -sigma2/2 on e_i - e_j, sigma1/2 on e_i + e_j and sigma0/4 on e_i, so the
+square is the third derivative of the B3-type prepotential
+sum_t h_t (v_t.x)^2 log (v_t.x)^2.  Off the roots of Phi it still is; what
+fails there is the ∨-condition.
+
 The family is fixed by (alpha, beta, sigma2): two linear sum rules give
 sigma1 and sigma0, and the remaining nonlinear symmetry condition
 sigma23*(K3 dQ) = K3 dQ factors through the scalar Phi(alpha, beta, sigma2),
@@ -59,7 +72,7 @@ from .chartcore import (
     matmul_first,
     matmul_last,
     point_batch,
-    pullback,
+    predicate_rows,
     union_predicates,
     worst_by_name,
 )
@@ -124,15 +137,8 @@ class QuadraticInvariant:
         d = (self.alpha - self.beta) * (self.alpha + 2 * self.beta)
         return ((self.alpha + 2 * self.beta) * np.eye(3) - self.beta * np.ones((3, 3))) / d
 
-    def value(self, a) -> np.ndarray:
-        a = coords_of(a, 3)
-        return 0.5 * np.sum((a @ self.hessian()) * a, axis=-1)
-
     def a_to_A(self, a) -> np.ndarray:
         return coords_of(a, 3) @ self.hessian()
-
-    def A_to_a(self, big_a) -> np.ndarray:
-        return coords_of(big_a, 3) @ self.hessian_inverse()
 
     def gradient_form(self) -> Field:
         """dA = sum_i A_i da_i in the a-chart (exact by construction)."""
@@ -228,107 +234,94 @@ def solve_phi_roots(alpha: float, beta: float) -> PhiRoots:
 
 
 # ---------------------------------------------------------------------------
-# the logarithmic one-forms, built in the A-chart and pushed to the a-chart
+# the square as data: weights over nine directions
 
 
-def _log_form(quad: QuadraticInvariant, terms: Sequence[tuple[float, np.ndarray]]) -> Field:
-    """sum of w * d(v.A)/(v.A) terms, expressed in the a-chart via A = H a.
+# The square's directions up to sign: e_i, then e_i + e_j and e_i - e_j (i < j).
+DIRECTIONS = np.concatenate([np.eye(3), np.abs(difference_rows(3)), difference_rows(3)])
 
-    All terms are evaluated at once: with W the weights and D the directions
-    (one per row), the coefficients are ((W / (A D^T)) D) H.
+#: The square forms by name, as (j, l): theta_jl is row l of K_j.
+SQUARE_FORMS = {"dP": (0, 0), "dQ": (0, 1), "dR": (0, 2), "dS": (1, 1), "dT": (1, 2),
+                "dV": (2, 2)}
+
+
+def _slot_table(sigma: Permutation) -> np.ndarray:
+    """slot[t]: the direction that is +-sigma(v_t).  A term w d(v.A)/(v.A)
+    does not change when v changes sign, so the pullback by a transposition
+    sigma moves the weights w[t] of a form to w[slot] (slot is an involution)."""
+    moved = sigma(DIRECTIONS)[:, None]
+    same = np.all(moved == DIRECTIONS, axis=-1) | np.all(moved == -DIRECTIONS, axis=-1)
+    return np.argmax(same, axis=-1)
+
+
+SLOTS = {sig: _slot_table(sig) for sig, _, _ in TRANSPOSITIONS}
+
+
+def family_weights(params: FamilyParams) -> tuple[np.ndarray, np.ndarray]:
+    """The weights of dP and dQ (module docstring) over DIRECTIONS, which are
+    e1, e2, e3, e1+e2, e1+e3, e2+e3, e1-e2, e1-e3 and e2-e3; a term on -v
+    counts on v."""
+    s0, s1, s2 = params.sigma0, params.sigma1, params.sigma2
+    dP = np.array([s0, 0, 0, 2 * s1, 2 * s1, 0, -2 * s2, -2 * s2, 0])
+    dQ = np.array([0, 0, 0, 2 * s1, 0, 0, 2 * s2, 0, 0])
+    return dP, dQ
+
+
+def square_weights(dP: np.ndarray, dQ: np.ndarray) -> np.ndarray:
+    """The weight tensor W (9, 3, 3) of the square: W[t, j, l] is the weight
+    of direction t in theta_jl.  dR, dT (orbit of dQ) and dS, dV (orbit of
+    dP) are transposition pullbacks, which permute the slots.  Nothing is
+    checked: the square is equivariant only if sigma12*dQ = dQ and
+    sigma23*dP = dP, which :func:`verify_complex` checks.
     """
-    h = quad.hessian()
-    weights = np.array([float(w) for w, _ in terms])
-    dirs = np.array([v for _, v in terms], dtype=float)
-
-    def coeff(a: np.ndarray) -> np.ndarray:
-        return ((weights / ((a @ h) @ dirs.T)) @ dirs) @ h
-
-    def jac(a: np.ndarray) -> np.ndarray:
-        s = (a @ h) @ dirs.T
-        j = -(dirs.T * (weights / s**2)[..., None, :]) @ dirs
-        return h @ j @ h
-
-    return Field(A_CHART, coeff, jac, union_predicates(dirs @ h))
+    columns = {(0, 0): dP, (0, 1): dQ, (0, 2): dQ[SLOTS[SIGMA_23]],
+               (1, 1): dP[SLOTS[SIGMA_12]], (1, 2): dQ[SLOTS[SIGMA_13]],
+               (2, 2): dP[SLOTS[SIGMA_13]]}
+    w = np.empty((len(DIRECTIONS), 3, 3))
+    for (j, l), column in columns.items():
+        w[:, j, l] = w[:, l, j] = column
+    return w
 
 
-def build_dQ(params: FamilyParams) -> Field:
-    s1, s2 = params.sigma1, params.sigma2
-    return _log_form(params.quad, [(s1, [1.0, 1.0, 0.0]), (s1, [1.0, 1.0, 0.0]),
-                                   (s2, [1.0, -1.0, 0.0]), (s2, [-1.0, 1.0, 0.0])])
+def log_field(chart: Chart, rows: np.ndarray, weights: np.ndarray) -> Field:
+    """The field sum_t weights[t] d(r_t . u)/(r_t . u) over the (T, dim) rows
+    r_t, with components (*shape, dim) for weights (T, *shape): a one-form
+    for weights (T,), an operator whose row l has the weights[:, l] for
+    (T, dim).  The rows are its predicates.
 
+    With f = 1/(u r^T), coeff is f @ B and jac is -(f f) @ B2, where
+    B[t] = weights[t] (x) r_t and B2[t] = weights[t] (x) r_t (x) r_t: one
+    gemm each.  Every r_t (x) r_t is symmetric, so the forms are closed.
+    """
+    rows = predicate_rows(rows, chart.dim)
+    weights = np.asarray(weights, dtype=float)
+    shape = weights.shape[1:] + (chart.dim,)
+    lead = (len(rows),) + (1,) * (weights.ndim - 1)
+    b = (weights[..., None] * rows.reshape(lead + (-1,))).reshape(len(rows), -1)
+    outer = rows[:, :, None] * rows[:, None, :]
+    b2 = (weights[..., None, None] * outer.reshape(lead + outer.shape[1:])).reshape(len(rows), -1)
 
-def build_dP(params: FamilyParams) -> Field:
-    s1, s2 = params.sigma1, params.sigma2
-    return _log_form(params.quad, [
-        (params.sigma0, [1.0, 0.0, 0.0]),
-        (s1, [1.0, 1.0, 0.0]), (s1, [1.0, 0.0, 1.0]),
-        (s1, [1.0, 1.0, 0.0]), (s1, [1.0, 0.0, 1.0]),
-        (-s2, [1.0, -1.0, 0.0]), (-s2, [1.0, 0.0, -1.0]),
-        (-s2, [-1.0, 1.0, 0.0]), (-s2, [-1.0, 0.0, 1.0]),
-    ])
+    def coeff(u: np.ndarray) -> np.ndarray:
+        return ((1.0 / (u @ rows.T)) @ b).reshape(u.shape[:-1] + shape)
+
+    def jac(u: np.ndarray) -> np.ndarray:
+        f = 1.0 / (u @ rows.T)
+        return (-(f * f) @ b2).reshape(u.shape[:-1] + shape + (chart.dim,))
+
+    return Field(chart, coeff, jac, rows)
 
 
 # ---------------------------------------------------------------------------
-# square completion and the complex
-
-
-@dataclass(frozen=True, eq=False)
-class EquivariantSquare:
-    """The seven forms of an equivariant square, all in the a-chart."""
-
-    dA: Field
-    dP: Field
-    dQ: Field
-    dR: Field
-    dT: Field
-    dS: Field
-    dV: Field
-
-    def form(self, j: int, l: int) -> Field:
-        """Square entry theta_{jl} = K_j K_l dA (0-based, symmetric): row l of K_j."""
-        return ((self.dP, self.dQ, self.dR), (self.dQ, self.dS, self.dT),
-                (self.dR, self.dT, self.dV))[j][l]
-
-    def named_forms(self) -> dict[str, Field]:
-        return {"dA": self.dA, "dP": self.dP, "dQ": self.dQ, "dR": self.dR,
-                "dT": self.dT, "dS": self.dS, "dV": self.dV}
-
-
-def complete_square(dA: Field, dP: Field, dQ: Field) -> EquivariantSquare:
-    """Complete (dA, dP, dQ) to the full square by transposition pullbacks:
-    dR, dT (orbit of dQ) and dS, dV (orbit of dP).  Nothing is evaluated; the
-    square is equivariant only if sigma12*dA = dA, sigma12*dQ = dQ and
-    sigma23*dP = dP, which :func:`verify_complex` checks.
-    """
-    return EquivariantSquare(
-        dA=dA, dP=dP, dQ=dQ,
-        dR=pullback(SIGMA_23, dQ),
-        dT=pullback(SIGMA_13, dQ),
-        dS=pullback(SIGMA_12, dP),
-        dV=pullback(SIGMA_13, dP),
-    )
-
-
-def _tensor_from_rows(rows: Sequence[Field]) -> Field:
-    """Tensor whose covector images of the coordinate differentials are ``rows``."""
-    chart = rows[0].chart
-
-    def coeff(u: np.ndarray) -> np.ndarray:
-        return np.stack([r.coeff(u) for r in rows], axis=-2)
-
-    def jac(u: np.ndarray) -> np.ndarray:
-        return np.stack([r.jac(u) for r in rows], axis=-3)
-
-    return Field(chart, coeff, jac, union_predicates(*(r.predicates for r in rows)))
+# the complex
 
 
 @dataclass(frozen=True, eq=False)
 class LenardComplex:
-    """Recursion operators, pivot form and scaling field in the a-chart."""
+    """Recursion operators, pivot form and scaling field in the a-chart, and
+    the square's weights W they are compiled from."""
 
     params: FamilyParams
-    square: EquivariantSquare
+    weights: np.ndarray
     operators: tuple[Field, Field, Field]
     dA: Field
     X: Field
@@ -339,16 +332,20 @@ class LenardComplex:
 
     def sampling_predicates(self) -> np.ndarray:
         """The square's rows and the rows a_i - a_j, one per direction."""
-        return union_predicates(*(f.predicates for f in self.square.named_forms().values()),
-                                difference_rows(3))
+        return union_predicates(DIRECTIONS @ self.quad.hessian(), difference_rows(3))
+
+
+def compile_complex(params: FamilyParams, weights: np.ndarray) -> LenardComplex:
+    """The complex whose square has the weights W: row l of K_j is theta_jl,
+    sum_t W[t, j, l] d(v_t.A)/(v_t.A) in the a-chart, where v_t.A = (v_t H).a."""
+    rows = DIRECTIONS @ params.quad.hessian()
+    operators = tuple(log_field(A_CHART, rows, weights[:, j]) for j in range(3))
+    x = Field(A_CHART, lambda a: a, constant_map(np.eye(3)))
+    return LenardComplex(params, weights, operators, params.quad.gradient_form(), x)
 
 
 def assemble_complex(params: FamilyParams) -> LenardComplex:
-    dA = params.quad.gradient_form()
-    square = complete_square(dA, build_dP(params), build_dQ(params))
-    operators = tuple(_tensor_from_rows([square.form(j, l) for l in range(3)]) for j in range(3))
-    x = Field(A_CHART, lambda a: a, constant_map(np.eye(3)))
-    return LenardComplex(params, square, operators, dA, x)
+    return compile_complex(params, square_weights(*family_weights(params)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +463,13 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
     operators, dA and X at a, each evaluated once.  Row l of K_j is
     theta_{jl}, so the operators' Jacobians are those of the square forms
     (``square_closure``), and this is the only check of the square's
-    symmetries (``square_equivariance``, ``symmetry_constraint``).  One FD
-    check covers dA, the six distinct square forms (hence the operators) and
-    X, each evaluated once per shifted batch, against those Jacobians.  The
+    symmetries (``square_equivariance``, ``symmetry_constraint``): the
+    weights W are data, and nothing in their construction makes them
+    equivariant.  On a compiled square ``square_closure`` is 0 by
+    construction, since every term's Jacobian is a multiple of the symmetric
+    v v^T; what guards the Jacobians is the FD check.  It covers dA, the
+    operators' rows l >= j (the six distinct square forms) and X, each field
+    evaluated once per shifted batch, against those Jacobians.  The
     WDVV residual of the square is read against the constant Euler pivot
     H^-1/4 (lambda = x/4); it reads 1.0 at a point with no x-chart
     (``chain_of_vector_fields`` above TOL_ANALYTIC) or where the pivot is
@@ -481,13 +482,12 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
     def gap(u: np.ndarray, v: np.ndarray) -> float:
         return float(np.max(np.abs(u - v)))
 
-    # dA, the distinct square forms theta_jl (j <= l) and X: row l of K_j is
-    # theta_jl, so the forms cover the operators' rows
-    forms = (cx.dA, *(cx.square.form(j, l) for j in range(3) for l in range(j, 3)))
-
     def stacked_rows(a: np.ndarray) -> np.ndarray:
-        """The checked fields at the points a, as rows (..., 8, 3)."""
-        return np.stack([*(f.coeff(a) for f in forms), cx.X.coeff(a)], axis=-2)
+        """dA, the distinct square forms theta_jl (j <= l), which are the
+        rows l >= j of K_j, and X at the points a, as rows (..., 8, 3)."""
+        return np.concatenate([cx.dA.coeff(a)[..., None, :],
+                               *(k.coeff(a)[..., j:, :] for j, k in enumerate(cx.operators)),
+                               cx.X.coeff(a)[..., None, :]], axis=-2)
 
     mats = [k.coeff_at(a) for k in cx.operators]
     jacs = [k.jac_at(a) for k in cx.operators]
@@ -550,17 +550,9 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
 
 
 def square_form_in_x(cx: LenardComplex, j: int, l: int) -> Field:
-    """theta_{jl} rewritten on the x-chart (x = A-coordinates)."""
-    hinv = cx.quad.hessian_inverse()
-    form = cx.square.form(j, l)
-
-    def coeff(x: np.ndarray) -> np.ndarray:
-        return form.coeff(x @ hinv) @ hinv
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        return hinv @ form.jac(x @ hinv) @ hinv
-
-    return Field(X_CHART, coeff, jac, form.predicates @ hinv)
+    """theta_{jl} on the x-chart (x = A-coordinates), where its rows are
+    the directions themselves: v.A = v.x."""
+    return log_field(X_CHART, DIRECTIONS, cx.weights[:, j, l])
 
 
 def reconstruct_potential_entry(cx: LenardComplex, j: int, l: int, x_from, x_to):

@@ -116,16 +116,6 @@ def gd_torsion_identity_residual(df: Field, p) -> float:
     return float(np.max(np.abs(contracted - target)))
 
 
-def chain_form(cx: GDComplex, j: int) -> Field:
-    """theta_j = K_j dA."""
-    return covector_image(cx.operators[j], cx.dA)
-
-
-def square_form(cx: GDComplex, j: int, l: int) -> Field:
-    """theta_{jl} = K_j K_l dA."""
-    return covector_image(cx.operators[j], chain_form(cx, l))
-
-
 @functools.cache
 def naive_power_form(k_power: int) -> Field:
     """K^k dw2 for the uncorrected power chain; not closed from k = 3 on."""
@@ -143,8 +133,7 @@ _SQUARE = tuple(itertools.combinations_with_replacement(range(3), 2))
 def _chain_and_square(da: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     """The chain forms theta_j = K_j dA and the square forms theta_jl = K_j
     theta_l (``_SQUARE`` order) as rows (..., 9, 3), from dA and the operator
-    matrices at the same points: what :func:`chain_form` and
-    :func:`square_form` evaluate."""
+    matrices at the same points."""
     chain = [covector_apply(da, m) for m in mats]
     return np.stack(chain + [covector_apply(chain[l], mats[j]) for j, l in _SQUARE], axis=-2)
 
@@ -174,10 +163,9 @@ def verify_gd_complex(points: Sequence, tol_analytic: float = 1e-8,
 
     The chain forms theta_j = K_j dA and the square forms theta_jl = K_j K_l
     dA (j <= l) and their Jacobians are derived from the operator matrices
-    and Jacobians by the product rule; :func:`chain_form` and
-    :func:`square_form` build the same forms as fields.  One FD check covers
-    the six square forms and the operators' rows: its value map evaluates
-    the three operators once per shifted batch.
+    and Jacobians by the product rule.  One FD check covers the six square
+    forms and the operators' rows: its value map evaluates the three
+    operators once per shifted batch.
     """
     pts = point_batch(points, 3)
     cx = gd_complex()

@@ -78,9 +78,6 @@ class Prepotential(_Predicated):
     third: Callable[[np.ndarray], np.ndarray]
     predicates: np.ndarray = ()
 
-    def value_at(self, p) -> np.ndarray:
-        return self.value(self._regular(p))
-
     def hessian_at(self, p) -> np.ndarray:
         return self.hessian(self._regular(p))
 

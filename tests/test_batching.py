@@ -17,6 +17,7 @@ from lenardlab import equivariant as eq
 from lenardlab import gelfand_dikii as gd
 from lenardlab import wdvv
 from lenardlab.sampling import default_rng, sample_gapped_box
+from square_oracle import chain_form, pullback, square_form, square_forms, transform_tensor
 
 # N = 3 = dim is where a matrix product silently stands in for a batch of
 # matrix-vector products
@@ -68,9 +69,10 @@ def lenard_complexes(draw):
 @given(cx=lenard_complexes(), seed=SEEDS, n=BATCH_SIZES)
 def test_equivariant_fields_and_verifier_batch(cx, seed, n):
     pts = sample_gapped_box(default_rng(seed), n, predicates=cx.sampling_predicates())
-    theta = cc.covector_image(cx.operators[2], cx.square.dQ)
-    forms = [*cx.square.named_forms().values(), theta, cc.pullback(eq.SIGMA_23, theta)]
-    operators = [*cx.operators, *(cc.transform_tensor(sig, cx.operators[j])
+    forms = square_forms(cx)
+    theta = cc.covector_image(cx.operators[2], forms["dQ"])
+    forms = [*forms.values(), theta, pullback(eq.SIGMA_23, theta)]
+    operators = [*cx.operators, *(transform_tensor(sig, cx.operators[j])
                                   for sig, j, _ in eq.TRANSPOSITIONS)]
     assert_fields_batch(forms, operators, [cx.X], pts)
     assert_report_is_max_of_points(lambda u: eq.verify_complex(cx, u), pts)
@@ -81,8 +83,8 @@ def test_equivariant_fields_and_verifier_batch(cx, seed, n):
 def test_gelfand_dikii_fields_and_verifier_batch(seed, n):
     pts = default_rng(seed).uniform(-2.0, 2.0, (n, 3))
     cx = gd.gd_complex()
-    forms = [cx.dA, *(gd.chain_form(cx, j) for j in range(3)),
-             *(gd.square_form(cx, j, l) for j in range(3) for l in range(j, 3))]
+    forms = [cx.dA, *(chain_form(cx, j) for j in range(3)),
+             *(square_form(cx, j, l) for j in range(3) for l in range(j, 3))]
     assert_fields_batch(forms, cx.operators, [cx.X], pts)
     assert_report_is_max_of_points(lambda u: gd.verify_gd_complex(u), pts)
 
@@ -168,9 +170,12 @@ def test_gd_verification_makes_one_fd_call_and_few_operator_evaluations(monkeypa
 
 
 def test_complex_fd_check_evaluates_each_field_once_per_shifted_batch(monkeypatch, example3):
+    # the value map stacks dA, the operators' rows l >= j and X
     _, _, cx = example3
     inside_fd = [False]
-    evals = dict.fromkeys([*cx.square.named_forms(), "X"], 0)
+    fields = {"dA": cx.dA, "K1": cx.operators[0], "K2": cx.operators[1],
+              "K3": cx.operators[2], "X": cx.X}
+    evals = dict.fromkeys(fields, 0)
 
     def counted(name, fn):
         def wrapper(a):
@@ -178,11 +183,10 @@ def test_complex_fd_check_evaluates_each_field_once_per_shifted_batch(monkeypatc
             return fn(a)
         return wrapper
 
-    square = eq.EquivariantSquare(**{
-        name: dataclasses.replace(f, coeff=counted(name, f.coeff))
-        for name, f in cx.square.named_forms().items()})
-    counting = dataclasses.replace(cx, square=square, dA=square.dA,
-                                   X=dataclasses.replace(cx.X, coeff=counted("X", cx.X.coeff)))
+    fields = {name: dataclasses.replace(f, coeff=counted(name, f.coeff))
+              for name, f in fields.items()}
+    counting = dataclasses.replace(cx, operators=(fields["K1"], fields["K2"], fields["K3"]),
+                                   dA=fields["dA"], X=fields["X"])
     fd_jacobian = cc.fd_jacobian
 
     def flagged(fun, u):
@@ -289,22 +293,23 @@ def test_wdvv_pipelines_cost_the_same_calls_for_50_and_200_points(monkeypatch, e
 
 def test_build_complex_evaluates_the_operators_on_four_batches_for_any_n(monkeypatch,
                                                                         tmp_path):
-    # M_j at a and at sigma(a) for the three transpositions, J_j at a: 9 log
-    # forms (the operators' rows) times 4 coefficient batches, and their 9
-    # Jacobians, which the closure check reads too; the FD check is excluded
-    build = eq._log_form
-    evals = {"coeff": 0, "jac": 0}
+    # M_j at a and at sigma(a) for the three transpositions, J_j at a, each
+    # one gemm over the nine directions: 4 coefficient batches and 1
+    # Jacobian batch per operator, which the closure check reads too; the FD
+    # check is excluded
+    build = eq.log_field
+    evals = Counter()
 
-    def counted_log_form(quad, terms):
-        form = build(quad, terms)
+    def counted_log_field(chart, rows, weights):
+        field = build(chart, rows, weights)
 
         def counted(name):
             def fn(a):
-                evals[name] += 1
-                return getattr(form, name)(a)
+                evals[name, weights.shape] += 1
+                return getattr(field, name)(a)
             return fn
 
-        return cc.Field(form.chart, counted("coeff"), counted("jac"), form.predicates)
+        return cc.Field(field.chart, counted("coeff"), counted("jac"), field.predicates)
 
     # every Field evaluated through coeff_at / jac_at, and the complex they belong to
     batches = {"coeff_at": [], "jac_at": []}
@@ -320,12 +325,12 @@ def test_build_complex_evaluates_the_operators_on_four_batches_for_any_n(monkeyp
         return built[-1]
 
     monkeypatch.setattr(eq, "assemble_complex", recorded_assembly)
-    monkeypatch.setattr(eq, "_log_form", counted_log_form)
+    monkeypatch.setattr(eq, "log_field", counted_log_field)
     monkeypatch.setattr(eq, "fd_check_tensor", lambda *_: 0.0)
 
     seen = []
     for n in (3, 300):
-        evals.update(coeff=0, jac=0)
+        evals.clear()
         for calls in batches.values():
             calls.clear()
         assert cli.main(["build-complex", "--alpha", "2", "--beta", "1", "--root", "1",
@@ -338,7 +343,8 @@ def test_build_complex_evaluates_the_operators_on_four_batches_for_any_n(monkeyp
         assert Counter(batches["jac_at"]) == dict.fromkeys([*ops, cx.dA, cx.X], 1)
         seen.append(dict(evals))
     assert seen[0] == seen[1]
-    assert seen[0] == {"coeff": 36, "jac": 9}
+    # three operators, of weights (9, 3)
+    assert seen[0] == {("coeff", (9, 3)): 3 * 4, ("jac", (9, 3)): 3 * 1}
 
 
 def test_complex_report_masks_a_refused_pivot_as_one(monkeypatch, example3):

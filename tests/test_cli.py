@@ -323,9 +323,11 @@ def test_package_input_errors_exit_2(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("verify-wdvv", "--points", str(10**7 + 1)), "at most 10000000"),
-    (("verify-wdvv", "--points", str(10**20)), "at most 10000000"),
-    (("reproduce", "example3", "--segments", str(10**20)), "at most 10000000"),
+    (("verify-wdvv", "--points", str(10**7 + 1)),
+     "--points must be at most 10000000, got 10000001"),
+    (("verify-wdvv", "--points", str(10**20)), f"--points must be at most 10000000, got {10**20}"),
+    (("reproduce", "example3", "--segments", str(10**20)),
+     f"--segments must be at most 10000000, got {10**20}"),
     (("verify-wdvv", "--n", "1000000000"), "--n 1000000000: no point of [0.5, 3]^n"),
     (("verify-wdvv", "--n", "52"), "--n 52: no point"),
 ])
@@ -365,6 +367,20 @@ def test_invalid_point_count(capsys):
                 code, _, err = run(capsys, "verify-wdvv", "--points", "5", *words)
                 assert code == 2, words
                 assert "finite" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--points", "-3"), "--points must be positive, got -3"),
+    (("--points", "0"), "--points must be positive, got 0"),
+    (("--tol-analytic", "0"), "--tol-analytic must be positive, got 0.0"),
+    (("--tol-fd", "0"), "--tol-fd must be positive, got 0.0"),
+    (("--tol-fd", "-1e-3"), "--tol-fd must be positive, got -0.001"),
+])
+def test_non_positive_count_or_tolerance_exits_2_naming_the_flag(capsys, argv, message):
+    code, out, err = run(capsys, "verify-wdvv", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -12,6 +12,7 @@ from lenardlab import equivariant as eq
 from lenardlab import gelfand_dikii as gd
 from lenardlab import wdvv
 from lenardlab.sampling import default_rng, sample_gapped_box
+from square_oracle import square_forms
 
 STEP = 1e-30
 
@@ -37,7 +38,7 @@ COMPLEXES = [pytest.param(2.0, 1.0, 1, id="2,1-root1"), pytest.param(5.0, 2.0, 2
 def complex_fields(alpha, beta, root):
     roots = eq.solve_phi_roots(alpha, beta)
     cx = eq.assemble_complex(eq.FamilyParams.solve(alpha, beta, roots[root - 1]))
-    fields = {**cx.square.named_forms(), "K1": cx.operators[0], "K2": cx.operators[1],
+    fields = {**square_forms(cx), "K1": cx.operators[0], "K2": cx.operators[1],
               "K3": cx.operators[2], "X": cx.X}
     return cx, fields
 

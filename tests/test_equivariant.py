@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from lenardlab.sampling import (
 )
 from lenardlab import wdvv
 from lenardlab.wdvv import wdvv_residual
+from square_oracle import A_to_a, closure_operators, pullback, quadratic_value, square_forms
+from square_oracle import transform_tensor
 
 
 # --- quadratic invariant and charts -----------------------------------------
@@ -33,7 +36,7 @@ def test_chart_round_trip(a, alpha, beta):
     if abs((alpha - beta) ** 2 * (2 * beta + alpha)) < 1e-3:
         return
     quad = eq.QuadraticInvariant(alpha, beta)
-    assert np.allclose(quad.A_to_a(quad.a_to_A(a)), a, atol=1e-12)
+    assert np.allclose(A_to_a(quad, quad.a_to_A(a)), a, atol=1e-12)
 
 
 def test_degenerate_invariants_rejected():
@@ -55,7 +58,8 @@ def test_gradient_form_matches_quadratic():
     a = np.array([0.8, 1.7, 2.5])
     assert form_fd_gap(dA, a) < 1e-9
     assert cc.closure_residual(dA, a) == 0.0
-    assert np.allclose(cc.fd_jacobian(quad.value, a), quad.a_to_A(a), atol=1e-8)
+    assert np.allclose(cc.fd_jacobian(lambda u: quadratic_value(quad, u), a), quad.a_to_A(a),
+                       atol=1e-8)
 
 
 # --- parameter constraints ----------------------------------------------------
@@ -140,8 +144,8 @@ def sample_a(example3):
 
 
 def test_dQ_reference_family_closed_form(example3, sample_a):
-    params, _, _ = example3
-    dQ = eq.build_dQ(params)
+    _, _, cx = example3
+    dQ = square_forms(cx)["dQ"]
     for a in sample_a:
         expected = np.array([-0.25, 0.25, 0.0]) / (a[0] - a[1])
         assert np.allclose(dQ.coeff_at(a), expected, atol=1e-12)
@@ -151,21 +155,26 @@ def test_dQ_reference_family_closed_form(example3, sample_a):
 def test_dQ_vanishes_for_zero_sigmas():
     params = eq.FamilyParams.solve(1.0, 0.0, 0.0)
     assert (params.sigma0, params.sigma1, params.sigma2) == (1.0, 0.0, 0.0)
-    dQ = eq.build_dQ(params)
+    dQ = square_forms(eq.assemble_complex(params))["dQ"]
     assert np.allclose(dQ.coeff_at([0.5, 1.5, 2.5]), 0.0)
 
 
 def test_family_forms_have_required_symmetries(example3, sample_a):
-    params, _, _ = example3
-    dQ, dP = eq.build_dQ(params), eq.build_dP(params)
+    _, _, cx = example3
+    forms = square_forms(cx)
+    dQ, dP = forms["dQ"], forms["dP"]
     for a in sample_a[:10]:
-        assert np.allclose(cc.pullback(eq.SIGMA_12, dQ).coeff_at(a), dQ.coeff_at(a), atol=1e-12)
-        assert np.allclose(cc.pullback(eq.SIGMA_23, dP).coeff_at(a), dP.coeff_at(a), atol=1e-12)
+        assert np.allclose(pullback(eq.SIGMA_12, dQ).coeff_at(a), dQ.coeff_at(a), atol=1e-12)
+        assert np.allclose(pullback(eq.SIGMA_23, dP).coeff_at(a), dP.coeff_at(a), atol=1e-12)
+    # on the weights, the same symmetries are slot permutations
+    w = cx.weights
+    np.testing.assert_array_equal(w[eq.SLOTS[eq.SIGMA_12], 0, 1], w[:, 0, 1])
+    np.testing.assert_array_equal(w[eq.SLOTS[eq.SIGMA_23], 0, 0], w[:, 0, 0])
 
 
 def test_family_forms_fd_jacobians(example3, sample_a):
-    params, _, _ = example3
-    for form in (eq.build_dQ(params), eq.build_dP(params)):
+    _, _, cx = example3
+    for form in (square_forms(cx)["dQ"], square_forms(cx)["dP"]):
         for a in sample_a[:5]:
             assert form_fd_gap(form, a) < 1e-6
 
@@ -174,25 +183,26 @@ def test_family_forms_fd_jacobians(example3, sample_a):
 
 
 def test_complete_square_trivial_relabeling():
-    quad = eq.QuadraticInvariant(1.0, 0.0)
-    dA = quad.gradient_form()
-    dP = cc.constant_field(eq.A_CHART, np.eye(3)[0])
-    dQ = cc.constant_field(eq.A_CHART, [0.0, 0.0, 0.0])
-    square = eq.complete_square(dA, dP, dQ)
+    # (alpha, beta, sigma2) = (1, 0, 0) has H = I, dP = da1/a1 and dQ = 0, so
+    # completion relabels dP to dS = da2/a2 and dV = da3/a3
+    dP, dQ = eq.family_weights(eq.FamilyParams.solve(1.0, 0.0, 0.0))
+    np.testing.assert_array_equal(dP, np.eye(9)[0])
+    np.testing.assert_array_equal(dQ, np.zeros(9))
+    w = eq.square_weights(dP, dQ)
+    np.testing.assert_array_equal(w[:, 1, 1], np.eye(9)[1])
+    np.testing.assert_array_equal(w[:, 2, 2], np.eye(9)[2])
+    cx = eq.compile_complex(eq.FamilyParams.solve(1.0, 0.0, 0.0), w)
     a = np.array([0.3, 0.9, 2.1])
-    assert np.allclose(square.dS.coeff_at(a), [0, 1, 0])
-    assert np.allclose(square.dV.coeff_at(a), [0, 0, 1])
+    assert np.allclose(square_forms(cx)["dS"].coeff_at(a), [0, 1 / 0.9, 0])
+    assert np.allclose(square_forms(cx)["dV"].coeff_at(a), [0, 0, 1 / 2.1])
 
 
 def test_asymmetric_square_fails_its_report(example3, sample_a):
     # completion checks nothing; a dQ that is not sigma12-symmetric (here dP)
     # fails the two report conditions that check the square's symmetries
     _, _, cx = example3
-    square = eq.complete_square(cx.dA, cx.square.dP, cx.square.dP)
-    k1 = eq._tensor_from_rows([square.dP, square.dQ, square.dR])
-    k2 = eq._tensor_from_rows([square.dQ, square.dS, square.dT])
-    k3 = eq._tensor_from_rows([square.dR, square.dT, square.dV])
-    broken = eq.LenardComplex(cx.params, square, (k1, k2, k3), cx.dA, cx.X)
+    dP, _ = eq.family_weights(cx.params)
+    broken = eq.compile_complex(cx.params, eq.square_weights(dP, dP))
     report = eq.verify_complex(broken, sample_a)
     for name in ("square_equivariance", "symmetry_constraint"):
         assert report.condition(name).max_residual > 0.1, name
@@ -208,7 +218,7 @@ def test_wrong_scaling_field_has_no_x_chart(example3, sample_a):
     # WDVV residual of the square has no chart to live on
     _, _, cx = example3
     x2 = cc.Field(eq.A_CHART, lambda a: 2.0 * a, cc.constant_map(2.0 * np.eye(3)))
-    wrong = eq.LenardComplex(cx.params, cx.square, cx.operators, cx.dA, x2)
+    wrong = dataclasses.replace(cx, X=x2)
     report = eq.verify_complex(wrong, sample_a)
     assert report.condition("chain_of_vector_fields").max_residual > 0.1
     assert report.condition("wdvv_commutation_from_square").max_residual == 1.0
@@ -220,17 +230,18 @@ def test_wrong_scaling_field_has_no_x_chart(example3, sample_a):
 def test_square_frozen_coefficients_at_reference_point(example3):
     _, _, cx = example3
     a = np.array([2.0, 1.0, 3.0])
-    assert np.allclose(cx.square.dT.coeff_at(a), [0.0, 0.125, -0.125])  # -(1/4)/(a2-a3) = 1/8
-    assert np.allclose(cx.square.dP.coeff_at(a), [1.0 / 16.0, -7.0 / 32.0, 9.0 / 32.0],
+    forms = square_forms(cx)
+    assert np.allclose(forms["dT"].coeff_at(a), [0.0, 0.125, -0.125])  # -(1/4)/(a2-a3) = 1/8
+    assert np.allclose(forms["dP"].coeff_at(a), [1.0 / 16.0, -7.0 / 32.0, 9.0 / 32.0],
                        atol=1e-14)
-    assert np.allclose(cx.square.dS.coeff_at(a), [2.0 / 7.0, -17.0 / 56.0, 9.0 / 56.0],
+    assert np.allclose(forms["dS"].coeff_at(a), [2.0 / 7.0, -17.0 / 56.0, 9.0 / 56.0],
                        atol=1e-14)
 
 
 def test_display_forms_match_construction(example3, sample_a):
     _, _, cx = example3
     displays = eq.example3_display_forms()
-    built = cx.square.named_forms()
+    built = square_forms(cx)
     for a in sample_a:
         for name, disp in displays.items():
             assert np.allclose(built[name].coeff_at(a), disp(a), atol=1e-12), name
@@ -257,6 +268,94 @@ def test_dP_display_numerator_variant_is_not_closed():
     assert np.max(np.abs(j_correct - j_correct.T)) < 1e-8
 
 
+# --- the compiled square ---------------------------------------------------------
+
+
+def complex_at(alpha, beta, root=None, sigma2=None):
+    """The complex at a root of Phi (1 or 2), or at an explicit sigma2."""
+    if root is not None:
+        sigma2 = eq.solve_phi_roots(alpha, beta)[root - 1]
+    return eq.assemble_complex(eq.FamilyParams.solve(alpha, beta, sigma2))
+
+
+KERNEL_CELLS = [pytest.param(2.0, 1.0, 1, None, id="2,1-root1"),
+                pytest.param(2.0, 1.0, 2, None, id="2,1-root2"),
+                pytest.param(5.0, 2.0, 1, None, id="5,2-root1"),
+                pytest.param(5.0, 2.0, 2, None, id="5,2-root2"),
+                pytest.param(-3.0, 1.0, 1, None, id="-3,1-root1"),
+                pytest.param(5.0, -3.0, 2, None, id="5,-3-root2"),
+                pytest.param(2.0, 1.0, None, 0.0, id="2,1-off-root")]
+
+
+@pytest.mark.parametrize("alpha, beta, root, sigma2", KERNEL_CELLS)
+def test_kernel_matches_the_closure_built_square(alpha, beta, root, sigma2):
+    # the square built from one closure per form, pullbacks and stacked rows
+    cx = complex_at(alpha, beta, root, sigma2)
+    a = sample_gapped_box(default_rng(500), 500, predicates=cx.sampling_predicates())
+    for kernel, oracle in zip(cx.operators, closure_operators(cx.params)):
+        for name in ("coeff_at", "jac_at"):
+            got, want = getattr(kernel, name)(a), getattr(oracle, name)(a)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+VEE_CELLS = [pytest.param(2.0, 1.0, 1, None, id="2,1-root1"),
+             pytest.param(2.0, 1.0, 2, None, id="2,1-root2"),
+             pytest.param(5.0, 2.0, 1, None, id="5,2-root1"),
+             pytest.param(5.0, 2.0, 2, None, id="5,2-root2"),
+             pytest.param(-3.0, 1.0, 1, None, id="-3,1-root1"),
+             pytest.param(5.0, -3.0, 2, None, id="5,-3-root2"),
+             pytest.param(2.0, 1.0, None, 0.0, id="2,1-sigma2=0"),
+             pytest.param(2.0, 1.0, None, 0.3, id="2,1-sigma2=0.3")]
+
+
+@pytest.mark.parametrize("alpha, beta, root, sigma2", VEE_CELLS)
+def test_weights_are_the_b3_vee_data(alpha, beta, root, sigma2):
+    # W[t] = 4 h_t v_t v_t^T exactly, with b3_vee_system's multiplicities:
+    # the square is the B3-type ∨-system's third derivative, point-free
+    cx = complex_at(alpha, beta, root, sigma2)
+    s0, s1, s2 = cx.params.sigma0, cx.params.sigma1, cx.params.sigma2
+    assert len(eq.DIRECTIONS) == 9
+    for t, v in enumerate(eq.DIRECTIONS):
+        # e_i, e_i + e_j or e_i - e_j
+        h = s0 / 4 if np.count_nonzero(v) == 1 else s1 / 2 if v.min() == 0 else -s2 / 2
+        np.testing.assert_array_equal(cx.weights[t], 4 * h * np.outer(v, v))
+
+
+# a wrong transposition in place of each pullback of the completion
+WRONG_SLOTS = [pytest.param(name, wrong, id=f"{name}-by-{wrong}")
+               for name, right in (("dR", "SIGMA_23"), ("dS", "SIGMA_12"), ("dT", "SIGMA_13"),
+                                   ("dV", "SIGMA_13"))
+               for wrong in ("SIGMA_12", "SIGMA_13", "SIGMA_23") if wrong != right]
+
+
+@pytest.mark.parametrize("name, wrong", WRONG_SLOTS)
+def test_wrong_slot_permutation_fails_the_equivariance_checks(example3, sample_a, name, wrong):
+    _, _, cx = example3
+    dP, dQ = eq.family_weights(cx.params)
+    w = cx.weights.copy()
+    j, l = eq.SQUARE_FORMS[name]
+    w[:, j, l] = w[:, l, j] = (dQ if name in ("dR", "dT") else dP)[eq.SLOTS[getattr(eq, wrong)]]
+    report = eq.verify_complex(eq.compile_complex(cx.params, w), sample_a)
+    for condition in ("square_equivariance", "operator_exchange"):
+        assert report.condition(condition).max_residual > 1.0, condition
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_scaled_jacobian_gemm_fails_the_fd_check(example3, sample_a, j):
+    # B2 of one operator scaled by 1 + 1e-6, that is its Jacobian: the
+    # closure check cannot see it, only the FD check does.  The gap reads
+    # 1e-6 of max|J| to within the FD error (1.0000065e-6 on K3 here), so
+    # it fails the 1e-6 tolerance by that error's margin
+    _, _, cx = example3
+    k = cx.operators[j]
+    scaled = dataclasses.replace(k, jac=lambda a: (1 + 1e-6) * k.jac(a))
+    ops = tuple(scaled if i == j else op for i, op in enumerate(cx.operators))
+    report = eq.verify_complex(dataclasses.replace(cx, operators=ops), sample_a)
+    assert report.condition("square_closure").max_residual == 0.0
+    fd = report.condition("jacobian_fd_agreement")
+    assert fd.max_residual > 0.999e-6 and not fd.passed
+
+
 # --- the assembled complex -------------------------------------------------------
 
 
@@ -278,16 +377,17 @@ def test_partition_of_identity(example3, sample_a):
 def test_operator_exchange_under_transpositions(example3, sample_a):
     _, _, cx = example3
     for sig, j, l in eq.TRANSPOSITIONS:
-        moved = cc.transform_tensor(sig, cx.operators[j])
+        moved = transform_tensor(sig, cx.operators[j])
         for a in sample_a[:10]:
             assert np.allclose(moved.coeff_at(a), cx.operators[l].coeff_at(a), atol=1e-10)
 
 
 def test_k2dR_matches_k3dQ(example3, sample_a):
     _, _, cx = example3
+    forms = square_forms(cx)
     for a in sample_a:
-        lhs = cx.square.dR.coeff_at(a) @ cx.operators[1].coeff_at(a)
-        rhs = cx.square.dQ.coeff_at(a) @ cx.operators[2].coeff_at(a)
+        lhs = forms["dR"].coeff_at(a) @ cx.operators[1].coeff_at(a)
+        rhs = forms["dQ"].coeff_at(a) @ cx.operators[2].coeff_at(a)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 

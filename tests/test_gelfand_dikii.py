@@ -6,6 +6,7 @@ import pytest
 from lenardlab import chartcore as cc
 from lenardlab import gelfand_dikii as gd
 from lenardlab.cli import main
+from square_oracle import chain_form, square_form
 
 W0 = np.array([1.0, 2.0, 3.0])
 
@@ -51,7 +52,7 @@ def test_derived_chain_and_square_forms_equal_the_form_fields(n):
     da = cx.dA.coeff_at(w)
     forms = gd._chain_and_square(da, mats)
     jforms = gd._chain_and_square_jacs(da, cx.dA.jac_at(w), mats, jacs, forms)
-    fields = [gd.chain_form(cx, j) for j in range(3)] + [gd.square_form(cx, j, l)
+    fields = [chain_form(cx, j) for j in range(3)] + [square_form(cx, j, l)
                                                          for j, l in gd._SQUARE]
     assert forms.shape == (n, 9, 3) and jforms.shape == (n, 9, 3, 3)
     for r, f in enumerate(fields):
@@ -92,10 +93,10 @@ def test_haantjes_vanishes_while_nijenhuis_does_not(rng):
 
 def test_chain_forms_closed_and_frozen_values():
     cx = gd.gd_complex()
-    theta2 = gd.chain_form(cx, 1)
+    theta2 = chain_form(cx, 1)
     assert np.allclose(theta2.coeff_at(W0), [0.0, 2.0, 0.0])  # 2 dw1, exact
     assert cc.closure_residual(theta2, W0) == 0.0
-    theta3 = gd.chain_form(cx, 2)
+    theta3 = chain_form(cx, 2)
     assert np.allclose(theta3.coeff_at(W0), [4.0, 0.0, -3.0])  # 4 dw0 - w2 dw2
     assert cc.closure_residual(theta3, W0) < 1e-12
 
@@ -105,7 +106,7 @@ def test_square_forms_closed_on_grid():
     grid = [np.array([a, b, c]) for a in (-1.5, 0.4) for b in (-0.8, 1.2) for c in (-2.0, 1.7)]
     for j in range(3):
         for l in range(j, 3):
-            form = gd.square_form(cx, j, l)
+            form = square_form(cx, j, l)
             for w in grid:
                 assert cc.closure_residual(form, w) < 1e-12
 
@@ -156,7 +157,7 @@ def test_chain_covectors_have_constant_determinant(rng):
     # the stacked chain forms K_j dw2 have det = -8 everywhere, so the chain
     # coordinates exist globally
     cx = gd.gd_complex()
-    chain = [gd.chain_form(cx, j) for j in range(3)]
+    chain = [chain_form(cx, j) for j in range(3)]
     for w in rng.uniform(-2, 2, (10, 3)):
         mat = np.stack([f.coeff_at(w) for f in chain])
         assert np.linalg.det(mat) == pytest.approx(-8.0, abs=1e-12)
