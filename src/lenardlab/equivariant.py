@@ -296,10 +296,10 @@ def log_field(chart: Chart, rows: np.ndarray, weights: np.ndarray) -> Field:
     rows = predicate_rows(rows, chart.dim)
     weights = np.asarray(weights, dtype=float)
     shape = weights.shape[1:] + (chart.dim,)
-    lead = (len(rows),) + (1,) * (weights.ndim - 1)
-    b = (weights[..., None] * rows.reshape(lead + (-1,))).reshape(len(rows), -1)
+    b = np.einsum("t...,tm->t...m", weights, rows).reshape(len(rows), -1)
+    # r_m r_d is r_d r_m bit for bit, so every block of B2 is exactly symmetric
     outer = rows[:, :, None] * rows[:, None, :]
-    b2 = (weights[..., None, None] * outer.reshape(lead + outer.shape[1:])).reshape(len(rows), -1)
+    b2 = np.einsum("t...,tmd->t...md", weights, outer).reshape(len(rows), -1)
 
     def coeff(u: np.ndarray) -> np.ndarray:
         return ((1.0 / (u @ rows.T)) @ b).reshape(u.shape[:-1] + shape)
