@@ -2,7 +2,7 @@
 
 The package compiles the square of an equivariant complex into a weight
 tensor over nine directions (:mod:`lenardlab.equivariant`).  This module
-builds the same square the older way, with code the kernel does not share:
+builds the same square another way, with code the kernel does not share:
 one closure per logarithmic form (:func:`log_form`), coordinate pullbacks of
 forms (:func:`pullback`) and operators stacked from their rows
 (:func:`tensor_from_rows`).  It also holds the maps that the package does
