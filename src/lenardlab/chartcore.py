@@ -145,7 +145,10 @@ def singular_segments(predicates: np.ndarray, u0, u1) -> np.ndarray:
     absolute value at an endpoint of a segment unless it changes sign on it.
     """
     v0, v1 = u0 @ predicates.T, u1 @ predicates.T
-    return (np.minimum(np.abs(v0), np.abs(v1)) < REGULARITY_MARGIN) | (v0 * v1 < 0.0)
+    crossing = v0 * v1 < 0.0
+    # |v0| and |v1| overwrite v0 and v1: one full-size temporary fewer
+    near = np.minimum(np.abs(v0, out=v0), np.abs(v1, out=v1), out=v0) < REGULARITY_MARGIN
+    return near | crossing
 
 
 def check_regular(predicates: np.ndarray, u: np.ndarray) -> None:

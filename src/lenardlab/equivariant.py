@@ -112,21 +112,29 @@ class QuadraticInvariant:
 
     The product block is the full symmetric sum (S3 invariance forces the
     a3 a1 term).  Admissibility requires (alpha - beta)^2 (2 beta + alpha)
-    to be finite and nonzero, so the Hessian is invertible.  The Hessian and
-    its inverse are symmetric, so for points a of shape (..., 3), ``a @ H``
-    is H a at every point.
+    to be finite and, relative to max(|alpha|, |beta|)^3, nonzero, so the
+    Hessian is invertible at every scale.  The Hessian and its inverse are
+    symmetric, so for points a of shape (..., 3), ``a @ H`` is H a at every
+    point.
     """
 
     alpha: float
     beta: float
 
     def __post_init__(self) -> None:
-        # a product, not a power: float ** raises OverflowError where * gives inf
-        d = self.alpha - self.beta
-        disc = d * d * (2 * self.beta + self.alpha)
-        if not 1e-12 <= abs(disc) < math.inf:
+        # products, not powers: float ** raises OverflowError where * gives
+        # inf.  The nonzero test is relative to s = max(|alpha|, |beta|), so a
+        # scaled copy of admissible parameters is admissible.  disc must not
+        # underflow to 0 either: the sum rules and the inverse Hessian divide
+        # by (alpha-beta)(2 beta+alpha), which is nonzero wherever disc is
+        d, t = self.alpha - self.beta, 2 * self.beta + self.alpha
+        disc = d * d * t
+        s = max(abs(self.alpha), abs(self.beta))
+        relative = (d / s) * (d / s) * (t / s) if s > 0 else 0.0
+        if not (abs(relative) >= 1e-12 and 0.0 < abs(disc) < math.inf):
             raise DegenerateParametersError(
                 f"(alpha-beta)^2*(2*beta+alpha) = {disc:g} must be finite and nonzero "
+                f"relative to max(|alpha|, |beta|)^3 "
                 f"(alpha={self.alpha:g}, beta={self.beta:g})"
             )
 

@@ -19,13 +19,14 @@ Euler weights are a map x -> lambda(x) on points (..., n).  Both are
 normalized by the product of operand norms so thresholds are scale-free.
 
 Everything works on the point axis of :mod:`lenardlab.chartcore`: the
-prepotential maps and the residuals take points of shape (..., n), so a
-batch of N points is one call and a single point is the () case.  The
-residuals are computed per point, with pivots refused per point, and
-reported as the NaN-propagating worst over the batch.  A pivot is refused
-when its 2-norm condition number exceeds MAX_PIVOT_COND; a Frobenius bound
-on it decides all but the pivots near that threshold, and only those go to
-an SVD (:func:`_guarded_inverse`).
+prepotential maps take points of shape (..., n), so a batch of N points is
+one call and a single point is the () case.  The residuals and g take the
+third tensors c (..., n, n, n) at those points, so one evaluation of c
+serves them all.  The residuals are computed per point, with pivots refused
+per point, and reported as the NaN-propagating worst over the batch.  A
+pivot is refused when its 2-norm condition number exceeds MAX_PIVOT_COND; a
+Frobenius bound on it decides all but the pivots near that threshold, and
+only those go to an SVD (:func:`_guarded_inverse`).
 
 All logarithms appear as log u^2 = 2 log |u|; u = 0 is excluded by the
 regularity predicates, which for a ∨-system are its rows c.  A
@@ -169,19 +170,28 @@ def _guarded_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     to an SVD (``np.linalg.cond``).  k_F is formed from P/max|P| and
     max|P| P^-1, so it overflows at no scale of P.  An accepted pivot's
     inverse is the LU inverse ``np.linalg.inv`` gives it alone.
+
+    Each pivot is factored once: only a batch with an exactly singular
+    member, on which ``inv`` raises, is factored again by ``slogdet``
+    (whose sign is 0 exactly when the LU is singular; det underflows on a
+    scaled pivot) and inverted with those members replaced by the identity.
+    Both use LAPACK's getrf, so the mask and the inverses do not depend on
+    which path a batch takes.
     """
     n = mat.shape[-1]
     eye = np.eye(n)
     finite = np.isfinite(mat).all(axis=(-2, -1))
-    mat = np.where(finite[..., None, None], mat, eye)
-    # inv raises on an exactly singular member of a batch, and det underflows
-    # on a scaled pivot; slogdet's sign is 0 exactly when the LU is singular
-    singular = np.linalg.slogdet(mat)[0] == 0
-    inv = np.linalg.inv(np.where(singular[..., None, None], eye, mat))
+    if not finite.all():
+        mat = np.where(finite[..., None, None], mat, eye)
+    try:
+        inv = np.linalg.inv(mat)
+        singular = np.zeros_like(finite)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(mat)[0] == 0
+        inv = np.linalg.inv(np.where(singular[..., None, None], eye, mat))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        size = np.max(np.abs(mat), axis=(-2, -1))[..., None, None]
-        kappa_f = (np.linalg.norm(mat / size, axis=(-2, -1))
-                   * np.linalg.norm(size * inv, axis=(-2, -1)))
+        size = np.max(np.abs(mat).reshape(*mat.shape[:-2], n * n), axis=-1)[..., None, None]
+        kappa_f = _frobenius(mat / size) * _frobenius(size * inv)
     # k_F and the SVD's k_2 both carry a relative rounding error of about
     # k eps = 1e-8 at the threshold, and k_F - k_2 can be as small as 1/k_2
     # (n = 2): the bound decides only the pivots clear of that by 1e-6
@@ -192,7 +202,15 @@ def _guarded_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         kappa_2 = np.ones(band.shape)
         kappa_2[band] = np.linalg.cond(mat[band])
         refuse = refuse | ~(kappa_2 <= MAX_PIVOT_COND)
-    return np.where(refuse[..., None, None], eye, inv), refuse
+    if refuse.any():
+        inv = np.where(refuse[..., None, None], eye, inv)
+    return inv, refuse
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """The Frobenius norm over the last two axes: ``np.linalg.norm``'s own
+    formula for it, bit for bit, without that function's dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=(-2, -1)))
 
 
 def _commutation_residual(c: np.ndarray, pivot_inv: np.ndarray) -> np.ndarray:
@@ -205,12 +223,16 @@ def _commutation_residual(c: np.ndarray, pivot_inv: np.ndarray) -> np.ndarray:
     that product is 0, so is the numerator, and the residual reads 0.  (The
     smaller |c_j P^-1| |c_l| would raise rounding from k eps to k^2 eps for a
     pivot of condition number k.)"""
-    j, l = np.array(list(pairwise_indices(c.shape[-1]))).T
+    n = c.shape[-1]
+    j, l = np.array(list(pairwise_indices(n))).T
     cp = c @ pivot_inv[..., None, :, :]
     a = cp[..., j, :, :] @ c[..., l, :, :]
-    num = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1))
-    norm = np.linalg.norm(c, axis=(-2, -1))
-    size = norm[..., j] * np.linalg.norm(pivot_inv, axis=(-2, -1))[..., None] * norm[..., l]
+    # |a - a^T| is symmetric, so its entries on and above the diagonal hold
+    # every value and every NaN of it
+    r, s = np.triu_indices(n)
+    num = np.max(np.abs(a[..., r, s] - a[..., s, r]), axis=-1)
+    norm = _frobenius(c)
+    size = norm[..., j] * _frobenius(pivot_inv)[..., None] * norm[..., l]
     return np.max(num / np.where(size == 0.0, 1.0, size), axis=-1)
 
 
@@ -237,16 +259,17 @@ def worst_residual(residuals: np.ndarray, rejected: np.ndarray, what: str, point
     return float(np.max(residuals))
 
 
-def wdvv_residual(pre: Prepotential, x) -> float:
+def wdvv_residual(c: np.ndarray, x) -> float:
     """Scale-free residual of the pairwise commutation with pivot c[0], the
-    worst over the points x of shape (..., n)."""
-    c = pre.third_at(x)
+    worst over the points x of shape (..., n) whose third tensors are c
+    (..., n, n, n)."""
     return worst_residual(*commutation_residuals(c, c[..., 0, :, :]), "pivot slice c[0]", x,
                           C0_PIVOT_HINT)
 
 
-def g_matrix(pre: Prepotential, weights: EulerWeights, x) -> np.ndarray:
-    """g = sum_k lambda_k c_k at the points x; symmetric by total symmetry of c.
+def g_matrix(c: np.ndarray, weights: EulerWeights, x) -> np.ndarray:
+    """g = sum_k lambda_k c_k at the points x whose third tensors are c;
+    symmetric by total symmetry of c.
 
     For a ∨-system (rows c, multiplicities h) the third derivative is
     sum_c (4 h_c / c.x) c (x) c (x) c, so lambda = x/4 contracts it to the
@@ -259,13 +282,11 @@ def g_matrix(pre: Prepotential, weights: EulerWeights, x) -> np.ndarray:
     [[5/2,-1,-1],...], and m = 1 scaled by 1/16 with lambda = x (four times
     x/4) gives [[3/4,-1/4,-1/4],...].
     """
-    c = pre.third_at(x)
-    return np.einsum("...k,...kjl->...jl", weights(coords_of(x, pre.chart.dim)), c)
+    return np.einsum("...k,...kjl->...jl", weights(coords_of(x, c.shape[-1])), c)
 
 
-def generalized_wdvv_residual(pre: Prepotential, weights: EulerWeights, x) -> float:
-    """Commutation residual with the Euler-weighted pivot g in place of c[0],
-    the worst over the points x of shape (..., n)."""
-    c = pre.third_at(x)
-    g = np.einsum("...k,...kjl->...jl", weights(coords_of(x, pre.chart.dim)), c)
+def generalized_wdvv_residual(c: np.ndarray, g: np.ndarray, x) -> float:
+    """Commutation residual of the third tensors c with the Euler-weighted
+    pivot g (:func:`g_matrix`) in place of c[0], the worst over the points x
+    of shape (..., n)."""
     return worst_residual(*commutation_residuals(c, g), "Euler-weighted pivot g", x)

@@ -7,9 +7,9 @@ one closure per logarithmic form (:func:`log_form`), coordinate pullbacks of
 forms (:func:`pullback`) and operators stacked from their rows
 (:func:`tensor_from_rows`).  It also holds the maps that the package does
 not need but tests read as references: the quadratic invariant's value and
-inverse chart map, a prepotential's checked value, the transformation of a
-(1,1)-tensor under a permutation, and the GD chain and square forms as
-fields.
+inverse chart map, a prepotential's checked value and its WDVV residuals at
+points, the transformation of a (1,1)-tensor under a permutation, and the GD
+chain and square forms as fields.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 from lenardlab import chartcore as cc
 from lenardlab import equivariant as eq
 from lenardlab import gelfand_dikii as gd
+from lenardlab import wdvv
 
 # ---------------------------------------------------------------------------
 # coordinate permutations of fields
@@ -80,6 +81,23 @@ def A_to_a(quad: eq.QuadraticInvariant, big_a) -> np.ndarray:
 def value_at(pre, p) -> np.ndarray:
     """The prepotential's value at the points p, checked for regularity."""
     return pre.value(pre._regular(p))
+
+
+def wdvv_residual_at(pre, x) -> float:
+    """The prepotential's WDVV residual with pivot c[0] at the points x."""
+    return wdvv.wdvv_residual(pre.third_at(x), x)
+
+
+def g_matrix_at(pre, weights, x) -> np.ndarray:
+    """The prepotential's Euler contraction g at the points x."""
+    return wdvv.g_matrix(pre.third_at(x), weights, x)
+
+
+def euler_residual_at(pre, weights, x) -> float:
+    """The prepotential's WDVV residual with the Euler-weighted pivot g at
+    the points x."""
+    c = pre.third_at(x)
+    return wdvv.generalized_wdvv_residual(c, wdvv.g_matrix(c, weights, x), x)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from lenardlab import equivariant as eq
 from lenardlab import gelfand_dikii as gd
 from lenardlab import wdvv
 from lenardlab.sampling import default_rng, sample_gapped_box, sample_segments
-from square_oracle import square_forms
+from square_oracle import euler_residual_at, g_matrix_at, square_forms, wdvv_residual_at
 
 SEED = 424242
 
@@ -40,7 +40,7 @@ def test_criterion_1_veselov_wdvv_family():
     for k, m in enumerate((1.0, 2.0, 3.0, 7.0)):
         pre = wdvv.veselov_prepotential(wdvv.VeselovPotential(3, m))
         pts = _veselov_points(pre, 100, SEED + k)
-        worst = max(wdvv.wdvv_residual(pre, x) for x in pts)
+        worst = max(wdvv_residual_at(pre, x) for x in pts)
         ok &= _line(f"criterion 1 (wdvv, m={m:g})", worst, 1e-8)
     assert ok
 
@@ -49,10 +49,10 @@ def test_criterion_2_generalized_wdvv_residual():
     """generalized residual with lambda = x/4, n=3, m=2 < 1e-8 at 100 points."""
     pre = wdvv.veselov_prepotential(wdvv.VeselovPotential(3, 2.0))
     pts = _veselov_points(pre, 100, SEED + 10)
-    worst = max(wdvv.generalized_wdvv_residual(pre, wdvv.QUARTER_X, x) for x in pts)
+    worst = max(euler_residual_at(pre, wdvv.QUARTER_X, x) for x in pts)
     drift = max(float(np.max(np.abs(
-        wdvv.g_matrix(pre, wdvv.QUARTER_X, x)
-        - wdvv.g_matrix(pre, wdvv.QUARTER_X, pts[0])))) for x in pts)
+        g_matrix_at(pre, wdvv.QUARTER_X, x)
+        - g_matrix_at(pre, wdvv.QUARTER_X, pts[0])))) for x in pts)
     ok = _line("criterion 2 (generalized wdvv residual)", worst, 1e-8)
     ok &= _line("criterion 2 (euler contraction point-independent)", drift, 1e-10)
     assert ok
@@ -87,7 +87,7 @@ def test_criterion_2_euler_contraction_printed_constant():
 
     # printed constant: sixteenth-scaled m=1 potential, lambda = x
     ref = wdvv.veselov_prepotential(wdvv.VeselovPotential(n, 1.0), scale=1.0 / 16.0)
-    worst_printed = max(float(np.max(np.abs(wdvv.g_matrix(ref, lambda u: u, x) - printed)))
+    worst_printed = max(float(np.max(np.abs(g_matrix_at(ref, lambda u: u, x) - printed)))
                         for x in pts)
     hess = float(np.max(np.abs(eq.QuadraticInvariant(2.0, 1.0).hessian_inverse() - printed)))
     ok_printed = _line("criterion 2 (euler contraction printed constant, "
@@ -100,7 +100,7 @@ def test_criterion_2_euler_contraction_printed_constant():
     gram = sum(np.outer(eye[i] - eye[j], eye[i] - eye[j])
                for i in range(n) for j in range(i + 1, n))
     closed = 4.0 * c * s * (gram + eye / m)
-    worst_closed = max(float(np.max(np.abs(wdvv.g_matrix(pre2, wdvv.QUARTER_X, x) - closed)))
+    worst_closed = max(float(np.max(np.abs(g_matrix_at(pre2, wdvv.QUARTER_X, x) - closed)))
                        for x in pts)
     ok_closed = _line("criterion 2 (euler contraction closed form, m=2, lambda=x/4)",
                       worst_closed, 1e-10)

@@ -291,6 +291,30 @@ def test_wdvv_pipelines_cost_the_same_calls_for_50_and_200_points(monkeypatch, e
         assert count_calls(monkeypatch, run(200), *entry_points) == calls
 
 
+@pytest.mark.parametrize("euler", [(), ("--euler", "quarter-x")], ids=["c0", "euler"])
+def test_verify_wdvv_evaluates_the_third_tensor_once_per_block(monkeypatch, tmp_path, euler):
+    # c[0], g, both residuals and the drift of g all read the block's one c
+    potential, batches = cli._potential, []
+
+    def counted_potential(*args):
+        pre, params = potential(*args)
+
+        def third(x):
+            batches.append(len(x))
+            return pre.third(x)
+
+        return dataclasses.replace(pre, third=third), params
+
+    monkeypatch.setattr(cli, "_potential", counted_potential)
+    argv = ["verify-wdvv", "--points", "2000", *euler, "--format", "json",
+            "--out", str(tmp_path / "r.json")]
+    checks = count_regularity_checks(monkeypatch, lambda: cli.main(argv))
+    # 2000 points are 8 blocks; the FD checks read the first 10 points
+    assert batches == 7 * [256] + [208] + [10]
+    # the blocks' third tensors, and the Hessian and third tensor the FD checks read
+    assert checks == 8 + 2
+
+
 def test_build_complex_evaluates_the_operators_on_four_batches_for_any_n(monkeypatch,
                                                                         tmp_path):
     # M_j at a and at sigma(a) for the three transpositions, J_j at a, each

@@ -636,6 +636,22 @@ def test_a_point_at_the_margin_is_regular_and_just_inside_it_singular(value, sin
         cc.check_regular(rows, u)
 
 
+def test_singular_segments_is_the_rule_of_its_docstring_nan_included():
+    # the rule written out: min(|v0|, |v1|) < margin, or a sign change
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((6, 3))
+    u0, u1 = rng.standard_normal((2, 400, 3))
+    u0[:50] = u1[:50]  # points as segments to themselves
+    u0[50:60, 1] = np.nan
+    u1[60:70, 2] = np.inf
+    u1[70:80] = -u0[70:80]
+    u0[80:90] = 0.0
+    with np.errstate(invalid="ignore"):
+        v0, v1 = u0 @ rows.T, u1 @ rows.T
+        rule = (np.minimum(np.abs(v0), np.abs(v1)) < cc.REGULARITY_MARGIN) | (v0 * v1 < 0.0)
+        np.testing.assert_array_equal(cc.singular_segments(rows, u0, u1), rule)
+
+
 def test_segment_crossing_singular_locus_raises():
     rows = np.array([[1.0, -1.0, 0.0]])  # u0 - u1
     with pytest.raises(cc.SingularSegmentError):

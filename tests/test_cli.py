@@ -2,6 +2,7 @@ import dataclasses
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from lenardlab import chartcore as cc
@@ -54,10 +55,38 @@ def test_refused_wdvv_pivot_exits_1_not_2(capsys, m):
     assert run(capsys, "verify-wdvv", "--m", "0")[0] == 2
 
 
-def test_refused_pivot_names_the_first_refused_point(capsys):
-    code, _, err = run(capsys, "verify-wdvv", "--m", "1e6")
+@pytest.mark.parametrize("euler", [(), ("--euler", "quarter-x")], ids=["c0", "euler"])
+def test_refused_pivot_names_the_first_refused_point(capsys, euler):
+    # every block's c[0] is checked before any g: a refused c[0] is reported
+    # first, with or without the Euler-weighted pivot
+    code, _, err = run(capsys, "verify-wdvv", "--m", "1e6", *euler)
     assert code == 1
     assert "c[0] at [2.40284925 2.46516076 0.82028408] is singular" in err
+
+
+def test_a_refused_c0_in_a_later_block_is_reported_before_a_refused_g(monkeypatch, capsys):
+    # g is refused in the first block and c[0] only in the second
+    residual, generalized = cli.wdvv_residual, cli.generalized_wdvv_residual
+    blocks = []
+
+    def c0_refused_in_block_2(c, x):
+        blocks.append(len(x))
+        if len(blocks) == 2:
+            c = np.zeros_like(c)
+        return residual(c, x)
+
+    def g_refused(c, g, x):
+        return generalized(c, np.zeros_like(g), x)
+
+    monkeypatch.setattr(cli, "wdvv_residual", c0_refused_in_block_2)
+    monkeypatch.setattr(cli, "generalized_wdvv_residual", g_refused)
+    code, out, err = run(capsys, "verify-wdvv", "--points", "300", "--euler", "quarter-x")
+    assert code == 1 and out == ""
+    assert "pivot slice c[0]" in err and "Euler-weighted" not in err
+    monkeypatch.setattr(cli, "wdvv_residual", residual)
+    code, out, err = run(capsys, "verify-wdvv", "--points", "300", "--euler", "quarter-x")
+    assert code == 1 and out == ""
+    assert "Euler-weighted pivot g" in err
 
 
 def test_wdvv_fd_checks_are_relative_to_the_checked_derivative(capsys):
@@ -169,10 +198,25 @@ def test_build_complex_first_root(capsys):
     assert len(doc["params"]["sampled_points"]) == 20
 
 
-def test_build_complex_rejects_degenerate_invariant(capsys):
-    code, _, err = run(capsys, "build-complex", "--alpha", "1", "--beta", "1", "--root", "1")
+@pytest.mark.parametrize("scale", [1.0, 1e-5])
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, -1.0)],
+                         ids=["alpha=beta", "alpha+2beta=0"])
+def test_build_complex_rejects_degenerate_invariant(capsys, alpha, beta, scale):
+    code, _, err = run(capsys, "build-complex", f"--alpha={alpha * scale!r}",
+                       f"--beta={beta * scale!r}", "--root", "1")
     assert code == 2
     assert "nonzero" in err
+
+
+@pytest.mark.parametrize("root", ["1", "2"])
+def test_a_scaled_copy_of_admissible_parameters_is_admissible(capsys, root):
+    # (1e-5, 2e-5) is (1, 2) scaled: admissible, though (alpha-beta)^2
+    # (2 beta+alpha) = 5e-15; the absolute regularity margin still leaves
+    # no regular point to sample (ROADMAP item 1)
+    code, out, err = run(capsys, "build-complex", "--alpha", "1e-5", "--beta", "2e-5",
+                         "--root", root, "--points", "5")
+    assert code == 1 and out == ""
+    assert "found 0/5 regular points" in err and "Traceback" not in err
 
 
 def test_build_complex_explicit_sigma2_reports_failure(capsys):
@@ -311,6 +355,7 @@ def test_a_value_error_inside_a_kernel_is_a_bug_not_bad_input(monkeypatch, argv)
     (("build-complex", "--alpha", "1", "--beta", "-0.5", "--sigma2", "0"), "nonzero"),
     # (alpha - beta)^2 (2 beta + alpha) overflows: refused, not an OverflowError
     (("build-complex", "--alpha", "1e308", "--beta", "1", "--root", "1"), "= inf must be finite"),
+    (("build-complex", "--alpha", "1e150", "--beta", "2e150", "--root", "1"), "= inf must be"),
     (("build-complex", "--alpha", "1e200", "--beta", "1e-200", "--root", "2"), "= inf must be"),
     (("build-complex", "--alpha", "1e200", "--beta", "1", "--sigma2", "0.1"), "= inf must be"),
     (("build-complex", "--alpha", "-1e200", "--beta", "1", "--root", "1"), "= -inf must be"),

@@ -15,9 +15,8 @@ from lenardlab.sampling import (
     sample_segments,
 )
 from lenardlab import wdvv
-from lenardlab.wdvv import wdvv_residual
 from square_oracle import A_to_a, closure_operators, pullback, quadratic_value, square_forms
-from square_oracle import transform_tensor
+from square_oracle import euler_residual_at, transform_tensor, wdvv_residual_at
 
 
 # --- quadratic invariant and charts -----------------------------------------
@@ -548,7 +547,7 @@ def test_complex_residual_matches_reference_potential(example3, sample_a):
     h = params.quad.hessian()
     for a in sample_a[:10]:
         assert abs(eq.wdvv_residual_of_complex(cx, a)
-                   - wdvv_residual(reference, h @ a)) < 1e-8
+                   - wdvv_residual_at(reference, h @ a)) < 1e-8
 
 
 def b3_vee_system(params):
@@ -583,15 +582,15 @@ def test_square_is_the_b3_vee_system_and_satisfies_wdvv(alpha, beta, root):
     roots = eq.solve_phi_roots(alpha, beta)
     rel, vee, x = square_against_b3(alpha, beta, roots.root1 if root == 1 else roots.root2)
     assert rel <= 1e-12
-    euler = wdvv.generalized_wdvv_residual(vee, wdvv.QUARTER_X, x)
+    euler = euler_residual_at(vee, wdvv.QUARTER_X, x)
     assert euler <= 1e-12
     if (alpha, beta, root) == (-3.0, 1.0, 2):
         # sigma2 = sigma0 = 0 leaves the rows e_i + e_j alone, and e_2 + e_3
         # adds nothing to the pivot c[0]: only the Euler pivot is invertible
         with pytest.raises(wdvv.SingularSliceError):
-            wdvv.wdvv_residual(vee, x)
+            wdvv_residual_at(vee, x)
     else:
-        assert wdvv.wdvv_residual(vee, x) <= 1e-12
+        assert wdvv_residual_at(vee, x) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha,beta,sigma2", [(2.0, 1.0, 0.0), (2.0, 1.0, 0.3),
@@ -599,8 +598,8 @@ def test_square_is_the_b3_vee_system_and_satisfies_wdvv(alpha, beta, root):
 def test_off_root_square_is_a_b3_vee_system_that_fails_wdvv(alpha, beta, sigma2):
     rel, vee, x = square_against_b3(alpha, beta, sigma2)
     assert rel <= 1e-12
-    assert wdvv.wdvv_residual(vee, x) > 1e-4
-    assert wdvv.generalized_wdvv_residual(vee, wdvv.QUARTER_X, x) > 1e-4
+    assert wdvv_residual_at(vee, x) > 1e-4
+    assert euler_residual_at(vee, wdvv.QUARTER_X, x) > 1e-4
 
 
 def test_square_in_x_equals_reference_third_slice(example3, sample_a):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from lenardlab import chartcore as cc
 from lenardlab import wdvv
 from lenardlab.sampling import default_rng, sample_gapped_box
-from square_oracle import value_at
+from square_oracle import euler_residual_at, g_matrix_at, value_at, wdvv_residual_at
 
 POT3 = wdvv.VeselovPotential(3, 2.0)
 PRE3 = wdvv.veselov_prepotential(POT3)
@@ -91,7 +91,7 @@ def test_derivative_chain_value_hessian_third():
 
 
 def test_wdvv_residual_at_reference_point():
-    assert wdvv.wdvv_residual(PRE3, X0) < 1e-10
+    assert wdvv_residual_at(PRE3, X0) < 1e-10
 
 
 @settings(max_examples=25, deadline=None)
@@ -99,14 +99,14 @@ def test_wdvv_residual_at_reference_point():
 def test_wdvv_residual_is_permutation_equivariant(perm):
     # F is symmetric under coordinate permutations
     x = np.array([0.9, 1.7, 2.6])
-    assert wdvv.wdvv_residual(PRE3, x[list(perm)]) == pytest.approx(
-        wdvv.wdvv_residual(PRE3, x), abs=1e-10)
+    assert wdvv_residual_at(PRE3, x[list(perm)]) == pytest.approx(
+        wdvv_residual_at(PRE3, x), abs=1e-10)
 
 
 def test_wdvv_residual_small_for_family_members():
     for n, m in itertools.product((3, 4, 5, 6), (1.0, 2.0, 3.0, 7.0)):
         pre = wdvv.veselov_prepotential(wdvv.VeselovPotential(n, m))
-        worst = max(wdvv.wdvv_residual(pre, x) for x in sample_points(25, n=n, seed=int(m)))
+        worst = max(wdvv_residual_at(pre, x) for x in sample_points(25, n=n, seed=int(m)))
         assert worst < 1e-8, (n, m, worst)
 
 
@@ -114,7 +114,7 @@ def test_wdvv_residual_small_for_family_members():
 
 
 def test_g_matrix_zero_weights():
-    g = wdvv.g_matrix(PRE3, cc.constant_map([0.0, 0.0, 0.0]), X0)
+    g = g_matrix_at(PRE3, cc.constant_map([0.0, 0.0, 0.0]), X0)
     assert np.all(g == 0.0)
 
 
@@ -122,8 +122,8 @@ def test_g_matrix_linear_in_weights():
     lam = cc.constant_map([1.0, 2.0, -1.0])
     mu = cc.constant_map([0.5, 0.0, 3.0])
     both = cc.constant_map([1.5, 2.0, 2.0])
-    total = wdvv.g_matrix(PRE3, lam, X0) + wdvv.g_matrix(PRE3, mu, X0)
-    assert np.allclose(total, wdvv.g_matrix(PRE3, both, X0), atol=1e-12)
+    total = g_matrix_at(PRE3, lam, X0) + g_matrix_at(PRE3, mu, X0)
+    assert np.allclose(total, g_matrix_at(PRE3, both, X0), atol=1e-12)
 
 
 def test_quarter_euler_contraction_is_constant_gram_matrix():
@@ -134,7 +134,7 @@ def test_quarter_euler_contraction_is_constant_gram_matrix():
     expected = np.array([[2.5, -1.0, -1.0], [-1.0, 2.5, -1.0], [-1.0, -1.0, 2.5]])
     pts = sample_points(10, seed=21)
     for x in pts:
-        g = wdvv.g_matrix(PRE3, wdvv.QUARTER_X, x)
+        g = g_matrix_at(PRE3, wdvv.QUARTER_X, x)
         assert np.allclose(g, expected, atol=1e-10)
     # oracle at one point: contract an FD third-derivative tensor
     x = pts[0]
@@ -150,11 +150,11 @@ def test_printed_target_matrix_belongs_to_scaled_m1_family():
     scaled = wdvv.veselov_prepotential(wdvv.VeselovPotential(3, 1.0), scale=1.0 / 16.0)
     target = np.array([[0.75, -0.25, -0.25], [-0.25, 0.75, -0.25], [-0.25, -0.25, 0.75]])
     for x in sample_points(5, seed=77):
-        assert np.allclose(wdvv.g_matrix(scaled, lambda u: u, x), target, atol=1e-12)
+        assert np.allclose(g_matrix_at(scaled, lambda u: u, x), target, atol=1e-12)
 
 
 def test_generalized_residual_quarter_euler():
-    worst = max(wdvv.generalized_wdvv_residual(PRE3, wdvv.QUARTER_X, x)
+    worst = max(euler_residual_at(PRE3, wdvv.QUARTER_X, x)
                 for x in sample_points(25, seed=31))
     assert worst < 1e-10
 
@@ -162,8 +162,8 @@ def test_generalized_residual_quarter_euler():
 def test_generalized_with_first_basis_weight_matches_ordinary():
     e1 = cc.constant_map([1.0, 0.0, 0.0])
     for x in sample_points(5, seed=41):
-        assert wdvv.generalized_wdvv_residual(PRE3, e1, x) == pytest.approx(
-            wdvv.wdvv_residual(PRE3, x), abs=1e-14)
+        assert euler_residual_at(PRE3, e1, x) == pytest.approx(
+            wdvv_residual_at(PRE3, x), abs=1e-14)
 
 
 def test_commutation_residual_propagates_nan():
@@ -182,10 +182,10 @@ def test_singular_pivot_raises_named_error():
     flat = wdvv.Prepotential(chart, lambda u: 0.0,
                              lambda u: np.zeros((3, 3)), lambda u: np.zeros((3, 3, 3)))
     with pytest.raises(wdvv.SingularSliceError, match="linearly independent"):
-        wdvv.wdvv_residual(flat, X0)
+        wdvv_residual_at(flat, X0)
     # the hint on the one-forms d(h_1l) is about c[0] only, not the Euler pivot g
     with pytest.raises(wdvv.SingularSliceError, match="Euler-weighted pivot g") as refused:
-        wdvv.generalized_wdvv_residual(PRE3, cc.constant_map([0.0, 0, 0]), X0)
+        euler_residual_at(PRE3, cc.constant_map([0.0, 0, 0]), X0)
     assert "h_1l" not in str(refused.value)
 
 
@@ -202,8 +202,8 @@ def test_scaled_prepotential_scales_derivatives():
 def test_batched_residuals_agree_with_per_point_calls(m):
     pre = wdvv.veselov_prepotential(wdvv.VeselovPotential(3, m))
     pts = sample_points(24, seed=int(10 * m))
-    for residual in (lambda x: wdvv.wdvv_residual(pre, x),
-                     lambda x: wdvv.generalized_wdvv_residual(pre, wdvv.QUARTER_X, x)):
+    for residual in (lambda x: wdvv_residual_at(pre, x),
+                     lambda x: euler_residual_at(pre, wdvv.QUARTER_X, x)):
         per_point = max(residual(x) for x in pts)
         for batch in (pts, pts.reshape(4, 6, 3)):
             assert residual(batch) == pytest.approx(per_point, rel=1e-15, abs=0.0)
@@ -213,8 +213,8 @@ def test_batched_closed_forms_are_stacks_of_points():
     pts = sample_points(7, seed=12)
     for closed_form in (functools.partial(value_at, PRE3), PRE3.hessian_at, PRE3.third_at):
         np.testing.assert_array_equal(closed_form(pts), np.stack([closed_form(x) for x in pts]))
-    np.testing.assert_allclose(wdvv.g_matrix(PRE3, wdvv.QUARTER_X, pts),
-                               np.stack([wdvv.g_matrix(PRE3, wdvv.QUARTER_X, x) for x in pts]),
+    np.testing.assert_allclose(g_matrix_at(PRE3, wdvv.QUARTER_X, pts),
+                               np.stack([g_matrix_at(PRE3, wdvv.QUARTER_X, x) for x in pts]),
                                rtol=1e-15, atol=0.0)
 
 
@@ -228,9 +228,9 @@ def test_refused_pivot_in_a_batch_raises_naming_its_point():
         return np.where(np.all(u == bad, axis=-1)[..., None, None, None], 0.0, c)
 
     pre = dataclasses.replace(PRE3, third=third)
-    assert wdvv.wdvv_residual(pre, np.delete(pts, 3, axis=0)) < 1e-10
+    assert wdvv_residual_at(pre, np.delete(pts, 3, axis=0)) < 1e-10
     with pytest.raises(wdvv.SingularSliceError, match=re.escape(str(bad))):
-        wdvv.wdvv_residual(pre, pts)
+        wdvv_residual_at(pre, pts)
     residuals, rejected = wdvv.commutation_residuals(third(pts), third(pts)[:, 0])
     assert rejected.tolist() == [False, False, False, True, False, False]
     assert math.isnan(residuals[3]) and np.all(residuals[~rejected] < 1e-10)
@@ -268,14 +268,14 @@ def test_commutation_residual_does_not_scale_with_the_potential():
     rows = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0], [-2.0, 0.25, 1.0], [1.0, 1.0, 1.0]])
     h = np.array([0.7, -1.3, 0.4, 2.0])
     x = sample_gapped_box(default_rng(5), 6, dim=3, predicates=rows, gap=0.2)
-    residuals = [wdvv.wdvv_residual(wdvv.vee_prepotential(rows, s * h), x)
+    residuals = [wdvv_residual_at(wdvv.vee_prepotential(rows, s * h), x)
                  for s in (1.0, 1e-3, 1e-9, 1e-100)]
     assert residuals[0] > 1e-2
     assert residuals == pytest.approx([residuals[0]] * 4, rel=1e-12)
     pre = wdvv.veselov_prepotential(POT3, scale=1e-9)
     pts = sample_points(50, seed=5)
-    assert wdvv.wdvv_residual(pre, pts) < 1e-8
-    assert wdvv.generalized_wdvv_residual(pre, wdvv.QUARTER_X, pts) < 1e-8
+    assert wdvv_residual_at(pre, pts) < 1e-8
+    assert euler_residual_at(pre, wdvv.QUARTER_X, pts) < 1e-8
 
 
 def test_commutation_residual_reads_zero_where_its_scale_is_zero():
@@ -310,7 +310,7 @@ def veselov_pivots(n, m, count=200):
     pre = wdvv.veselov_prepotential(wdvv.VeselovPotential(n, m))
     x = sample_gapped_box(default_rng(n), count, dim=n, predicates=pre.predicates)
     c = pre.third_at(x)
-    return c, np.concatenate([c[:, 0], wdvv.g_matrix(pre, wdvv.QUARTER_X, x)])
+    return c, np.concatenate([c[:, 0], wdvv.g_matrix(c, wdvv.QUARTER_X, x)])
 
 
 def svd_refusals(pivots):
@@ -375,6 +375,21 @@ def test_guard_sends_only_the_band_to_the_svd(monkeypatch):
     assert 0 < len(band) < len(pivots) / 4
     assert np.all((kappa > wdvv.MAX_PIVOT_COND / 3 * (1 - 1e-5))
                   & (kappa <= 3 * wdvv.MAX_PIVOT_COND * (1 + 1e-5)))
+
+
+def test_guard_factors_each_pivot_once_unless_one_is_exactly_singular(monkeypatch):
+    # inv raises on a batch with an exactly singular member; only then does
+    # slogdet find those members, and the batch is inverted again without them
+    calls = {"inv": 0, "slogdet": 0}
+    for name in calls:
+        def spy(x, original=getattr(np.linalg, name), name=name):
+            calls[name] += 1
+            return original(x)
+        monkeypatch.setattr(np.linalg, name, spy)
+    assert not wdvv._guarded_inverse(veselov_pivots(3, 2.0)[1])[1].any()
+    assert calls == {"inv": 1, "slogdet": 0}
+    wdvv._guarded_inverse(stress_pivots(3))
+    assert calls == {"inv": 3, "slogdet": 1}
 
 
 def test_one_pivot_against_a_batch_gives_a_scalar_mask():
