@@ -41,7 +41,10 @@ Conventions, fixed once for the whole package:
   :func:`covector_apply`) is an ``einsum``, which is faster for it.  Either
   way a batch equals the stack of its points bit for bit.
 
-The ``*_residual`` helpers return the worst value over all points given.
+* Residuals are arrays, the point axis first: a condition yields its defect,
+  and :func:`worst` alone reduces it to a report value.  The ``*_residual``
+  helpers return :func:`worst` of their defect over all points given.
+
 With these conventions the contraction df(N_K) for the quadratic
 hydrodynamic operator of :mod:`lenardlab.gelfand_dikii` reproduces
 dw_2 ^ df with factor exactly +1.
@@ -116,23 +119,6 @@ def difference_rows(dim: int) -> np.ndarray:
     """The rows e_i - e_j, i < j: the hyperplanes u_i = u_j."""
     i, j = np.triu_indices(dim, 1)
     return np.eye(dim)[i] - np.eye(dim)[j]
-
-
-def union_predicates(*row_sets: np.ndarray) -> np.ndarray:
-    """The rows of every (P_i, dim) set, one row per direction up to sign.
-
-    Of parallel rows the shortest is kept: it is the one that binds the
-    ``|u . c| >= REGULARITY_MARGIN`` test, so every verdict stays the same.
-    A zero row is kept (once) and makes every point singular.
-    """
-    rows = np.concatenate(row_sets)
-    norms = np.linalg.norm(rows, axis=-1)
-    order = np.argsort(norms, kind="stable")
-    rows, norms = rows[order], norms[order]
-    unit = rows / np.where(norms > 0.0, norms, 1.0)[:, None]
-    apart = np.minimum(np.linalg.norm(unit[:, None] - unit[None], axis=-1),
-                       np.linalg.norm(unit[:, None] + unit[None], axis=-1))
-    return rows[~np.tril(apart <= 1e-12, -1).any(axis=-1)]
 
 
 def singular_segments(predicates: np.ndarray, u0, u1) -> np.ndarray:
@@ -255,33 +241,28 @@ class Permutation:
     def __call__(self, u) -> np.ndarray:
         return as_points(u).take(self.index, axis=-1)
 
-    def inverse(self) -> "Permutation":
-        return Permutation(tuple(int(k) for k in np.argsort(self.mapping)))
-
 
 # ---------------------------------------------------------------------------
 # residuals
 
 
-def _nan_max2(a: float, b: float) -> float:
-    return a if a != a or a >= b else b
+def worst(*residuals) -> float:
+    """The largest |entry| of any arrays or scalars, NaN if any entry is NaN,
+    in any order (Python's ``max`` skips a NaN that does not come first).  A
+    shortfall below a bound is clipped by ``np.maximum(0.0, bound - value)``,
+    which keeps NaN, before it gets here; ``max(0.0, nan)`` is 0.0."""
+    return float(functools.reduce(lambda a, b: a if a != a or a >= b else b,
+                                  (np.abs(r).max() for r in residuals)))
 
 
-def nan_max(values: Iterable[float]) -> float:
-    """The largest of ``values``, or NaN if any of them is NaN, in any order.
-
-    Python's ``max`` keeps its running value when the next one is NaN, so a
-    NaN residual would pass unless it came first.
-    """
-    return float(functools.reduce(_nan_max2, values))
-
-
-def worst_by_name(pairs: Iterable[tuple[str, float]]) -> dict[str, float]:
-    """The :func:`nan_max` of the values of each name in (name, value) pairs."""
-    worst: dict[str, float] = {}
-    for name, value in pairs:
-        worst[name] = _nan_max2(worst.get(name, value), value)
-    return worst
+def worst_by_name(pairs: Iterable[tuple[str, np.ndarray]]) -> dict[str, float]:
+    """The :func:`worst` of the residuals of each name in (name, residual)
+    pairs, each reduced as it arrives, so no residual array outlives its
+    pair."""
+    worst_of: dict[str, float] = {}
+    for name, residual in pairs:
+        worst_of[name] = worst(residual, worst_of.get(name, 0.0))
+    return worst_of
 
 
 def matmul_first(m: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -312,21 +293,21 @@ def covector_apply(theta: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...im->...m", theta, m)
 
 
-def closure_defect(jac: np.ndarray) -> float:
-    """Max antisymmetric part of one-form Jacobians jac[..., i, j]; zero iff
-    the forms are closed there."""
-    return float(np.max(np.abs(jac - np.swapaxes(jac, -1, -2))))
+def closure_defect(jac: np.ndarray) -> np.ndarray:
+    """jac - jac^T of one-form Jacobians jac[..., i, j]; zero iff the forms
+    are closed there."""
+    return jac - np.swapaxes(jac, -1, -2)
 
 
 def closure_residual(omega: Field, p) -> float:
     """Max antisymmetric part of the coefficient Jacobian; zero iff d(omega) = 0 at p."""
-    return closure_defect(omega.jac_at(p))
+    return worst(closure_defect(omega.jac_at(p)))
 
 
 def commutator_residual(k: Field, l: Field, p) -> float:
     _same_chart(k, l)
     a, b = k.coeff_at(p), l.coeff_at(p)
-    return float(np.max(np.abs(a @ b - b @ a)))
+    return worst(a @ b - b @ a)
 
 
 def _bracket(x: np.ndarray, dx: np.ndarray, y: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -337,7 +318,7 @@ def _bracket(x: np.ndarray, dx: np.ndarray, y: np.ndarray, dy: np.ndarray) -> np
 def lie_bracket_residual(x: Field, y: Field, p) -> float:
     """Worst |[X, Y]| over the points p, from the analytic Jacobians."""
     _same_chart(x, y)
-    return float(np.max(np.abs(_bracket(x.coeff_at(p), x.jac_at(p), y.coeff_at(p), y.jac_at(p)))))
+    return worst(_bracket(x.coeff_at(p), x.jac_at(p), y.coeff_at(p), y.jac_at(p)))
 
 
 def covector_image_jac(th: np.ndarray, jth: np.ndarray, m: np.ndarray,
@@ -368,7 +349,7 @@ def covector_image(k: Field, omega: Field) -> Field:
     def jac(u: np.ndarray) -> np.ndarray:
         return covector_image_jac(omega.coeff(u), omega.jac(u), k.coeff(u), k.jac(u))
 
-    return Field(chart, coeff, jac, union_predicates(k.predicates, omega.predicates))
+    return Field(chart, coeff, jac, np.concatenate([k.predicates, omega.predicates]))
 
 
 # torsion --------------------------------------------------------------------
@@ -416,14 +397,14 @@ def haantjes_residual(k: Field, p) -> float:
     rounding alone leaves about 1e-16 of |M|^3 |dM|; the scale keeps large
     operators of a torsion-free complex from failing on rounding.
     """
-    return _scaled_haantjes(k.coeff_at(p), k.jac_at(p))
+    return worst(_scaled_haantjes(k.coeff_at(p), k.jac_at(p)))
 
 
-def _scaled_haantjes(m: np.ndarray, j: np.ndarray) -> float:
-    """:func:`haantjes_residual` from the matrices m and Jacobians j."""
+def _scaled_haantjes(m: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """max|H_K| at every point, relative to max(1, |M|^3 |dM|) there
+    (:func:`haantjes_residual`), from the matrices m and Jacobians j."""
     size = np.max(np.abs(m), axis=(-2, -1)) ** 3 * np.max(np.abs(j), axis=(-3, -2, -1))
-    return float(np.max(np.max(np.abs(_haantjes(m, j)), axis=(-3, -2, -1))
-                        / np.maximum(1.0, size)))
+    return np.max(np.abs(_haantjes(m, j)), axis=(-3, -2, -1)) / np.maximum(1.0, size)
 
 
 def wedge_matrix(a, b) -> np.ndarray:
@@ -437,8 +418,8 @@ def wedge_matrix(a, b) -> np.ndarray:
 
 
 def lenard_residuals(mats: Sequence[np.ndarray], jacs: Sequence[np.ndarray], x: np.ndarray,
-                     dx: np.ndarray) -> Iterator[tuple[str, float]]:
-    """(condition name, worst residual) pairs of the axioms every Lenard
+                     dx: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
+    """(condition name, residual array) pairs of the axioms every Lenard
     complex shares, from the operator matrices and Jacobians and the
     scaling field's components and Jacobian at the same points: commuting
     chain fields [K_j X, K_l X] = 0 (``vector_field_commutators``),
@@ -452,9 +433,8 @@ def lenard_residuals(mats: Sequence[np.ndarray], jacs: Sequence[np.ndarray], x: 
     dkx = [_vector_image_jac(m, jm, x, dx) for m, jm in zip(mats, jacs)]
     for j, l in pairwise_indices(len(mats)):
         a, b = mats[j], mats[l]
-        yield ("vector_field_commutators",
-               float(np.max(np.abs(_bracket(kx[j], dkx[j], kx[l], dkx[l])))))
-        yield "operator_commutators", float(np.max(np.abs(a @ b - b @ a)))
+        yield "vector_field_commutators", _bracket(kx[j], dkx[j], kx[l], dkx[l])
+        yield "operator_commutators", a @ b - b @ a
     for m, jm in zip(mats, jacs):
         yield "haantjes_torsion", _scaled_haantjes(m, jm)
 
@@ -555,7 +535,7 @@ def relative_gap(diff: np.ndarray, exact: np.ndarray) -> float:
     small one is not measured on a large one's scale.  ``diff`` is
     overwritten with |diff|."""
     scale = np.maximum(1.0, np.max(np.abs(exact), axis=(-2, -1)))
-    return float(np.max(np.max(np.abs(diff, out=diff), axis=(-2, -1)) / scale))
+    return worst(np.max(np.abs(diff, out=diff), axis=(-2, -1)) / scale)
 
 
 def fd_check_tensor(value: Callable[[np.ndarray], np.ndarray], jacs: Sequence[np.ndarray],
@@ -579,12 +559,12 @@ def fd_check_tensor(value: Callable[[np.ndarray], np.ndarray], jacs: Sequence[np
     ends = np.cumsum([jac.shape[-3] for jac in jacs])
     if ends[-1] != gap.shape[-3]:
         raise ValueError(f"{ends[-1]} Jacobian rows for {gap.shape[-3]} value rows")
-    worst = []
+    gaps = []
     for jac, end in zip(jacs, ends):
         rows = gap[..., end - jac.shape[-3]:end, :, :]
         rows -= jac
-        worst.append(relative_gap(rows, jac))
-    return nan_max(worst)
+        gaps.append(relative_gap(rows, jac))
+    return worst(*gaps)
 
 
 # ---------------------------------------------------------------------------

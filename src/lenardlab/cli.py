@@ -34,8 +34,8 @@ from .chartcore import (
     constant_map,
     fd_hessian,
     fd_jacobian,
-    nan_max,
     relative_gap,
+    worst,
 )
 from .report import VerificationReport, render_json, render_text
 from .sampling import (
@@ -112,20 +112,20 @@ def cmd_verify_wdvv(args: argparse.Namespace) -> int:
     # one third tensor per block feeds every residual; all c[0] blocks are
     # checked before any g, so a refused g is raised after the last c[0]
     euler = args.euler == "quarter-x"
-    worst, worst_g, drift, g0, refused_g = [], [], [], None, None
+    residuals, residuals_g, drift, g0, refused_g = [], [], [], None, None
     for b in blocks:
         c = pre.third_at(b)
-        worst.append(wdvv_residual(c, b))
+        residuals.append(wdvv_residual(c, b))
         if euler:
             g = g_matrix(c, QUARTER_X, b)
             g0 = g[0] if g0 is None else g0
-            drift.append(float(np.max(np.abs(g - g0))))
+            drift.append(worst(g - g0))
             try:
-                worst_g.append(generalized_wdvv_residual(c, g, b))
+                residuals_g.append(generalized_wdvv_residual(c, g, b))
             except SingularSliceError as exc:
                 refused_g = refused_g or exc
     report = VerificationReport()
-    report.add("wdvv_commutation", len(pts), nan_max(worst), args.tol_analytic)
+    report.add("wdvv_commutation", len(pts), worst(*residuals), args.tol_analytic)
 
     # second differences sit on a rounding floor of eps |F| / h^2, so each
     # gap is relative to the size of the derivative it checks
@@ -139,9 +139,9 @@ def cmd_verify_wdvv(args: argparse.Namespace) -> int:
     if euler:
         if refused_g is not None:
             raise refused_g
-        report.add("generalized_wdvv_commutation", len(pts), nan_max(worst_g),
+        report.add("generalized_wdvv_commutation", len(pts), worst(*residuals_g),
                    args.tol_analytic)
-        report.add("euler_contraction_constant", len(pts), nan_max(drift), 1e-10)
+        report.add("euler_contraction_constant", len(pts), worst(*drift), 1e-10)
         params["euler_g_matrix"] = [[float(v) for v in row] for row in g0]
 
     _emit(report.to_dict("verify-wdvv", params), args)
@@ -188,15 +188,12 @@ def _reproduce_example3(args: argparse.Namespace) -> int:
     mats = [k.coeff_at(head) for k in cx.operators]
     built = {"dA": cx.dA.coeff_at(head),
              **{name: mats[j][..., l, :] for name, (j, l) in eq.SQUARE_FORMS.items()}}
-    worst = nan_max(float(np.max(np.abs(built[name] - disp(head))))
-                    for name, disp in eq.example3_display_forms().items())
-    report.add("display_coefficients_match", len(head), worst, 1e-10)
-
-    worst = nan_max(
-        float(np.max(np.abs(apply(k.coeff_at(pts), pts) - eq.EXAMPLE3_CHAIN_FIELDS[j])))
-        for j, k in enumerate(cx.operators)
-    )
-    report.add("chain_field_constants", len(pts), worst, 1e-12)
+    report.add("display_coefficients_match", len(head),
+               worst(*(built[name] - disp(head)
+                       for name, disp in eq.example3_display_forms().items())), 1e-10)
+    report.add("chain_field_constants", len(pts),
+               worst(*(apply(k.coeff_at(pts), pts) - eq.EXAMPLE3_CHAIN_FIELDS[j]
+                       for j, k in enumerate(cx.operators))), 1e-12)
 
     h = params.quad.hessian()
     # the square forms in x are singular on the planes of the nine directions;
@@ -210,17 +207,15 @@ def _reproduce_example3(args: argparse.Namespace) -> int:
             for j in range(3):
                 for l in range(j, 3):
                     values = eq.reconstruct_potential_entry(cx, j, l, a, b)
-                    yield float(np.max(np.abs(values - dh[:, j, l])))
+                    yield worst(values - dh[:, j, l])
 
-    worst = nan_max(reconstruction_errors())
-    report.add("potential_reconstruction", segments, worst, 1e-6)
+    report.add("potential_reconstruction", segments, worst(*reconstruction_errors()), 1e-6)
 
     head = pts[:20]
     from_square, _ = eq.square_wdvv_residuals(cx, head)
     c = reference.third_at(head @ h.T)
     from_reference, _ = commutation_residuals(c, c[..., 0, :, :])
-    agree = float(np.max(np.abs(from_square - from_reference)))
-    report.add("reference_wdvv_agreement", len(head), agree, 1e-8)
+    report.add("reference_wdvv_agreement", len(head), worst(from_square - from_reference), 1e-8)
 
     doc_params = {"alpha": 2.0, "beta": 1.0, "sigma2": params.sigma2,
                   "points": args.points, "segments": segments, "seed": args.seed}
@@ -241,16 +236,18 @@ def _reproduce_gd(args: argparse.Namespace) -> int:
     probes.append(Field(
         chart, lambda w: np.stack([w[..., 1], w[..., 0], np.zeros_like(w[..., 0])], axis=-1),
         constant_map([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])))
-    worst = nan_max(gd.gd_torsion_identity_residual(f, pts) for f in probes)
-    report.add("torsion_identity", len(pts), worst, args.tol_analytic)
+    report.add("torsion_identity", len(pts),
+               worst(*(gd.gd_torsion_identity_residual(f, pts) for f in probes)),
+               args.tol_analytic)
 
-    # lower-bound checks are encoded as shortfalls: residual = max(0, bound - value)
+    # lower-bound checks are encoded as shortfalls, np.maximum(0, bound - value):
+    # it keeps NaN, where Python's max(0.0, nan) is 0.0
     w0 = np.array([1.0, 2.0, 3.0])
-    torsion_norm = float(np.max(np.abs(
-        gd.nijenhuis_contracted(gd.gd_operator(), probes[1], w0))))
-    report.add("nijenhuis_nonvanishing", 1, nan_max((0.0, 0.1 - torsion_norm)), 1e-12)
+    torsion_norm = worst(gd.nijenhuis_contracted(gd.gd_operator(), probes[1], w0))
+    report.add("nijenhuis_nonvanishing", 1, worst(np.maximum(0.0, 0.1 - torsion_norm)), 1e-12)
     naive = closure_residual(gd.naive_power_form(3), pts[:10])
-    report.add("power_chain_not_closed", min(len(pts), 10), nan_max((0.0, 0.1 - naive)), 1e-12)
+    report.add("power_chain_not_closed", min(len(pts), 10),
+               worst(np.maximum(0.0, 0.1 - naive)), 1e-12)
 
     _emit(report.to_dict("reproduce gd", {"points": args.points, "seed": args.seed}), args)
     return EXIT_PASS if report.passed else EXIT_FAIL

@@ -73,7 +73,7 @@ from .chartcore import (
     matmul_last,
     point_batch,
     predicate_rows,
-    union_predicates,
+    worst,
     worst_by_name,
 )
 from .report import VerificationReport
@@ -173,7 +173,19 @@ def solve_sigma_constraints(alpha: float, beta: float, sigma2: float) -> tuple[f
 @dataclass(frozen=True)
 class FamilyParams:
     """The logarithmic family fixed by its quadratic invariant and sigma2;
-    sigma1 and sigma0 are derived by :func:`solve_sigma_constraints`."""
+    sigma1 and sigma0 are derived by :func:`solve_sigma_constraints`.
+
+    P = max(|sigma0|, |sigma1|, |sigma2|) s, s = max(|alpha|, |beta|), is
+    refused above 1e40, so every product a report forms stays finite.  The
+    largest is the Haantjes scale |M|^3 |dM|.  An operator entry sums nine
+    terms w (vH)_m / (vH).a with |w| <= 2 P / s, |(vH)_m| <= 2 s and, at a
+    sampled point, |(vH).a| >= 1e-3 (the regularity margin), so |M| <= 3.6e4 P,
+    |dM| <= 7.2e7 P s and |M|^3 |dM| <= 3.4e21 P^4 s.  The discriminant
+    test of :class:`QuadraticInvariant` gives s < 5.7e106, so that scale
+    stays below 2e288, 1e20 inside the float range.  P is invariant under
+    (lambda alpha, lambda beta, sigma2 / lambda); a root keeps it far inside
+    the bound, at 1.7e3 for (1.0001, 1).
+    """
 
     quad: QuadraticInvariant
     sigma2: float
@@ -184,6 +196,12 @@ class FamilyParams:
         sigma1, sigma0 = solve_sigma_constraints(self.quad.alpha, self.quad.beta, self.sigma2)
         object.__setattr__(self, "sigma1", sigma1)
         object.__setattr__(self, "sigma0", sigma0)
+        scale = (max(abs(sigma0), abs(sigma1), abs(self.sigma2))
+                 * max(abs(self.quad.alpha), abs(self.quad.beta)))
+        if not scale <= 1e40:
+            raise DegenerateParametersError(
+                f"sigma weights (sigma0={sigma0:g}, sigma1={sigma1:g}, sigma2={self.sigma2:g}) "
+                f"times max(|alpha|, |beta|) = {scale:g} must be at most 1e40")
 
     @classmethod
     def solve(cls, alpha: float, beta: float, sigma2: float) -> "FamilyParams":
@@ -339,8 +357,9 @@ class LenardComplex:
         return self.params.quad
 
     def sampling_predicates(self) -> np.ndarray:
-        """The square's rows and the rows a_i - a_j, one per direction."""
-        return union_predicates(DIRECTIONS @ self.quad.hessian(), difference_rows(3))
+        """The square's rows and the rows a_i - a_j.  Some are parallel; of
+        parallel rows the shortest decides the margin test."""
+        return np.concatenate([DIRECTIONS @ self.quad.hessian(), difference_rows(3)])
 
 
 def compile_complex(params: FamilyParams, weights: np.ndarray) -> LenardComplex:
@@ -361,10 +380,10 @@ def assemble_complex(params: FamilyParams) -> LenardComplex:
 
 
 def _symmetry_constraint(params: FamilyParams, a: np.ndarray, mats: Sequence[np.ndarray],
-                         mats_23: Sequence[np.ndarray]) -> tuple[float, float]:
-    """Worst |sigma23*(K3 dQ) - K3 dQ| over the points a, and its worst gap
-    to the factorized form, from the operators at a and at sigma23(a) (dQ is
-    row 1 of K1; sigma23 is its own inverse, so its index permutes the pullback)."""
+                         mats_23: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """sigma23*(K3 dQ) - K3 dQ at the points a, and its difference from the
+    factorized form, from the operators at a and at sigma23(a) (dQ is row 1
+    of K1; sigma23 is its own inverse, so its index permutes the pullback)."""
     theta, theta_23 = (covector_apply(m[0][..., 1, :], m[2]) for m in (mats, mats_23))
     defect = theta_23.take(SIGMA_23.index, axis=-1) - theta
     big_a = params.quad.a_to_A(a)
@@ -372,7 +391,7 @@ def _symmetry_constraint(params: FamilyParams, a: np.ndarray, mats: Sequence[np.
     a_chart = np.stack([np.zeros_like(big_a[..., 0]), -1.0 / big_a[..., 1],
                         1.0 / big_a[..., 2]], axis=-1)
     rhs = np.asarray(scalar)[..., None] * (a_chart @ params.quad.hessian())
-    return float(np.max(np.abs(defect))), float(np.max(np.abs(defect - rhs)))
+    return defect, defect - rhs
 
 
 def split_form_residual(cx: LenardComplex, p) -> float:
@@ -383,7 +402,7 @@ def split_form_residual(cx: LenardComplex, p) -> float:
     """
     a = coords_of(p, 3)
     mats, mats_23 = ([k.coeff_at(b) for k in cx.operators] for b in (a, SIGMA_23(a)))
-    return _symmetry_constraint(cx.params, a, mats, mats_23)[1]
+    return worst(_symmetry_constraint(cx.params, a, mats, mats_23)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +500,12 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
     WDVV residual of the square is read against the constant Euler pivot
     H^-1/4 (lambda = x/4); it reads 1.0 at a point with no x-chart
     (``chain_of_vector_fields`` above TOL_ANALYTIC) or where the pivot is
-    refused.  Residuals are NaN-propagating maxima over points, in any order.
+    refused.  Each condition yields its residual array; :func:`worst_by_name`
+    reduces them.
     """
     a = point_batch(points, 3)
     hinv = cx.quad.hessian_inverse()
     eye = np.eye(3)
-
-    def gap(u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.max(np.abs(u - v)))
 
     def stacked_rows(a: np.ndarray) -> np.ndarray:
         """dA, the distinct square forms theta_jl (j <= l), which are the
@@ -501,7 +518,7 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
     jacs = [k.jac_at(a) for k in cx.operators]
     x, dx = cx.X.coeff_at(a), cx.X.jac_at(a)
 
-    def own_conditions() -> Iterator[tuple[str, float]]:
+    def own_conditions() -> Iterator[tuple[str, np.ndarray]]:
         moved = {sig: [k.coeff_at(sig(a)) for k in cx.operators] for sig, _, _ in TRANSPOSITIONS}
         ops = np.stack(mats, axis=-3)  # [..., j, row, col]
         big_a = cx.dA.coeff_at(a)
@@ -511,26 +528,26 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
         for jm in jacs:  # jm[..., l, :, :] is the Jacobian of theta_{jl}
             yield "square_closure", closure_defect(jm)
         for j in range(3):
-            yield "chain_of_forms", gap(covector_apply(big_a, mats[j]), eye[j])
-        yield "chain_of_vector_fields", float(np.max(chain_defect))
+            yield "chain_of_forms", covector_apply(big_a, mats[j]) - eye[j]
+        yield "chain_of_vector_fields", chain_defect
         c = third_tensor_from_chain(ops, big_a, x)
-        yield "third_tensor_symmetry", float(np.max(
-            _symmetry_defect(c) / np.maximum(1.0, np.max(np.abs(c), axis=(-3, -2, -1)))))
+        yield "third_tensor_symmetry", (
+            _symmetry_defect(c) / np.maximum(1.0, np.max(np.abs(c), axis=(-3, -2, -1))))
         constraint, split = _symmetry_constraint(cx.params, a, mats, moved[SIGMA_23])
         yield "symmetry_constraint", constraint
         yield "split_form_identity", split
-        yield "partition_of_identity", gap(
-            sum(big_a[..., i, None, None] * mats[i] for i in range(3)), eye)
+        yield "partition_of_identity", sum(big_a[..., i, None, None] * mats[i]
+                                           for i in range(3)) - eye
         # dQ and dR are rows 1 and 2 of K1
-        yield "k2dR_equals_k3dQ", gap(covector_apply(mats[0][..., 2, :], mats[1]),
-                                      covector_apply(mats[0][..., 1, :], mats[2]))
+        yield "k2dR_equals_k3dQ", (covector_apply(mats[0][..., 2, :], mats[1])
+                                   - covector_apply(mats[0][..., 1, :], mats[2]))
         # sigma* theta_pq = theta_{sigma(p) sigma(q)} for the rows theta_pq of
         # K_p; sigma permutes the point and both axes by one index (it is its
         # own inverse), and p = j is the operator exchange sigma_jl K_j = K_l
         for sig, j, _ in TRANSPOSITIONS:
             idx = sig.index
             for p in range(3):
-                residual = gap(moved[sig][p].take(idx, -1), mats[idx[p]].take(idx, -2))
+                residual = moved[sig][p].take(idx, -1) - mats[idx[p]].take(idx, -2)
                 yield "square_equivariance", residual
                 if p == j:
                     yield "operator_exchange", residual
@@ -539,17 +556,18 @@ def verify_complex(cx: LenardComplex, points: Sequence, tol_analytic: float = TO
         residuals, refused = commutation_residuals(third_tensor_from_square(ops, hinv), hinv / 4)
         # no x-chart or a refused pivot leaves no residual and reads 1.0; NaN stays NaN
         unread = (refused | (chain_defect > TOL_ANALYTIC)) & ~np.isnan(chain_defect)
-        yield "wdvv_commutation_from_square", float(np.max(np.where(unread, 1.0, residuals)))
+        yield "wdvv_commutation_from_square", np.where(unread, 1.0, residuals)
         # the Jacobians of stacked_rows' rows; rows l >= j of K_j are theta_jl
         yield "jacobian_fd_agreement", fd_check_tensor(
             stacked_rows, [jda[..., None, :, :], *(jm[..., j:, :, :] for j, jm in enumerate(jacs)),
                            dx[..., None, :, :]], a)
 
-    worst = worst_by_name(itertools.chain(lenard_residuals(mats, jacs, x, dx), own_conditions()))
+    worst_of = worst_by_name(itertools.chain(lenard_residuals(mats, jacs, x, dx),
+                                             own_conditions()))
     tols = {"jacobian_fd_agreement": tol_fd, "wdvv_commutation_from_square": 1e-8}
     report = VerificationReport()
     for name in _CONDITIONS:
-        report.add(name, len(a), worst[name], tols.get(name, tol_analytic))
+        report.add(name, len(a), worst_of[name], tols.get(name, tol_analytic))
     return report
 
 

@@ -47,6 +47,7 @@ from .chartcore import (
     coords_of,
     difference_rows,
     pairwise_indices,
+    worst,
 )
 
 # Refuse WDVV pivots worse conditioned than this instead of amplifying noise.
@@ -256,7 +257,7 @@ def worst_residual(residuals: np.ndarray, rejected: np.ndarray, what: str, point
             f"{what} at {point} is singular or has condition number above "
             f"{MAX_PIVOT_COND:.0e}{why}"
         )
-    return float(np.max(residuals))
+    return worst(residuals)
 
 
 def wdvv_residual(c: np.ndarray, x) -> float:

@@ -6,9 +6,9 @@ builds the same square another way, with code the kernel does not share:
 one closure per logarithmic form (:func:`log_form`), coordinate pullbacks of
 forms (:func:`pullback`) and operators stacked from their rows
 (:func:`tensor_from_rows`).  It also holds the maps that the package does
-not need but tests read as references: the quadratic invariant's value and
-inverse chart map, a prepotential's checked value and its WDVV residuals at
-points, the transformation of a (1,1)-tensor under a permutation, and the GD
+not need but tests read as references: the inverse of a permutation, the
+quadratic invariant's value and inverse chart map, a prepotential's checked
+value and its WDVV residuals at points, the transformation of a (1,1)-tensor under a permutation, and the GD
 chain and square forms as fields.
 """
 
@@ -27,6 +27,11 @@ from lenardlab import wdvv
 # coordinate permutations of fields
 
 
+def inverse(sigma: cc.Permutation) -> cc.Permutation:
+    """The permutation that undoes ``sigma``."""
+    return cc.Permutation(tuple(int(k) for k in np.argsort(sigma.mapping)))
+
+
 def pullback(sigma: cc.Permutation, omega: cc.Field) -> cc.Field:
     """Pull a one-form back along the coordinate permutation sigma.
 
@@ -36,7 +41,7 @@ def pullback(sigma: cc.Permutation, omega: cc.Field) -> cc.Field:
     if sigma.dim != omega.chart.dim:
         raise cc.ChartMismatchError(
             f"permutation of dim {sigma.dim} on chart of dim {omega.chart.dim}")
-    inv = sigma.inverse().index
+    inv = inverse(sigma).index
 
     def coeff(u: np.ndarray) -> np.ndarray:
         return omega.coeff(sigma(u)).take(inv, axis=-1)
@@ -52,7 +57,7 @@ def transform_tensor(sigma: cc.Permutation, k: cc.Field) -> cc.Field:
     if sigma.dim != k.chart.dim:
         raise cc.ChartMismatchError(
             f"permutation of dim {sigma.dim} on chart of dim {k.chart.dim}")
-    inv = sigma.inverse()
+    inv = inverse(sigma)
     idx = sigma.index
 
     def coeff(u: np.ndarray) -> np.ndarray:
@@ -136,7 +141,7 @@ def log_form(quad: eq.QuadraticInvariant, terms: Sequence[tuple[float, np.ndarra
         j = -(dirs.T * (weights / s**2)[..., None, :]) @ dirs
         return h @ j @ h
 
-    return cc.Field(eq.A_CHART, coeff, jac, cc.union_predicates(dirs @ h))
+    return cc.Field(eq.A_CHART, coeff, jac, dirs @ h)
 
 
 def build_dQ(params: eq.FamilyParams) -> cc.Field:
@@ -173,8 +178,7 @@ def tensor_from_rows(rows: Sequence[cc.Field]) -> cc.Field:
     def jac(u: np.ndarray) -> np.ndarray:
         return np.stack([r.jac(u) for r in rows], axis=-3)
 
-    return cc.Field(rows[0].chart, coeff, jac,
-                    cc.union_predicates(*(r.predicates for r in rows)))
+    return cc.Field(rows[0].chart, coeff, jac, np.concatenate([r.predicates for r in rows]))
 
 
 def closure_operators(params: eq.FamilyParams) -> tuple[cc.Field, cc.Field, cc.Field]:

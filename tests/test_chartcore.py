@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lenardlab import chartcore as cc
 from lenardlab import equivariant as eq
 from lenardlab.sampling import default_rng, sample_segments
-from square_oracle import pullback, transform_tensor
+from square_oracle import inverse, pullback, transform_tensor
 
 CH3 = cc.Chart("u", 3)
 
@@ -77,7 +77,7 @@ def test_permutation_rejects_non_bijection():
 
 def test_transposition_is_involution():
     s = cc.Permutation.transposition(3, 0, 2)
-    assert s.inverse() == s
+    assert inverse(s) == s
 
 
 def test_pullback_swaps_coordinate_forms():
@@ -121,7 +121,7 @@ def test_predicate_rows_follow_the_point_map(sig, m, u):
     omega = cc.Field(CH3, lambda v: v, cc.constant_map(np.eye(3)), m)
     k = cc.Field(CH3, cc.constant_map(np.eye(3)), cc.constant_map(np.zeros((3, 3, 3))), m)
     assert np.allclose(pullback(sig, omega).predicates @ u, m @ sig(u), rtol=0, atol=1e-12)
-    assert np.allclose(transform_tensor(sig, k).predicates @ u, m @ sig.inverse()(u),
+    assert np.allclose(transform_tensor(sig, k).predicates @ u, m @ inverse(sig)(u),
                        rtol=0, atol=1e-12)
 
 
@@ -181,6 +181,19 @@ def test_chain_field_brackets_match_finite_differences():
           - cc.apply(cc.fd_jacobian(kx[0], u), kx[1](u)))
     assert np.max(np.abs(fd)) > 0.1
     assert worst["vector_field_commutators"] == pytest.approx(np.max(np.abs(fd)), rel=1e-8)
+
+
+# --- the one reduction ------------------------------------------------------
+
+
+def test_worst_reads_the_largest_magnitude_and_any_nan_in_any_order():
+    parts = [np.array([[1.0, -3.0], [0.5, 2.0]]), -2.5, np.float64(0.25)]
+    for order in itertools.permutations(parts):
+        assert cc.worst(*order) == 3.0
+        for k in range(len(order)):
+            assert math.isnan(cc.worst(*order[:k], np.nan, *order[k + 1:]))
+    with pytest.raises(TypeError):  # no residual reads no value, not 0
+        cc.worst()
 
 
 # --- brackets ---------------------------------------------------------------
@@ -331,12 +344,19 @@ def test_kernel_batch_is_the_stack_of_its_points_bit_for_bit(name, n, constant):
     assert np.array_equal(batch, np.stack(alone))
 
 
-def test_union_keeps_one_row_per_direction():
-    c = np.array([1.0, -2.0, 0.5])
-    assert np.array_equal(cc.union_predicates(np.array([2 * c, c, -c])), [c])
-    e = np.eye(3)
-    rows = cc.union_predicates(e, -3 * e, np.zeros((1, 3)), np.zeros((2, 3)))
-    assert np.array_equal(rows, np.concatenate([np.zeros((1, 3)), e]))
+@settings(max_examples=50)
+@given(c=st.tuples(entries, entries, entries).filter(any).map(np.array), u0=points3,
+       u1=points3, scales=st.lists(st.sampled_from([-3.0, -2.0, -1.0, 1.5, 2.0, 4.0]),
+                                   max_size=4))
+@example(c=np.array([1, 0, 0]), u0=np.array([0.001, 0.0, 0.0]), u1=np.array([0.001, 0.0, 0.0]),
+         scales=[-1.0, 2.0])
+def test_parallel_rows_leave_the_verdict_of_the_shortest(c, u0, u1, scales):
+    # fields and samplers stack predicate rows without removing parallel ones
+    c = c.astype(float)
+    rows = np.array([k * c for k in scales] + [c])
+    for end in (u0, u1):
+        assert (cc.singular_segments(rows, u0, end).any(axis=-1)
+                == cc.singular_segments(c[None], u0, end)[..., 0])
 
 
 @settings(max_examples=30)

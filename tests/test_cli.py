@@ -359,6 +359,9 @@ def test_a_value_error_inside_a_kernel_is_a_bug_not_bad_input(monkeypatch, argv)
     (("build-complex", "--alpha", "1e200", "--beta", "1e-200", "--root", "2"), "= inf must be"),
     (("build-complex", "--alpha", "1e200", "--beta", "1", "--sigma2", "0.1"), "= inf must be"),
     (("build-complex", "--alpha", "-1e200", "--beta", "1", "--root", "1"), "= -inf must be"),
+    # sigma weights whose products overflow: refused, not a NaN report with warnings
+    (("build-complex", "--alpha", "2", "--beta", "1", "--sigma2", "1e100"), "sigma weights"),
+    (("build-complex", "--alpha", "2", "--beta", "1", "--sigma2", "1e300"), "sigma weights"),
 ])
 def test_package_input_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv, "--points", "3")

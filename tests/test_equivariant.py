@@ -45,6 +45,17 @@ def test_degenerate_invariants_rejected():
         eq.QuadraticInvariant(2.0, -1.0)  # 2*beta + alpha = 0
 
 
+@pytest.mark.parametrize("alpha, beta", [(1.0001, 1.0), (1.01, 1.0), (1e-5, 2e-5), (5.0, -3.0)])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_sigma_weight_bound_admits_every_root_at_every_scale(alpha, beta, scale):
+    # the bounded product max|sigma| max(|alpha|, |beta|) is 1.7e3 at (1.0001, 1)
+    for sigma2 in eq.solve_phi_roots(alpha, beta):
+        eq.FamilyParams.solve(scale * alpha, scale * beta, sigma2 / scale)
+    with pytest.raises(eq.DegenerateParametersError, match="sigma weights"):
+        eq.FamilyParams.solve(scale * alpha, scale * beta,
+                              1e41 / (scale * max(abs(alpha), abs(beta))))
+
+
 def form_fd_gap(omega, a):
     """Worst absolute gap between a one-form's analytic and FD Jacobians."""
     return float(np.max(np.abs(cc.fd_jacobian(omega.coeff, a) - omega.jac_at(a))))
@@ -400,11 +411,13 @@ def test_k2dR_matches_k3dQ(example3, sample_a):
 @pytest.mark.parametrize("alpha,beta,root", [(2.0, 1.0, 1), (2.0, 1.0, 2), (5.0, 2.0, 1),
                                              (5.0, 2.0, 2)])
 def test_sampling_predicates_are_the_nine_hyperplanes(alpha, beta, root):
-    # A_i = 0, A_i + A_j = 0 and A_i - A_j = 0, the last parallel to a_i = a_j
+    # A_i = 0, A_i + A_j = 0 and A_i - A_j = 0, then a_i = a_j, parallel to the
+    # rows of A_i - A_j
     sigma2 = eq.solve_phi_roots(alpha, beta)[root - 1]
     cx = eq.assemble_complex(eq.FamilyParams.solve(alpha, beta, sigma2))
     rows = cx.sampling_predicates()
-    assert rows.shape == (9, 3)
+    assert rows.shape == (12, 3)
+    assert np.array_equal(np.cross(rows[6:9], rows[9:]), np.zeros((3, 3)))
 
     def direction(c):  # scaled to max-norm 1, first nonzero entry positive
         d = np.round(c / np.max(np.abs(c)), 12)

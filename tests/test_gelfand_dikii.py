@@ -170,12 +170,12 @@ def test_verify_gd_complex_needs_points():
 
 def test_reproduce_gd_builds_its_fields_once(monkeypatch, capsys):
     # the operator, the complex and its chain, square and power forms depend on
-    # no input: a second run builds no field, so it takes no union of predicates
+    # no input: a second run builds no covector image
     argv = ["reproduce", "gd", "--points", "5", "--seed", "1", "--format", "json"]
     assert main(argv) == 0
     calls = []
-    union = cc.union_predicates
-    monkeypatch.setattr(cc, "union_predicates", lambda *rows: calls.append(1) or union(*rows))
+    image = gd.covector_image
+    monkeypatch.setattr(gd, "covector_image", lambda *fields: calls.append(1) or image(*fields))
     assert main(argv) == 0
     assert calls == []
     assert gd.gd_complex() is gd.gd_complex() and gd.gd_operator() is gd.gd_operator()

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lenardlab import equivariant as eq
-from lenardlab.chartcore import REGULARITY_MARGIN, union_predicates
+from lenardlab.chartcore import REGULARITY_MARGIN
 from lenardlab.sampling import (
     SamplingExhaustedError,
     default_rng,
@@ -172,8 +172,8 @@ def test_example3_segments_are_those_of_the_per_point_map(seed):
     params, _ = eq.example3_fixture()
     cx = eq.assemble_complex(params)
     h = params.quad.hessian()
-    preds = union_predicates(*(eq.square_form_in_x(cx, j, l).predicates
-                               for j in range(3) for l in range(j, 3)))
+    preds = np.concatenate([eq.square_form_in_x(cx, j, l).predicates
+                            for j in range(3) for l in range(j, 3)])
     args = {"count": 40, "predicates": preds, "dim": 3, "low": 0.5, "high": 3.0,
             "gap": 0.05, "max_tries": 10_000}
     segments, state = outcome(sample_segments, seed, **args, to_ambient=lambda a: a @ h)
