@@ -32,10 +32,19 @@ All logarithms appear as log u^2 = 2 log |u|; u = 0 is excluded by the
 regularity predicates, which for a ∨-system are its rows c.  A
 prepotential's ``*_at`` methods check them once per call; its raw maps do
 not, so finite-difference stencils call those.
+
+A 3 x 3 pivot, the only kind the CLI's n = 3 potentials make, is first
+inverted in closed form, by the adjugate of P/max|P|.  Cramer's rule is not
+forward stable, so the closed form only accepts: it keeps the pivots whose
+Frobenius condition number is at most sqrt(MAX_PIVOT_COND), where its error
+is at most the one LAPACK's inverse makes at the threshold, and whose det is
+clear of rounding noise.  Every other pivot takes the LAPACK path alone
+(:func:`_guarded_inverse`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,6 +61,9 @@ from .chartcore import (
 
 # Refuse WDVV pivots worse conditioned than this instead of amplifying noise.
 MAX_PIVOT_COND = 1e8
+# Accept a 3 x 3 pivot in closed form up to this Frobenius condition number
+# (see _guarded_inverse); the LAPACK path decides the rest.
+_CLOSED_FORM_COND = MAX_PIVOT_COND ** 0.5
 
 
 class SingularSliceError(np.linalg.LinAlgError):
@@ -165,6 +177,91 @@ def _guarded_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     MAX_PIVOT_COND; a refused pivot is inverted as the identity, so it spoils
     no other.
 
+    A 3 x 3 pivot is first inverted in closed form (:func:`_closed_form_inverse`)
+    and accepted there when its Frobenius condition number k_F is at most
+    _CLOSED_FORM_COND = sqrt(MAX_PIVOT_COND) = 1e4.  Every other pivot, and
+    every pivot of another size, takes :func:`_lapack_guarded_inverse` on its
+    own: the subset is inverted there and scattered back, so no pivot's path
+    or bits depend on the other pivots of its stack.  The closed form never
+    refuses; non-finite, zero, rank-one and ill-conditioned pivots all go to
+    LAPACK.  So does every pivot whose unit det is below
+    1/_CLOSED_FORM_COND^2, the least a pivot of k_F <= _CLOSED_FORM_COND can
+    have: there the adjugate and the det can both be rounding noise, and a
+    pivot singular but for rounding, such as a rank-one u v^T, reads any k_F.
+
+    Why the bound is sqrt(MAX_PIVOT_COND) and not the threshold itself:
+    Cramer's rule is not forward stable (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., chapter 14).  For the unit pivot
+    U = P/max|P|, with singular values about 1 >= s_2 >= s_3, the
+    cofactor-expanded det carries a relative error of about
+    eps/(s_2 s_3) <= eps k^2, so adj/det is off by that much in scale: at
+    s = (1, 1e-5, 1e-8) it is 1.1e-4 off, about 5e3 k eps, where LU's
+    inverse is off by about k eps.  The adjugate's direction is as accurate
+    as LU's, and the commutation residual divides by |P^-1|, so only the
+    scale matters.  Below k_F = sqrt(MAX_PIVOT_COND) that scale error is at
+    most eps k_F^2 <= eps MAX_PIVOT_COND, the worst the LAPACK path already
+    accepts at its threshold.  k_F cannot misjudge a pivot that far below it
+    either, so every pivot accepted here is accepted by an SVD too.
+    """
+    if mat.shape[-1] != 3:
+        return _lapack_guarded_inverse(mat)
+    inv, kappa_f = _closed_form_inverse(mat)
+    hard = ~(kappa_f <= _CLOSED_FORM_COND)
+    refuse = np.zeros(hard.shape, dtype=bool)
+    if hard.any():
+        inv[hard], refuse[hard] = _lapack_guarded_inverse(mat[hard])
+    return inv, refuse
+
+
+# Entry 3 i + j of the adjugate of a 3 x 3 matrix u, flattened as u[3 r + s],
+# is the cofactor u[j+1, i+1] u[j+2, i+2] - u[j+1, i+2] u[j+2, i+1] (indices
+# mod 3): rows 0 and 1 of this table index the first product, rows 2 and 3
+# the second.
+_ADJUGATE = np.array([[3 * ((j + a) % 3) + (i + b) % 3 for i in range(3) for j in range(3)]
+                      for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))])
+
+
+def _closed_form_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack (..., 3, 3) of pivots by Cramer's rule, and their
+    Frobenius condition numbers k_F, read as inf wherever the unit det is
+    below 1/_CLOSED_FORM_COND^2 or not a number (every singular or
+    non-finite pivot).
+
+    With U = P/max|P|, the inverse is (adj U / det U) / max|P|, det U by
+    cofactor expansion along the first row, and k_F is formed from P/max|P|
+    and max|P| P^-1 as the LAPACK path forms it, so it overflows at no
+    scale of P and reads inf where the inverse does.  The nine entries are
+    laid out as the leading axis, so every step is an elementwise operation
+    over the points, in the same order whatever the stack holds.
+    """
+    batch = mat.shape[:-2]
+    p = mat.reshape(-1, 9).T.reshape(9, *batch)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # eight np.maximum calls take a third of the time of np.max over
+        # the leading axis, and give the same bits
+        size = functools.reduce(np.maximum, np.abs(p))
+        unit = p / size
+        t = unit[_ADJUGATE]
+        adj = t[0] * t[1] - t[2] * t[3]
+        det = unit[0] * adj[0] + unit[1] * adj[3] + unit[2] * adj[6]
+        inv = adj / det / size
+        scaled = size * inv
+        # sum() adds the nine rows in order; a reduction over them
+        # would sum a lone pivot pairwise, and a stack in order
+        kappa_f = np.sqrt(sum(unit * unit)) * np.sqrt(sum(scaled * scaled))
+    # s_1 >= max|U| = 1, so a pivot of k_F <= _CLOSED_FORM_COND has
+    # |det U| = s_1 s_2 s_3 >= s_1^3 / k_2^2 >= 1/_CLOSED_FORM_COND^2
+    kappa_f = np.where(np.abs(det) >= _CLOSED_FORM_COND ** -2, kappa_f, np.inf)
+    # laid out as LAPACK's inverses are, so that matmul, which may choose its
+    # kernel by the strides, treats a product alike whichever tier inverted
+    # its pivot
+    return np.ascontiguousarray(inv.reshape(9, -1).T).reshape(*batch, 3, 3), kappa_f
+
+
+def _lapack_guarded_inverse(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_guarded_inverse` by LAPACK, for pivots of any size n: the
+    inverses and the mask of the refused pivots (inverted as the identity).
+
     The Frobenius condition number k_F = |P|_F |P^-1|_F bounds the 2-norm one,
     k_2 <= k_F <= n k_2, so k_F decides every pivot clear of the band
     (MAX_PIVOT_COND, n MAX_PIVOT_COND], and only the pivots in the band go
@@ -214,6 +311,17 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=(-2, -1)))
 
 
+@functools.cache
+def _pair_tables(n: int) -> tuple[np.ndarray, ...]:
+    """The pairs j < l of slices as two index arrays, and the row and column
+    indices of the upper triangle of an n x n matrix, read-only since every
+    call shares them."""
+    tables = (*np.array(list(pairwise_indices(n))).T, *np.triu_indices(n))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _commutation_residual(c: np.ndarray, pivot_inv: np.ndarray) -> np.ndarray:
     """The worst pair residual at every point of a stack (..., n, n, n) of
     third tensors; NaN wherever a pair residual is NaN.
@@ -224,13 +332,11 @@ def _commutation_residual(c: np.ndarray, pivot_inv: np.ndarray) -> np.ndarray:
     that product is 0, so is the numerator, and the residual reads 0.  (The
     smaller |c_j P^-1| |c_l| would raise rounding from k eps to k^2 eps for a
     pivot of condition number k.)"""
-    n = c.shape[-1]
-    j, l = np.array(list(pairwise_indices(n))).T
+    j, l, r, s = _pair_tables(c.shape[-1])
     cp = c @ pivot_inv[..., None, :, :]
     a = cp[..., j, :, :] @ c[..., l, :, :]
     # |a - a^T| is symmetric, so its entries on and above the diagonal hold
     # every value and every NaN of it
-    r, s = np.triu_indices(n)
     num = np.max(np.abs(a[..., r, s] - a[..., s, r]), axis=-1)
     norm = _frobenius(c)
     size = norm[..., j] * _frobenius(pivot_inv)[..., None] * norm[..., l]

@@ -153,6 +153,18 @@ def test_nan_residual_fails_in_either_point_order():
             assert not report.condition(name).passed
 
 
+def test_nan_point_fails_every_condition_it_feeds_without_a_warning():
+    # the suite turns RuntimeWarnings into errors: the chain determinant must
+    # read the NaN point as NaN, not raise and not read LAPACK's det of 0
+    pts = np.random.default_rng(7).uniform(-2.0, 2.0, (7, 3))
+    pts[3, 1] = np.nan
+    report = gd.verify_gd_complex(pts)
+    assert not report.passed
+    for c in report.conditions:
+        assert math.isnan(c.max_residual) and not c.passed, c.name
+    assert "chain_independence" in {c.name for c in report.conditions}
+
+
 def test_chain_covectors_have_constant_determinant(rng):
     # the stacked chain forms K_j dw2 have det = -8 everywhere, so the chain
     # coordinates exist globally

@@ -377,19 +377,188 @@ def test_guard_sends_only_the_band_to_the_svd(monkeypatch):
                   & (kappa <= 3 * wdvv.MAX_PIVOT_COND * (1 + 1e-5)))
 
 
-def test_guard_factors_each_pivot_once_unless_one_is_exactly_singular(monkeypatch):
+def spy_on_linalg(monkeypatch, names):
+    """Record the arguments of the named ``np.linalg`` functions, by name."""
+    seen = {name: [] for name in names}
+    for name in names:
+        def spy(x, *args, original=getattr(np.linalg, name), name=name, **kwargs):
+            seen[name].append(np.array(x))
+            return original(x, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_guard_factors_each_pivot_once_unless_one_is_exactly_singular(monkeypatch, n):
     # inv raises on a batch with an exactly singular member; only then does
     # slogdet find those members, and the batch is inverted again without them
-    calls = {"inv": 0, "slogdet": 0}
-    for name in calls:
-        def spy(x, original=getattr(np.linalg, name), name=name):
-            calls[name] += 1
-            return original(x)
-        monkeypatch.setattr(np.linalg, name, spy)
-    assert not wdvv._guarded_inverse(veselov_pivots(3, 2.0)[1])[1].any()
-    assert calls == {"inv": 1, "slogdet": 0}
-    wdvv._guarded_inverse(stress_pivots(3))
-    assert calls == {"inv": 3, "slogdet": 1}
+    seen = spy_on_linalg(monkeypatch, ("inv", "slogdet"))
+    counts = lambda: {name: len(args) for name, args in seen.items()}
+    assert not wdvv._guarded_inverse(veselov_pivots(n, 2.0)[1])[1].any()
+    assert counts() == {"inv": 1, "slogdet": 0}
+    wdvv._guarded_inverse(stress_pivots(n))
+    assert counts() == {"inv": 3, "slogdet": 1}
+
+
+def test_closed_form_leaves_lapack_only_the_pivots_it_cannot_vouch_for(monkeypatch):
+    seen = spy_on_linalg(monkeypatch, ("inv", "slogdet", "cond"))
+    easy = veselov_pivots(3, 2.0)[1]
+    assert not wdvv._guarded_inverse(easy)[1].any()
+    assert seen == {"inv": [], "slogdet": [], "cond": []}
+    # every stress pivot has k_2 >= 1e6: the first inv call sees exactly
+    # those, with the non-finite ones replaced by the identity
+    hard = stress_pivots(3)
+    wdvv._guarded_inverse(np.concatenate([easy[:100], hard, easy[100:]]))
+    finite = np.isfinite(hard).all(axis=(-2, -1))
+    np.testing.assert_array_equal(seen["inv"][0],
+                                  np.where(finite[:, None, None], hard, np.eye(3)))
+    assert len(seen["slogdet"]) == 1 and len(seen["inv"]) == 2
+
+
+# --- the closed-form tier of 3 x 3 pivots --------------------------------------------
+
+
+def two_small_singular_values(count=3000, seed=0, scaled=True):
+    """3 x 3 pivots with singular values (1, s_2, s_3): 2-norm condition number
+    1/s_3 from 1e3 to 1e10 with s_2 between, a sixth near (1, 1e-5, 1e-8) and
+    a sixth near (1, 1e-2, 1e-4); at scales 10^+-200 unless ``scaled`` is
+    False."""
+    rng = np.random.default_rng(seed)
+    q1 = np.linalg.qr(rng.standard_normal((count, 3, 3)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((count, 3, 3)))[0]
+    log_k = rng.uniform(3.0, 10.0, count)
+    sv = np.stack([np.ones(count), 10.0 ** -(rng.uniform(0.0, 1.0, count) * log_k),
+                   10.0 ** -log_k], axis=-1)
+    k = count // 6
+    sv[:k, 1], sv[:k, 2] = 10.0 ** -rng.uniform(4.9, 5.1, k), 10.0 ** -rng.uniform(7.8, 8.1, k)
+    sv[k:2 * k, 1] = 10.0 ** -rng.uniform(1.9, 2.1, k)
+    sv[k:2 * k, 2] = 10.0 ** -rng.uniform(3.9, 4.1, k)
+    scale = 10.0 ** rng.uniform(-200.0, 200.0, count) if scaled else np.ones(count)
+    return scale[:, None, None] * (q1 * sv[:, None, :]) @ q2
+
+
+def singular_in_rounding(count=600, seed=1):
+    """3 x 3 pivots singular but for rounding, at scales 10^+-200: rank-one
+    products u v^T, and singular values (1, s_2, s_3) with s_2 from 1e-16 to
+    1e-12 and s_3 below 1e-16.  Their adjugates and cofactor-expanded dets
+    are rounding noise of order eps, whose ratio reads k_F near 1."""
+    rng = np.random.default_rng(seed)
+    half = count // 2
+    u, v = rng.standard_normal((2, half, 3))
+    q1 = np.linalg.qr(rng.standard_normal((half, 3, 3)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((half, 3, 3)))[0]
+    sv = np.stack([np.ones(half), 10.0 ** -rng.uniform(12.0, 16.0, half),
+                   10.0 ** -rng.uniform(16.0, 20.0, half)], axis=-1)
+    pivots = np.concatenate([u[:, :, None] * v[:, None, :], (q1 * sv[:, None, :]) @ q2])
+    return 10.0 ** rng.uniform(-200.0, 200.0, count)[:, None, None] * pivots
+
+
+def closed_form_errors(pivots):
+    """For the pivots the closed form accepts: their k_F, and the relative
+    Frobenius distance of the guard's inverse from ``np.linalg.inv``'s, as it
+    stands and after the best scalar fit."""
+    kappa_f = wdvv._closed_form_inverse(pivots)[1]
+    kept = kappa_f <= wdvv._CLOSED_FORM_COND
+    # both inverses are brought near 1 exactly, by a power of two, so the
+    # products below overflow at no scale
+    shift = np.frexp(np.abs(pivots[kept]).max(axis=(-2, -1)))[1][:, None, None]
+    inv = np.ldexp(wdvv._guarded_inverse(pivots[kept])[0], shift)
+    lu = np.ldexp(np.linalg.inv(pivots[kept]), shift)
+    fit = (np.einsum("kij,kij->k", inv, lu) / np.einsum("kij,kij->k", inv, inv))[:, None, None]
+    size = np.linalg.norm(lu, axis=(-2, -1))
+    return (kappa_f[kept], np.linalg.norm(inv - lu, axis=(-2, -1)) / size,
+            np.linalg.norm(fit * inv - lu, axis=(-2, -1)) / size)
+
+
+EPS = np.finfo(float).eps
+
+
+def closed_form_within_bounds(pivots):
+    # the scale error the LAPACK path accepts at its threshold, and the
+    # direction error of an LU inverse
+    kappa_f, relative, fitted = closed_form_errors(pivots)
+    return (np.all(relative <= EPS * wdvv.MAX_PIVOT_COND)
+            and np.all(fitted <= 4 * kappa_f * EPS))
+
+
+def test_closed_form_refuses_exactly_what_an_svd_refuses_on_two_small_singular_values():
+    pivots = two_small_singular_values()
+    refused = wdvv._guarded_inverse(pivots)[1]
+    np.testing.assert_array_equal(refused, svd_refusals(pivots))
+    kappa_f = wdvv._closed_form_inverse(pivots)[1]
+    # both tiers and both verdicts of the LAPACK path are exercised
+    assert 200 < np.sum(kappa_f <= wdvv._CLOSED_FORM_COND) < len(pivots) / 2
+    assert 200 < refused.sum() < len(pivots) / 2
+
+
+def test_closed_form_inverse_is_within_the_lapack_paths_error():
+    pivots = two_small_singular_values()
+    kappa_f = closed_form_errors(pivots)[0]
+    assert len(kappa_f) > 200 and kappa_f.max() > wdvv._CLOSED_FORM_COND / 2
+    assert closed_form_within_bounds(pivots)
+
+
+def test_closed_form_bound_below_the_threshold_is_what_keeps_its_error_small(monkeypatch):
+    # Cramer's rule is not forward stable: accepted up to the threshold
+    # itself, the pivots near s = (1, 1e-5, 1e-8) are far outside both bounds
+    monkeypatch.setattr(wdvv, "_CLOSED_FORM_COND", wdvv.MAX_PIVOT_COND)
+    pivots = two_small_singular_values()
+    np.testing.assert_array_equal(wdvv._guarded_inverse(pivots)[1], svd_refusals(pivots))
+    assert not closed_form_within_bounds(pivots)
+    assert closed_form_errors(pivots)[1].max() > 1e3 * EPS * wdvv.MAX_PIVOT_COND
+
+
+def test_closed_form_leaves_pivots_singular_but_for_rounding_to_lapack():
+    pivots = singular_in_rounding()
+    assert np.all(wdvv._closed_form_inverse(pivots)[1] == np.inf)
+    refused = wdvv._guarded_inverse(pivots)[1]
+    np.testing.assert_array_equal(refused, svd_refusals(pivots))
+    assert refused.all()
+
+
+@pytest.mark.parametrize("k", [300, -300])
+def test_guard_and_residual_scale_exactly_by_a_power_of_two(k):
+    c, easy = veselov_pivots(3, 2.0)
+    hard = two_small_singular_values(count=600, scaled=False)
+    third = np.concatenate([c, c, np.random.default_rng(1).standard_normal((600, 3, 3, 3))])
+    pivots = np.concatenate([easy, hard])
+    inv, refused = wdvv._guarded_inverse(pivots)
+    scaled_inv, scaled_refused = wdvv._guarded_inverse(2.0 ** k * pivots)
+    np.testing.assert_array_equal(scaled_refused, refused)
+    np.testing.assert_array_equal(scaled_inv[~refused], 2.0 ** -k * inv[~refused])
+    for got, want in zip(wdvv.commutation_residuals(third, 2.0 ** k * pivots),
+                         wdvv.commutation_residuals(third, pivots)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_each_pivot_of_a_mixed_block_gets_the_bits_it_gets_alone():
+    pivots = np.concatenate([veselov_pivots(3, 2.0)[1][:200], stress_pivots(3),
+                             two_small_singular_values(count=300), singular_in_rounding(100)])
+    pivots = pivots[np.random.default_rng(5).permutation(len(pivots))]
+    inv, refused = wdvv._guarded_inverse(pivots)
+    alone = [wdvv._guarded_inverse(p) for p in pivots]
+    np.testing.assert_array_equal(inv, np.stack([a[0] for a in alone]))
+    np.testing.assert_array_equal(refused, np.array([a[1] for a in alone]))
+    # k_F decides the tier: a lone pivot's must be its k_F in the block
+    np.testing.assert_array_equal(wdvv._closed_form_inverse(pivots)[1],
+                                  [wdvv._closed_form_inverse(p)[1] for p in pivots])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_commutation_residuals_of_a_block_are_the_stack_of_its_points(n):
+    # matmul may choose its kernel by the strides of P^-1, so both tiers must
+    # lay their inverses out alike for a point's residual to keep its bits
+    c, pivots = veselov_pivots(n, 2.0, count=150)
+    c = np.concatenate([c, c])
+    blocks = [pivots]
+    if n == 3:
+        blocks.append(np.concatenate([pivots[:150], two_small_singular_values(100, scaled=False),
+                                      singular_in_rounding(50)]))
+    for block in blocks:
+        residuals, refused = wdvv.commutation_residuals(c, block)
+        alone = [wdvv.commutation_residuals(ck, pk) for ck, pk in zip(c, block)]
+        np.testing.assert_array_equal(residuals, [a[0] for a in alone])
+        np.testing.assert_array_equal(refused, [a[1] for a in alone])
 
 
 def test_one_pivot_against_a_batch_gives_a_scalar_mask():
