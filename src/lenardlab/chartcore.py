@@ -5,8 +5,9 @@ field, :class:`Field`: a pair of callables, its components and their
 analytic first derivatives.  A one-form and a vector field have components
 of shape (dim,), a (1,1)-tensor field of shape (dim, dim); a function enters
 only through its differential, a one-form.  All residuals below are computed
-from the analytic derivatives, with central finite differences available
-only as an independent cross-check.
+from the analytic derivatives; a complex-step derivative of the components
+(:func:`fd_jacobian`) and second differences (:func:`fd_hessian`) serve only
+as independent cross-checks.
 
 Conventions, fixed once for the whole package:
 
@@ -20,8 +21,8 @@ Conventions, fixed once for the whole package:
 * Maps keep the dtype of their points.  Points enter through
   :func:`as_points`: integer points become float64, and float64, complex128
   and object (e.g. ``Fraction``) points keep their dtype, so the same maps
-  run on a complex step.  Only constructor data (predicate rows, constant
-  values) is cast to float.
+  run on the complex step of :func:`fd_jacobian`.  Only constructor data
+  (predicate rows, constant values) is cast to float.
 * Regularity predicates are linear data: a field stores them as a (P, dim)
   array C of covector rows, and u is regular iff |u . c| >= REGULARITY_MARGIN
   for every row c (:func:`singular_segments` is the one place that compares).
@@ -62,10 +63,6 @@ import numpy as np
 # Points are accepted only if every attached regularity predicate is bounded
 # away from zero by this margin.
 REGULARITY_MARGIN = 1e-3
-
-# Central-difference step is FD_STEP * max(1, |u_i|) per coordinate.
-FD_STEP = 1e-5
-
 
 class SingularPointError(ValueError):
     """A point violates a regularity predicate of the field it is fed to."""
@@ -381,8 +378,12 @@ def nijenhuis_tensor(k: Field, p) -> np.ndarray:
 def nijenhuis_contracted(k: Field, df: Field, p) -> np.ndarray:
     """The antisymmetric matrix df(N_K(., .)) on coordinate basis pairs."""
     _same_chart(k, df)
-    n = nijenhuis_tensor(k, p)
-    return np.einsum("...a,...aij->...ij", df.coeff_at(p), n)
+    return contract_torsion(df.coeff_at(p), nijenhuis_tensor(k, p))
+
+
+def contract_torsion(theta: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """theta(N(., .)) at every point: (..., a) x (..., a, i, j) -> (..., i, j)."""
+    return np.einsum("...a,...aij->...ij", theta, n)
 
 
 def haantjes_tensor(k: Field, p) -> np.ndarray:
@@ -450,46 +451,44 @@ def point_batch(points, dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# finite differences (cross-check only, never the primary derivative)
+# derivative oracles (cross-checks only, never the primary derivative)
 
-
-def _fd_steps(u: np.ndarray) -> np.ndarray:
-    return FD_STEP * np.maximum(1.0, np.abs(u))
+# The complex step takes no difference, so it can sit far below the rounding
+# of u itself: Im f(u + i h e_d) / h is exact to O(h^2) = 1e-60.
+COMPLEX_STEP = 1e-30
 
 
 def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
-    """Central-difference Jacobian of a (possibly tensor-valued) map at the
-    points ``u`` of shape (..., dim); the differentiation index is appended
-    as the last axis.  ``fun`` is called 4 * dim times, each time with every
-    point shifted along one coordinate.
+    """Complex-step Jacobian J[..., d] = Im fun(u + i h e_d) / h of a
+    (possibly tensor-valued) real map at the real points ``u`` of shape
+    (..., dim), the differentiation index appended as the last axis; h is
+    COMPLEX_STEP.  ``fun`` is called dim times, each time with every point
+    shifted along one coordinate, and must keep the dtype of its points
+    (Squire and Trapp, SIAM Review 40, 1998; Martins, Sturdza and Alonso,
+    ACM TOMS 29, 2003).
 
-    Uses the five-point (fourth-order) central stencil: with the h above, a
-    two-point stencil cannot certify 1e-6 agreement for the logarithmic
-    coefficients near the 0.05 sampling gap, while this one stays below
-    1e-10 there.
+    No difference is taken, so there is no subtractive cancellation and the
+    gap to an analytic Jacobian is rounding alone.  A value that is not
+    finite makes its column NaN: a NaN written into a complex value is
+    nan+0j, whose imaginary part would read as a derivative of 0.  The
+    invalid-value warnings of complex arithmetic on a NaN point are silenced
+    around the shifted evaluations; the NaN column carries the failure.
     """
-    u = as_points(u)
-    h = _fd_steps(u)
-    h_by_coord = h.T  # h_by_coord[d]: the steps along coordinate d, at every point
-
-    def at(d: int, k: int) -> np.ndarray:
-        v = u.copy()
-        v.T[d] += k * h_by_coord[d]
-        return fun(v)
-
-    def column(d: int) -> np.ndarray:
-        return at(d, -2) - 8.0 * at(d, -1) + 8.0 * at(d, 1) - at(d, 2)
-
-    # filled column by column and divided in place: the Jacobian of a stacked
-    # map is the largest array a verifier holds, so it is held once
-    first = column(0)
-    jac = np.empty(first.shape + u.shape[-1:], first.dtype)
-    jac[..., 0] = first
-    del first
-    for d in range(1, u.shape[-1]):
-        jac[..., d] = column(d)
-    # 12 h_d, aligned with the point axes and the appended derivative axis
-    jac /= (12.0 * h).reshape(h.shape[:-1] + (1,) * (jac.ndim - h.ndim) + h.shape[-1:])
+    z = as_points(u).astype(complex)
+    jac = None
+    for d in range(z.shape[-1]):
+        z.imag[..., d] = COMPLEX_STEP
+        with np.errstate(invalid="ignore"):
+            f = fun(z)
+        if jac is None:
+            # filled column by column: the Jacobian of a stacked map is the
+            # largest array a verifier holds, so it is held once, and real
+            jac = np.empty(np.shape(f) + z.shape[-1:])
+        column = jac[..., d]
+        np.divide(np.imag(f), COMPLEX_STEP, out=column)
+        column[~np.isfinite(f)] = np.nan
+        # only now: f may be a view of z, as the identity map's value is
+        z.imag[..., d] = 0.0
     return jac
 
 
@@ -541,8 +540,8 @@ def relative_gap(diff: np.ndarray, exact: np.ndarray) -> float:
 def fd_check_tensor(value: Callable[[np.ndarray], np.ndarray], jacs: Sequence[np.ndarray],
                     p) -> float:
     """Worst relative gap over the points ``p`` between the analytic
-    Jacobians ``jacs`` of a stack of rows and the central-difference Jacobian
-    of the map ``value`` that evaluates them, from one :func:`fd_jacobian`
+    Jacobians ``jacs`` of a stack of rows and the complex-step Jacobian of
+    the map ``value`` that evaluates them, from one :func:`fd_jacobian`
     call.
 
     ``value`` maps points (..., dim) to rows (..., R, dim): a (1,1)-tensor is

@@ -38,12 +38,13 @@ from .chartcore import (
     compose_jac,
     constant_field,
     constant_map,
+    contract_torsion,
     covector_apply,
     covector_image,
     covector_image_jac,
     fd_check_tensor,
     lenard_residuals,
-    nijenhuis_contracted,
+    nijenhuis_tensor,
     point_batch,
     worst,
     worst_by_name,
@@ -108,13 +109,18 @@ def gd_complex() -> GDComplex:
     )
 
 
-def gd_torsion_identity_residual(df: Field, p) -> float:
-    """Worst residual of df(Torsion(K)) = dw2 ^ df over the points p."""
-    k = gd_operator()
-    contracted = nijenhuis_contracted(k, df, p)
+def gd_torsion_identity_residual(probes: Sequence[Field], p) -> float:
+    """Worst residual of df(Torsion(K)) = dw2 ^ df over the probe one-forms
+    df and the points p; N_K is formed once for all probes."""
+    n = nijenhuis_tensor(gd_operator(), p)
     e2 = np.array([0.0, 0.0, 1.0])
-    target = wedge_matrix(e2, df.coeff_at(p))
-    return worst(contracted - target)
+
+    def residuals() -> Iterator[np.ndarray]:
+        for df in probes:
+            theta = df.coeff_at(p)
+            yield contract_torsion(theta, n) - wedge_matrix(e2, theta)
+
+    return worst(*residuals())
 
 
 @functools.cache

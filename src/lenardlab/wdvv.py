@@ -322,25 +322,71 @@ def _pair_tables(n: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
+# The normal range of float64; a Frobenius norm squares its entries, so below
+# _NORM_FLOOR its squares underflowed.
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+_NORM_FLOOR = np.sqrt(_TINY)
+
+
 def _commutation_residual(c: np.ndarray, pivot_inv: np.ndarray) -> np.ndarray:
     """The worst pair residual at every point of a stack (..., n, n, n) of
     third tensors; NaN wherever a pair residual is NaN.
 
-    The products c_j P^-1 of every slice are one stacked matmul, and each
-    pair's c_j P^-1 c_l is associated as (c_j P^-1) c_l.  Each is divided by
-    |c_j| |P^-1| |c_l| itself, so the residual does not scale with c; where
-    that product is 0, so is the numerator, and the residual reads 0.  (The
-    smaller |c_j P^-1| |c_l| would raise rounding from k eps to k^2 eps for a
-    pivot of condition number k.)"""
-    j, l, r, s = _pair_tables(c.shape[-1])
-    cp = c @ pivot_inv[..., None, :, :]
+    The products c_j P^-1 of every slice are one gemm per point, on c with
+    its first two slice axes flattened, and each pair's c_j P^-1 c_l is
+    associated as (c_j P^-1) c_l.  Each is divided by |c_j| |P^-1| |c_l|
+    itself, so the residual does not scale with c; where that product is 0,
+    so is the numerator, and the residual reads 0.  (The smaller
+    |c_j P^-1| |c_l| would raise rounding from k eps to k^2 eps for a pivot
+    of condition number k.)
+
+    The norms square their entries, so they over- or underflow beyond a
+    scale of about 1e+-154.  A point where one did, where their product left
+    the normal range, or whose residual is not finite, is computed again
+    with every slice c_j and P^-1 scaled by a power of two to a largest
+    entry in [1/2, 1): the pair residual is homogeneous of degree 0 in each
+    of them, and a power of two scales exactly, so its bits stay those of a
+    normal scale."""
+    # an extreme scale overflows a norm, or multiplies an overflowed one by
+    # an underflowed one: this pass finds those points, the next mends them
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual, norm, inv_norm, size = _pair_residual(c, pivot_inv)
+        # one test over the whole stack first: at a normal scale every point
+        # passes it (NaN fails every comparison)
+        if (norm.min() >= _NORM_FLOOR and inv_norm.min() >= _NORM_FLOOR and size.min() >= _TINY
+                and size.max() <= _HUGE and residual.max() < np.inf):
+            return residual
+        redo = ~((np.min(norm, axis=-1) >= _NORM_FLOOR) & (inv_norm >= _NORM_FLOOR)
+                 & np.all((size >= _TINY) & (size <= _HUGE), axis=-1) & np.isfinite(residual))
+    pivot_inv = np.broadcast_to(pivot_inv, c.shape[:-3] + pivot_inv.shape[-2:])
+    residual = np.array(residual)
+    residual[redo] = _pair_residual(_unit_scaled(c[redo]), _unit_scaled(pivot_inv[redo]))[0]
+    return residual
+
+
+def _pair_residual(c: np.ndarray, pivot_inv: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_commutation_residual` at every point, unscaled, with the norms
+    |c_j| (..., n) and |P^-1| (...) and the pairs' products of norms it
+    divides by."""
+    n = c.shape[-1]
+    j, l, r, s = _pair_tables(n)
+    cp = (c.reshape(c.shape[:-3] + (n * n, n)) @ pivot_inv).reshape(c.shape)
     a = cp[..., j, :, :] @ c[..., l, :, :]
     # |a - a^T| is symmetric, so its entries on and above the diagonal hold
     # every value and every NaN of it
     num = np.max(np.abs(a[..., r, s] - a[..., s, r]), axis=-1)
     norm = _frobenius(c)
-    size = norm[..., j] * _frobenius(pivot_inv)[..., None] * norm[..., l]
-    return np.max(num / np.where(size == 0.0, 1.0, size), axis=-1)
+    inv_norm = _frobenius(pivot_inv)
+    size = norm[..., j] * inv_norm[..., None] * norm[..., l]
+    return np.max(num / np.where(size == 0.0, 1.0, size), axis=-1), norm, inv_norm, size
+
+
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """Each matrix of x (its last two axes) scaled by a power of two to a
+    largest |entry| in [1/2, 1), exactly; a zero or non-finite one is left
+    as it is."""
+    exponent = np.frexp(np.max(np.abs(x), axis=(-2, -1)))[1]
+    return np.ldexp(x, -exponent[..., None, None])
 
 
 def commutation_residuals(c: np.ndarray, pivot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

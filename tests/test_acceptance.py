@@ -226,7 +226,7 @@ def test_criterion_7_gelfand_dikii():
         cc.Field(chart, lambda w: np.array([w[1], w[0], 0.0]),
                         cc.constant_map([[0.0, 1, 0], [1, 0, 0], [0, 0, 0]])),
     ]
-    worst = max(gd.gd_torsion_identity_residual(f, w) for w in pts for f in probes)
+    worst = max(gd.gd_torsion_identity_residual(probes, w) for w in pts)
     ok = _line("criterion 7 (torsion identity, 4 probes x 50 pts)", worst, 1e-8)
 
     report = gd.verify_gd_complex(pts, tol_analytic=1e-8)

@@ -200,7 +200,8 @@ def test_complex_fd_check_evaluates_each_field_once_per_shifted_batch(monkeypatc
     pts = sample_gapped_box(default_rng(9), 30, predicates=cx.sampling_predicates())
     assert count_calls(monkeypatch, lambda: eq.verify_complex(counting, pts),
                        (cc, "fd_jacobian")) == 1
-    assert evals == dict.fromkeys(evals, 4 * 3)
+    # the complex step shifts the points once per coordinate
+    assert evals == dict.fromkeys(evals, 3)
     assert eq.verify_complex(cx, pts).passed
 
 
@@ -266,6 +267,25 @@ def test_nan_in_one_stacked_row_fails_the_fd_check(monkeypatch, example3, module
     report = eq.verify_complex(cx, pts) if module is eq else gd_report()
     cond = report.condition("jacobian_fd_agreement")
     assert np.isnan(cond.max_residual) and not cond.passed and not report.passed
+
+
+@pytest.mark.parametrize("drop", [np.real, np.abs], ids=["real", "abs"])
+@pytest.mark.parametrize("module, row", STACKED_ROWS)
+def test_a_stacked_row_that_drops_the_imaginary_part_fails_the_fd_check(monkeypatch, example3,
+                                                                        module, row, drop):
+    # the complex step reads a zero derivative for such a row, where the
+    # five-point stencil read the true one
+    _, _, cx = example3
+    pts = sample_gapped_box(default_rng(9), 30, predicates=cx.sampling_predicates())
+
+    def dropped(values):
+        values[:, row] = drop(values[:, row])
+        return values
+
+    spoil_fd_check(monkeypatch, module, values=dropped)
+    report = eq.verify_complex(cx, pts) if module is eq else gd_report()
+    cond = report.condition("jacobian_fd_agreement")
+    assert cond.max_residual > 0.5 and not cond.passed
 
 
 def test_wdvv_pipelines_cost_the_same_calls_for_50_and_200_points(monkeypatch, example3,

@@ -374,7 +374,7 @@ def test_wedge_matrix_antisymmetry():
     assert w[0, 1] == pytest.approx(2.0)
 
 
-# --- finite differences ------------------------------------------------------
+# --- derivative oracles: second differences and the complex step -----------
 
 
 def test_fd_hessian_on_polynomial():
@@ -403,6 +403,47 @@ def test_fd_hessian_batch_is_stack_of_points_with_one_call_per_shift():
     calls.clear()
     assert cc.fd_hessian(f, pts.reshape(3, 1, 3)).shape == (3, 1, 3, 3)
     assert len(calls) == shifts
+
+
+def test_fd_jacobian_is_the_complex_step_with_one_call_per_coordinate():
+    dtypes = []
+
+    def f(u):
+        dtypes.append(u.dtype)
+        return np.stack([u[..., 0] ** 3 * u[..., 1], np.log(u[..., 2] ** 2)], axis=-1)
+
+    pts = np.array([[1.2, -0.7, 0.4], [0.3, 2.0, -1.1], [-1.5, 0.8, 2.2]])
+    jac = cc.fd_jacobian(f, pts)
+    assert dtypes == [np.complex128] * 3 and jac.dtype == np.float64
+    u0, u1, u2 = pts.T
+    expected = np.zeros((3, 2, 3))
+    expected[:, 0, 0], expected[:, 0, 1], expected[:, 1, 2] = 3 * u0**2 * u1, u0**3, 2 / u2
+    np.testing.assert_allclose(jac, expected, rtol=1e-15)
+    np.testing.assert_array_equal(jac, np.stack([cc.fd_jacobian(f, u) for u in pts]))
+    # the identity map returns its (shifted) points themselves
+    np.testing.assert_array_equal(cc.fd_jacobian(lambda u: u, pts), np.broadcast_to(np.eye(3),
+                                                                                  (3, 3, 3)))
+
+
+def test_fd_jacobian_reads_nan_wherever_a_value_is_not_finite():
+    pts = np.array([[1.2, -0.7, 0.4], [0.3, 2.0, -1.1], [-1.5, 0.8, 2.2]])
+
+    def spoiled(u):
+        # nan written into a complex value is nan+0j: its imaginary part is 0
+        v = u * u
+        v[1, 0], v[2, 1] = np.nan, np.inf
+        return v
+
+    jac = cc.fd_jacobian(spoiled, pts)
+    bad = np.zeros((3, 3), dtype=bool)
+    bad[1, 0] = bad[2, 1] = True
+    assert np.isnan(jac[bad]).all() and np.isfinite(jac[~bad]).all()
+    # complex division by a NaN coordinate raises no warning, and leaves its value's row NaN
+    pts[0, 2] = np.nan
+    jac = cc.fd_jacobian(lambda u: 1.0 / u, pts)
+    bad[:] = False
+    bad[0, 2] = True
+    assert np.isnan(jac[bad]).all() and np.isfinite(jac[~bad]).all()
 
 
 def form_fd_gap(omega, u):

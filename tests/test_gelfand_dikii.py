@@ -78,7 +78,7 @@ def test_contracted_torsion_vanishes_for_w2():
 def test_torsion_identity_for_probe_functions(rng):
     for w in rng.uniform(-2, 2, (50, 3)):
         for f in (DW0, DW1, DW2, DW0W1):
-            assert gd.gd_torsion_identity_residual(f, w) < 1e-8
+            assert gd.gd_torsion_identity_residual([f], w) < 1e-8
 
 
 def test_haantjes_vanishes_while_nijenhuis_does_not(rng):

@@ -104,7 +104,7 @@ def nan_first(fn):
 
 @pytest.mark.parametrize("target, owner, attr", [
     ("chain_independence", np.linalg, "det"),
-    ("nijenhuis_nonvanishing", gd, "nijenhuis_contracted"),
+    ("nijenhuis_nonvanishing", cli, "nijenhuis_contracted"),
     ("power_chain_not_closed", cli, "closure_residual"),
 ])
 def test_a_nan_below_a_lower_bound_is_not_clipped_away(monkeypatch, capsys, target, owner, attr):

@@ -268,14 +268,30 @@ def test_commutation_residual_does_not_scale_with_the_potential():
     rows = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0], [-2.0, 0.25, 1.0], [1.0, 1.0, 1.0]])
     h = np.array([0.7, -1.3, 0.4, 2.0])
     x = sample_gapped_box(default_rng(5), 6, dim=3, predicates=rows, gap=0.2)
-    residuals = [wdvv_residual_at(wdvv.vee_prepotential(rows, s * h), x)
-                 for s in (1.0, 1e-3, 1e-9, 1e-100)]
+    # beyond about 1e+-154 the Frobenius norms' squares over- or underflow
+    scales = (1.0, 1e-3, 1e-9, 1e-100, 1e-156, 1e156, 1e-160, 1e160, 1e-200, 1e200)
+    residuals = [wdvv_residual_at(wdvv.vee_prepotential(rows, s * h), x) for s in scales]
     assert residuals[0] > 1e-2
-    assert residuals == pytest.approx([residuals[0]] * 4, rel=1e-12)
+    assert residuals == pytest.approx([residuals[0]] * len(scales), rel=1e-12)
     pre = wdvv.veselov_prepotential(POT3, scale=1e-9)
     pts = sample_points(50, seed=5)
     assert wdvv_residual_at(pre, pts) < 1e-8
     assert euler_residual_at(pre, wdvv.QUARTER_X, pts) < 1e-8
+
+
+@pytest.mark.parametrize("scale", [1e-250, 1e-160, 1e160, 1e250])
+def test_commutation_residual_does_not_scale_with_the_pivot(scale):
+    # a pivot of another scale than c: |P^-1| over- or underflows alone
+    rows = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0], [-2.0, 0.25, 1.0], [1.0, 1.0, 1.0]])
+    pre = wdvv.vee_prepotential(rows, np.array([0.7, -1.3, 0.4, 2.0]))
+    x = sample_gapped_box(default_rng(5), 6, dim=3, predicates=rows, gap=0.2)
+    c = pre.third_at(x)
+    g = wdvv.g_matrix(c, wdvv.QUARTER_X, x)
+    residuals, rejected = wdvv.commutation_residuals(c, g)
+    assert residuals.min() > 1e-4 and not rejected.any()
+    scaled, rejected = wdvv.commutation_residuals(c, scale * g)
+    assert not rejected.any()
+    np.testing.assert_allclose(scaled, residuals, rtol=1e-12)
 
 
 def test_commutation_residual_reads_zero_where_its_scale_is_zero():
