@@ -487,8 +487,10 @@ def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], u) -> np.ndarray:
         column = jac[..., d]
         np.divide(np.imag(f), COMPLEX_STEP, out=column)
         column[~np.isfinite(f)] = np.nan
-        # only now: f may be a view of z, as the identity map's value is
+        # only now: f may be a view of z, as the identity map's value is;
+        # and f is freed before the next shift's values are formed
         z.imag[..., d] = 0.0
+        del f
     return jac
 
 
